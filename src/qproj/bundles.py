@@ -12,7 +12,10 @@ cut out a constrained set of tableaux on one tensor leg; the other leg stays
 free, so the constrained subspace has dimension (number of constrained
 tableaux) * (block dimension).  The anti-holomorphic kernel is the kernel of
 the E_l action on the constrained leg.  Both the conditions and the kernel
-are computed here by applying the actual representation matrices; the known
+are computed here by applying the actual representation matrices, in the
+non-normalized GT basis where every entry is an exact rational at rational q,
+so each rank is decided by exact elimination (`qproj.linalg.eliminate`),
+never by a numeric threshold.  The known
 closed-form shape of the constrained tableaux is kept only as an independent
 cross-check (`closed_form_section_tableaux`), and the kernel count has an
 independent combinatorial oracle (`ker_el_combinatorial`).
@@ -23,15 +26,14 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .linalg import SparseMatrix, numeric_rank
-from .qarith import DEFAULT_PRECISION, check_precision, parse_q
+from .linalg import eliminate
+from .qarith import parse_q
 from .gtrep import (
     DEFAULT_DIM_CAP,
     DimensionCapError,
     GTTableau,
-    apply_e,
-    apply_f,
     enumerate_tableaux,
+    exact_column,
     top_row,
     weyl_dim,
 )
@@ -96,17 +98,16 @@ def closed_form_section_tableaux(ell: int, N: int, weight) -> list:
     return [t] if t.interlaces() else []
 
 
-def ln_conditions_filter(ell: int, N: int, weight, q, precision: int = DEFAULT_PRECISION,
+def ln_conditions_filter(ell: int, N: int, weight, q,
                          dim_cap: int = DEFAULT_DIM_CAP) -> list:
     """Tableaux of one block satisfying all bundle conditions, via matrices.
 
     The diagonal (K) conditions select a candidate set; the joint kernel of
     the stacked E_i, F_i columns (i < l) on that set is then computed by
-    numeric rank and must be spanned by single tableaux, which are returned
+    exact rank and must be spanned by single tableaux, which are returned
     in lexicographic order.  Nothing here assumes the closed-form shape.
     """
     qf = parse_q(q)
-    precision = check_precision(precision)
     weight = tuple(int(n) for n in weight)
     if len(weight) != ell:
         raise ValueError("weight %r does not match ell=%d" % (weight, ell))
@@ -114,73 +115,60 @@ def ln_conditions_filter(ell: int, N: int, weight, q, precision: int = DEFAULT_P
         raise DimensionCapError(
             "block weight %s has dimension %d above the cap %d"
             % (weight, weyl_dim(weight), dim_cap))
-    basis = enumerate_tableaux(weight)
-    return _filter_on_basis(ell, N, basis, qf, precision)
-
-
-def _filter_on_basis(ell, N, basis, qf, precision):
     selected = [
-        t for t in basis
+        t for t in enumerate_tableaux(weight)
         if all(t.a(i) == 0 for i in range(1, ell))
         and sum(k * t.a(k) for k in range(1, ell + 1)) == N * ell
     ]
-    if not selected:
-        return []
-    # Stack the E_i and F_i columns (i < l) over the selected tableaux.
-    entries = {}
-    row_ids = {}
-    zero_cols = []
-    for col, t in enumerate(selected):
-        nonzero = False
-        for i in range(1, ell):
-            for tag, column in (("E", apply_e(i, t, qf, precision)),
-                                ("F", apply_f(i, t, qf, precision))):
-                for target, c in column.items():
-                    key = (tag, i, target)
-                    row = row_ids.setdefault(key, len(row_ids))
-                    entries[(row, col)] = c
-                    nonzero = True
-        if not nonzero:
-            zero_cols.append(t)
-    if row_ids:
-        stacked = SparseMatrix(len(row_ids), len(selected), entries)
-        rank = numeric_rank(stacked, precision)
-        kernel_dim = len(selected) - rank.rank
-        if rank.ill_conditioned or kernel_dim != len(zero_cols):
-            raise FilterError(
-                "joint kernel (dim %d%s) is not spanned by single tableaux (%d found)"
-                % (kernel_dim, ", ill-conditioned" if rank.ill_conditioned else "",
-                   len(zero_cols)))
+    columns = [_condition_column(ell, t, qf) for t in selected]
+    zero_cols = [t for t, column in zip(selected, columns) if not column]
+    kernel_dim = len(selected) - _exact_rank(columns)
+    if kernel_dim != len(zero_cols):
+        raise FilterError(
+            "joint kernel (dim %d) is not spanned by single tableaux (%d found)"
+            % (kernel_dim, len(zero_cols)))
     return sorted(zero_cols, key=GTTableau.flat)
+
+
+def _condition_column(ell, t, qf) -> dict:
+    """The stacked E_i and F_i columns (i < l) of one tableau, exactly."""
+    return {(op, i, target): c
+            for i in range(1, ell) for op in ("E", "F")
+            for target, c in exact_column(op, i, t, qf).items()}
+
+
+def _exact_rank(columns) -> int:
+    """Exact rank of the matrix with the given {row key: Fraction} columns."""
+    row_ids = {}
+    for column in columns:
+        for key in column:
+            row_ids.setdefault(key, len(row_ids))
+    rows = [[0] * len(columns) for _ in row_ids]
+    for col, column in enumerate(columns):
+        for key, c in column.items():
+            rows[row_ids[key]][col] = c
+    return eliminate(rows, len(columns)).rank
 
 
 LineBundleBlock = namedtuple(
     "LineBundleBlock", "ell N n1 weight section_basis free_dim")
 
-BlockKernel = namedtuple(
-    "BlockKernel", "ell N n1 dim_constrained dim_kernel ill_conditioned")
+BlockKernel = namedtuple("BlockKernel", "ell N n1 dim_constrained dim_kernel")
 
 
-def build_block(ell: int, N: int, n1: int, q, precision: int = DEFAULT_PRECISION,
+def build_block(ell: int, N: int, n1: int, q,
                 dim_cap: int = DEFAULT_DIM_CAP) -> LineBundleBlock:
     """Constrained tableaux and free-leg dimension of one bundle block."""
     weight = block_weight(ell, N, n1)
-    qf = parse_q(q)
-    precision = check_precision(precision)
-    if weyl_dim(weight) > dim_cap:
-        raise DimensionCapError(
-            "block weight %s has dimension %d above the cap %d"
-            % (weight, weyl_dim(weight), dim_cap))
-    basis = enumerate_tableaux(weight)
-    section = _filter_on_basis(ell, N, basis, qf, precision)
-    return LineBundleBlock(ell, N, n1, weight, section, len(basis))
+    section = ln_conditions_filter(ell, N, weight, q, dim_cap)
+    return LineBundleBlock(ell, N, n1, weight, section, weyl_dim(weight))
 
 
 def ker_el_combinatorial(ell: int, N: int) -> int:
     """Kernel dimension by explicit sequence counting, not by a formula.
 
     Counts the non-increasing integer sequences N >= x_1 >= ... >= x_l >= 0
-    (zero for negative N); this is the independent oracle the numeric route
+    (zero for negative N); this is the independent oracle the matrix route
     must reproduce.
     """
     if ell < 1:
@@ -193,39 +181,24 @@ def ker_el_combinatorial(ell: int, N: int) -> int:
     return count
 
 
-def ker_el_numeric(ell: int, N: int, n1_max: int, q, precision: int = DEFAULT_PRECISION,
+def ker_el_numeric(ell: int, N: int, n1_max: int, q,
                    dim_cap: int = DEFAULT_DIM_CAP) -> list:
-    """Per-block numeric kernel dimensions of the E_l action on sections.
+    """Per-block kernel dimensions of the E_l action on sections.
 
     For each block, the E_l columns over the constrained tableaux are ranked
-    numerically (relative threshold 10^(-precision/2)); the kernel on the
-    constrained leg then multiplies the free-leg dimension.  Ill-conditioned
-    rank decisions are flagged in the record, never resolved silently.
+    exactly; the kernel on the constrained leg then multiplies the free-leg
+    dimension.
     """
     if n1_max < 0:
         raise ValueError("n1_max must be non-negative")
     qf = parse_q(q)
-    precision = check_precision(precision)
     records = []
     for n1 in range(n1_max + 1):
-        block = build_block(ell, N, n1, qf, precision, dim_cap)
-        entries = {}
-        row_ids = {}
-        for col, t in enumerate(block.section_basis):
-            for target, c in apply_e(ell, t, qf, precision).items():
-                row = row_ids.setdefault(target, len(row_ids))
-                entries[(row, col)] = c
-        ill = False
-        if block.section_basis and row_ids:
-            stacked = SparseMatrix(len(row_ids), len(block.section_basis), entries)
-            rank = numeric_rank(stacked, precision)
-            ill = rank.ill_conditioned
-            leg_kernel = len(block.section_basis) - rank.rank
-        else:
-            leg_kernel = len(block.section_basis)
+        block = build_block(ell, N, n1, qf, dim_cap)
+        columns = [exact_column("E", ell, t, qf) for t in block.section_basis]
+        leg_kernel = len(columns) - _exact_rank(columns)
         records.append(BlockKernel(
             ell, N, n1,
             dim_constrained=len(block.section_basis) * block.free_dim,
-            dim_kernel=leg_kernel * block.free_dim,
-            ill_conditioned=ill))
+            dim_kernel=leg_kernel * block.free_dim))
     return records

@@ -40,6 +40,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .coordring import TruncatedPolynomialAlgebra
+from .linalg import eliminate
 
 __all__ = [
     "enumerate_shuffles",
@@ -199,40 +200,15 @@ def chain_edges(chains: Chains) -> list:
     return edges
 
 
-def _solve_exact(rows, rhs):
-    """Solve an exact rational linear system; returns (solution, consistent).
-
-    `rows` is a list of coefficient lists (all Fractions), one per equation.
-    Requires full column rank on the consistent part; free variables raise.
-    """
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    A = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if A[i][col] != 0), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        pv = A[row][col]
-        A[row] = [x / pv for x in A[row]]
-        for i in range(m):
-            if i != row and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    consistent = not any(
-        all(x == 0 for x in A[i][:n]) and A[i][n] != 0 for i in range(m))
-    if len(pivots) != n:
-        raise ArithmeticError("underdetermined system (free variables left)")
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = A[i][n]
-    return x, consistent
+def _incidence_rows(patterns, edges) -> list:
+    """One row per pattern, one column per edge: the edge-forward sign
+    convention gives +1 where the edge starts and -1 where it ends."""
+    index = {p: i for i, p in enumerate(patterns)}
+    rows = [[0] * len(edges) for _ in patterns]
+    for e, (a, b) in enumerate(edges):
+        rows[index[a]][e] += 1
+        rows[index[b]][e] -= 1
+    return rows
 
 
 CocycleSolution = namedtuple(
@@ -265,26 +241,15 @@ def solve_cocycle_system(ell: int, m=1, chains: Chains = None) -> CocycleSolutio
     r = len(patterns) // 2
     edges = chain_edges(chains)
     first = chains.chain1[0]
-    pat_index = {p: i for i, p in enumerate(patterns)}
     # Unknowns: one coefficient per edge, then k.  Equation per pattern:
     #   sum_e inc(e, p) x_e + delta(p, first) k = m
-    rows = []
-    rhs = []
-    for p in patterns:
-        row = [Fraction(0)] * (len(edges) + 1)
-        for e, (a, b) in enumerate(edges):
-            if p == a:
-                row[e] += 1
-            if p == b:
-                row[e] -= 1
-        if p == first:
-            row[-1] = Fraction(1)
-        rows.append(row)
-        rhs.append(m)
-    solution, consistent = _solve_exact(rows, rhs)
-    if not consistent:
+    rows = [row + [int(p == first), m]
+            for p, row in zip(patterns, _incidence_rows(patterns, edges))]
+    reduced = eliminate(rows, len(edges) + 1)
+    if not reduced.consistent:
         raise ArithmeticError(
             "telescoping system inconsistent at ell=%d (falsifies the construction)" % ell)
+    solution = reduced.solution()
     x, k = solution[:-1], solution[-1]
     assert k == 2 * r * m, "solved k = %s differs from 2 r m = %s" % (k, 2 * r * m)
     kappa = chains.bridge
@@ -341,29 +306,18 @@ def verify_membership(ell: int) -> MembershipCertificate:
     except ChainSearchError:
         edges = spanning_tree_edges(ell)
         via_chains = False
-    rows = []
-    rhs = []
-    for p in patterns:
-        row = [Fraction(0)] * len(edges)
-        for e, (a, b) in enumerate(edges):
-            if p == a:
-                row[e] += 1
-            if p == b:
-                row[e] -= 1
-        rows.append(row)
-        rhs.append(Fraction(1) - (2 * r if p == first else 0))
-    try:
-        coeffs, consistent = _solve_exact(rows, rhs)
-    except ArithmeticError:
+    rhs = [1 - (2 * r if p == first else 0) for p in patterns]
+    rows = [row + [b] for row, b in zip(_incidence_rows(patterns, edges), rhs)]
+    reduced = eliminate(rows, len(edges))
+    if reduced.rank != len(edges) or not reduced.consistent:
         return MembershipCertificate(False, ell, r, via_chains, tuple(edges), ())
-    if not consistent:
-        return MembershipCertificate(False, ell, r, via_chains, tuple(edges), ())
+    coeffs = reduced.solution()
     # Re-verify the certificate independently of the solver.
     total = {p: Fraction(0) for p in patterns}
     for y, (a, b) in zip(coeffs, edges):
         total[a] += y
         total[b] -= y
-    ok = all(total[p] == (Fraction(1) - (2 * r if p == first else 0)) for p in patterns)
+    ok = all(total[p] == b for p, b in zip(patterns, rhs))
     return MembershipCertificate(ok, ell, r, via_chains, tuple(edges), tuple(coeffs))
 
 

@@ -60,7 +60,7 @@ __all__ = [
     "weight_exponent",
     "raise_coeff",
     "apply_e",
-    "apply_f",
+    "exact_column",
     "weyl_dim",
     "IrrepModule",
     "build_irrep",
@@ -208,6 +208,19 @@ def weight_exponent(k, tableau) -> int:
     return tableau.a(k)
 
 
+def _amplitude_args(k, j, tableau):
+    """The q-integer arguments of the E_k / F_k amplitudes at entry (j, k).
+
+    With l = tableau.l: up = l_{i,k+1} - l_{j,k} (i <= k+1), down =
+    l_{i,k-1} - l_{j,k} (i <= k-1), gaps = l_{i,k} - l_{j,k} (i != j).
+    """
+    ljk = tableau.l(j, k)
+    up = [tableau.l(i, k + 1) - ljk for i in range(1, k + 2)]
+    down = [tableau.l(i, k - 1) - ljk for i in range(1, k)]
+    gaps = [tableau.l(i, k) - ljk for i in range(1, k + 1) if i != j]
+    return up, down, gaps
+
+
 def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
     """The coefficient A^j_k of |m^j_k> in E_k |m>, as an mpf.
 
@@ -223,17 +236,15 @@ def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
     if tableau.raised(j, k) is None:
         with mp.workdps(precision):
             return mp.mpf(0)
-    ljk = tableau.l(j, k)
+    up, down, gaps = _amplitude_args(k, j, tableau)
     num = q_int(1)
-    for i in range(1, k + 2):
-        num = num * q_int(tableau.l(i, k + 1) - ljk)
-    for i in range(1, k):
-        num = num * q_int(tableau.l(i, k - 1) - ljk - 1)
+    for z in up:
+        num = num * q_int(z)
+    for z in down:
+        num = num * q_int(z - 1)
     den = q_int(1)
-    for i in range(1, k + 1):
-        if i != j:
-            d = tableau.l(i, k) - ljk
-            den = den * q_int(d) * q_int(d - 1)
+    for d in gaps:
+        den = den * q_int(d) * q_int(d - 1)
     with mp.workdps(precision + 10):
         radicand = -(num.eval(qf, precision + 10) / den.eval(qf, precision + 10))
     return guarded_sqrt(radicand, precision)
@@ -252,14 +263,35 @@ def apply_e(k, tableau, q, precision: int = DEFAULT_PRECISION) -> dict:
     return out
 
 
-def apply_f(k, tableau, q, precision: int = DEFAULT_PRECISION) -> dict:
-    """F_k on a basis tableau, via transposition of the E_k coefficients."""
+def _q_number(z, qf) -> Fraction:
+    # [z] at a rational q, exactly.
+    return (qf**z - qf**-z) / (qf - 1 / qf)
+
+
+def exact_column(op, k, tableau, q) -> dict:
+    """E_k (op "E") or F_k (op "F") on a tableau in the non-normalized GT
+    basis, a diagonal rescaling of the orthonormal one (so every rank is the
+    same) whose amplitudes are rational at rational q: target -> Fraction,
+
+        raising   a_j = -prod_{i<=k+1}[l_{i,k+1} - l_{j,k}] / prod_{i!=j}[l_{i,k} - l_{j,k}],
+        lowering  b_j =  prod_{i<=k-1}[l_{i,k-1} - l_{j,k}] / prod_{i!=j}[l_{i,k} - l_{j,k}],
+
+    and a_j(m) b_j(m^{+j}) = (A^j_k)^2, the radicand of `raise_coeff`.
+    """
+    if op not in ("E", "F"):
+        raise ValueError("op must be E or F, got %r" % (op,))
+    qf = parse_q(q)
     out = {}
     for j in range(1, k + 1):
-        target = tableau.lowered(j, k)
+        target = tableau.raised(j, k) if op == "E" else tableau.lowered(j, k)
         if target is None:
             continue
-        c = raise_coeff(k, j, target, q, precision)
+        up, down, gaps = _amplitude_args(k, j, tableau)
+        c = Fraction(-1 if op == "E" else 1)
+        for z in up if op == "E" else down:
+            c *= _q_number(z, qf)
+        for d in gaps:
+            c /= _q_number(d, qf)
         if c:
             out[target] = c
     return out

@@ -1,19 +1,22 @@
-"""Sparse matrices over arbitrary-precision floats, with SVD-based rank.
+"""Sparse matrices over arbitrary-precision floats, and exact elimination.
 
 Plumbing shared by the representation modules.  Matrices are immutable-ish
 dicts keyed by (row, col); all scalar entries are mpmath floats created under
-an explicit working precision.
+an explicit working precision.  Every rank decision and linear solve in the
+library runs on exact rationals through `eliminate`; the SVD-based
+`numeric_rank` is kept only as an independent oracle for the tests.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 
 from mpmath import mp
 
 from .qarith import check_precision
 
-__all__ = ["SparseMatrix", "RankResult", "numeric_rank"]
+__all__ = ["SparseMatrix", "Elimination", "eliminate", "RankResult", "numeric_rank"]
 
 
 RankResult = namedtuple("RankResult", "rank ill_conditioned threshold sigmas")
@@ -106,9 +109,6 @@ class SparseMatrix:
     def is_diagonal(self, tol=0):
         return all(i == j or abs(v) <= tol for (i, j), v in self._d.items())
 
-    def column(self, j):
-        return {i: v for (i, jj), v in self._d.items() if jj == j}
-
     def _check_shape(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
@@ -117,14 +117,69 @@ class SparseMatrix:
         return "SparseMatrix(%dx%d, nnz=%d)" % (self.nrows, self.ncols, self.nnz)
 
 
-def numeric_rank(matrix, precision, sigma_ref=None) -> RankResult:
+class Elimination(namedtuple("Elimination", "ncols pivots rows")):
+    """Reduced rows from `eliminate` (right-hand sides after the first
+    `ncols` columns) and the pivot column of each leading row."""
+
+    __slots__ = ()
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def consistent(self) -> bool:
+        """No reduced row reads 0 = nonzero."""
+        n = self.ncols
+        return not any(not any(r[:n]) and any(r[n:]) for r in self.rows)
+
+    def solution(self) -> list:
+        """The unique solution for the first right-hand side; free variables raise."""
+        if self.rank != self.ncols:
+            raise ArithmeticError("underdetermined system (free variables left)")
+        x = [Fraction(0)] * self.ncols
+        for i, col in enumerate(self.pivots):
+            x[col] = self.rows[i][self.ncols]
+        return x
+
+
+def eliminate(rows, ncols) -> Elimination:
+    """Gauss-Jordan elimination over the rationals.
+
+    `rows` are sequences of exact numbers (ints or Fractions).  Pivots are
+    sought in the first `ncols` columns only; further columns (right-hand
+    sides) are carried along.  Nothing is rounded, so the rank is exact.
+    """
+    A = [list(map(Fraction, row)) for row in rows]
+    m = len(A)
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == m:
+            break
+        piv = next((i for i in range(row, m) if A[i][col] != 0), None)
+        if piv is None:
+            continue
+        A[row], A[piv] = A[piv], A[row]
+        pv = A[row][col]
+        A[row] = [x / pv for x in A[row]]
+        for i in range(m):
+            if i != row and A[i][col] != 0:
+                f = A[i][col]
+                A[i] = [a - f * b for a, b in zip(A[i], A[row])]
+        pivots.append(col)
+        row += 1
+    return Elimination(ncols, tuple(pivots), A)
+
+
+def numeric_rank(matrix, precision) -> RankResult:
     """Numeric rank with relative singular-value threshold 10^(-precision/2).
 
-    Zero rows and columns are compressed away before the SVD.  The reference
-    scale is the largest singular value (or `sigma_ref` if given, so several
-    blocks of one operator can share a scale).  A rank decision is flagged as
-    ill conditioned when any singular value falls within a factor 10 of the
-    cut; callers must surface the flag rather than resolve it silently.
+    Zero rows and columns are compressed away before the SVD; the reference
+    scale is the largest singular value.  A rank decision is flagged as ill
+    conditioned when any singular value falls within a factor 10 of the cut.
+    The library decides ranks exactly (`eliminate`); this is the independent
+    oracle the tests hold the exact ranks against.
     """
     if not isinstance(matrix, SparseMatrix):
         raise TypeError("numeric_rank expects a SparseMatrix")
@@ -141,12 +196,9 @@ def numeric_rank(matrix, precision, sigma_ref=None) -> RankResult:
             dense[rmap[i], cmap[j]] = v
         sigmas = mp.svd_r(dense, compute_uv=False)
         sigmas = sorted((abs(s) for s in sigmas), reverse=True)
-        if not sigmas:
-            return RankResult(0, False, mp.mpf(0), ())
-        scale = mp.mpf(sigma_ref) if sigma_ref is not None else sigmas[0]
-        if scale == 0:
+        if not sigmas or sigmas[0] == 0:
             return RankResult(0, False, mp.mpf(0), tuple(sigmas))
-        cut = scale * mp.mpf(10) ** (-(precision // 2))
+        cut = sigmas[0] * mp.mpf(10) ** (-(precision // 2))
         rank = sum(1 for s in sigmas if s > cut)
         ill = any(cut / 10 < s < cut * 10 for s in sigmas)
         return RankResult(rank, ill, cut, tuple(sigmas))

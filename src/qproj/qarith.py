@@ -133,10 +133,6 @@ class QLaurent:
     def coeffs(self) -> dict:
         return dict(self._c)
 
-    def to_json(self) -> dict:
-        """JSON-friendly map {exponent as string: coefficient}."""
-        return {str(e): self._c[e] for e in sorted(self._c)}
-
     def __bool__(self):
         return bool(self._c)
 
@@ -274,12 +270,6 @@ class QLaurent:
         return out
 
     # -- symmetry ----------------------------------------------------------
-
-    def reciprocal(self) -> "QLaurent":
-        """The substitution q -> q^-1 (negate every exponent)."""
-        out = QLaurent.__new__(QLaurent)
-        out._c = {-e: v for e, v in self._c.items()}
-        return out
 
     def is_palindromic(self) -> bool:
         """Invariance under q <-> q^-1."""

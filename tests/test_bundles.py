@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qproj import bundles
 from qproj.bundles import (
     block_weight,
     build_block,
@@ -13,9 +14,17 @@ from qproj.bundles import (
     ln_conditions_filter,
     closed_form_section_tableaux,
 )
+from qproj.gtrep import (
+    DimensionCapError,
+    apply_e,
+    enumerate_tableaux,
+    exact_column,
+    raise_coeff,
+    weyl_dim,
+)
+from qproj.linalg import SparseMatrix, numeric_rank
 
 Q = Fraction(1, 2)
-PREC = 60
 
 
 # -- block weights ---------------------------------------------------------------
@@ -39,13 +48,13 @@ def test_block_weight_validation():
 # -- the constraint filter ---------------------------------------------------------
 
 def test_filter_trivial_bundle_constant_section():
-    got = ln_conditions_filter(2, 0, (0, 0), Q, PREC)
+    got = ln_conditions_filter(2, 0, (0, 0), Q)
     assert len(got) == 1
     assert got[0].rows == ((0, 0, 0), (0, 0), (0,))
 
 
 def test_filter_degree_one_shape():
-    got = ln_conditions_filter(2, 1, (0, 1), Q, PREC)
+    got = ln_conditions_filter(2, 1, (0, 1), Q)
     assert len(got) == 1
     t = got[0]
     # constant lower triangle, top row (m_{1,3}, m, 2m - m_{1,3} - N)
@@ -55,7 +64,7 @@ def test_filter_degree_one_shape():
 def test_filter_equals_shape_enumeration_degree_two():
     weight = block_weight(2, 2, 1)
     assert weight == (1, 3)
-    filtered = ln_conditions_filter(2, 2, weight, Q, PREC)
+    filtered = ln_conditions_filter(2, 2, weight, Q)
     shaped = closed_form_section_tableaux(2, 2, weight)
     assert filtered == shaped and len(filtered) == 1
 
@@ -65,7 +74,7 @@ def test_filter_equals_shape_enumeration_degree_two():
 def test_filter_equals_shape_enumeration_sweep(ell, N):
     for n1 in range(3):
         weight = block_weight(ell, N, n1)
-        filtered = ln_conditions_filter(ell, N, weight, Q, PREC)
+        filtered = ln_conditions_filter(ell, N, weight, Q)
         shaped = closed_form_section_tableaux(ell, N, weight)
         assert filtered == shaped
         assert len(filtered) == 1  # one constrained tableau per block
@@ -73,7 +82,7 @@ def test_filter_equals_shape_enumeration_sweep(ell, N):
 
 def test_filter_off_block_weight_is_empty():
     # A weight outside the block family carries no constrained tableau.
-    assert ln_conditions_filter(2, 1, (1, 1), Q, PREC) == []
+    assert ln_conditions_filter(2, 1, (1, 1), Q) == []
 
 
 # -- combinatorial kernel count ------------------------------------------------------
@@ -99,25 +108,24 @@ def test_kernel_count_matches_binomial():
 # -- numeric kernel -------------------------------------------------------------------
 
 def test_numeric_kernel_l2_N1_blocks():
-    records = ker_el_numeric(2, 1, 3, Q, PREC)
+    records = ker_el_numeric(2, 1, 3, Q)
     assert [(r.n1, r.dim_kernel) for r in records] == [(0, 3), (1, 0), (2, 0), (3, 0)]
     assert sum(r.dim_kernel for r in records) == math.comb(3, 2)
-    assert not any(r.ill_conditioned for r in records)
 
 
 def test_numeric_kernel_negative_degree_all_zero():
-    records = ker_el_numeric(1, -2, 3, Q, PREC)
+    records = ker_el_numeric(1, -2, 3, Q)
     assert all(r.dim_kernel == 0 for r in records)
 
 
 def test_numeric_kernel_trivial_degree():
-    records = ker_el_numeric(2, 0, 2, Q, PREC)
+    records = ker_el_numeric(2, 0, 2, Q)
     assert [(r.n1, r.dim_kernel) for r in records] == [(0, 1), (1, 0), (2, 0)]
 
 
 def test_numeric_kernel_total_independent_of_n1max():
     for n1_max in (1, 2, 4):
-        total = sum(r.dim_kernel for r in ker_el_numeric(2, 2, n1_max, Q, PREC))
+        total = sum(r.dim_kernel for r in ker_el_numeric(2, 2, n1_max, Q))
         assert total == ker_el_combinatorial(2, 2) == 6
 
 
@@ -129,14 +137,74 @@ def test_top_antiholomorphic_form_constraint_is_degree_ell_plus_one():
         N = ell + 1
         for n1 in (0, 1):
             weight = block_weight(ell, N, n1)
-            for t in ln_conditions_filter(ell, N, weight, Q, PREC):
+            for t in ln_conditions_filter(ell, N, weight, Q):
                 assert sum(k * t.a(k) for k in range(1, ell + 1)) == ell * (ell + 1)
 
 
 def test_block_record_shape():
-    block = build_block(2, 1, 1, Q, PREC)
+    block = build_block(2, 1, 1, Q)
     assert block.weight == (1, 2)
     assert len(block.section_basis) == 1
     assert block.free_dim == 15
-    records = ker_el_numeric(2, 1, 1, Q, PREC)
+    records = ker_el_numeric(2, 1, 1, Q)
     assert records[1].dim_constrained == 15  # one tableau times the free leg
+
+
+def test_block_cap_raises_in_filter_and_block():
+    weight = block_weight(2, 1, 2)
+    cap = weyl_dim(weight)
+    assert ln_conditions_filter(2, 1, weight, Q, dim_cap=cap)
+    with pytest.raises(DimensionCapError):
+        ln_conditions_filter(2, 1, weight, Q, dim_cap=cap - 1)
+    with pytest.raises(DimensionCapError):
+        build_block(2, 1, 2, Q, dim_cap=cap - 1)
+    with pytest.raises(DimensionCapError):
+        ker_el_numeric(2, 1, 2, Q, dim_cap=cap - 1)
+
+
+# -- exact ranks against the numeric oracle ---------------------------------------
+
+ORACLE_PREC = 60
+
+
+def _oracle_rank(columns):
+    """SVD rank, in the orthonormal basis, of the given {row key: mpf} columns."""
+    row_ids = {}
+    entries = {}
+    for col, column in enumerate(columns):
+        for key, c in column.items():
+            entries[(row_ids.setdefault(key, len(row_ids)), col)] = c
+    res = numeric_rank(SparseMatrix(len(row_ids), len(columns), entries), ORACLE_PREC)
+    assert not res.ill_conditioned
+    return res.rank
+
+
+def _orthonormal_condition_column(ell, t, q):
+    column = {}
+    for i in range(1, ell):
+        for target, c in apply_e(i, t, q, ORACLE_PREC).items():
+            column[("E", i, target)] = c
+        for j in range(1, i + 1):
+            target = t.lowered(j, i)
+            if target is not None:
+                column[("F", i, target)] = raise_coeff(i, j, target, q, ORACLE_PREC)
+    return column
+
+
+@pytest.mark.parametrize("q", [Q, Fraction(9, 10)])
+@pytest.mark.parametrize("ell, N", [(2, 0), (2, 6), (3, 0), (3, 3), (3, -2), (4, 2)])
+def test_exact_ranks_match_numeric_oracle(ell, N, q):
+    for n1 in range(2 if ell == 4 else 3):
+        weight = block_weight(ell, N, n1)
+        # the K conditions alone: the candidates the filter ranks
+        candidates = [
+            t for t in enumerate_tableaux(weight)
+            if all(t.a(i) == 0 for i in range(1, ell))
+            and sum(k * t.a(k) for k in range(1, ell + 1)) == N * ell
+        ]
+        assert bundles._exact_rank(
+            [bundles._condition_column(ell, t, q) for t in candidates]
+        ) == _oracle_rank([_orthonormal_condition_column(ell, t, q) for t in candidates])
+        assert bundles._exact_rank(
+            [exact_column("E", ell, t, q) for t in candidates]
+        ) == _oracle_rank([apply_e(ell, t, q, ORACLE_PREC) for t in candidates])

@@ -12,6 +12,7 @@ from qproj.gtrep import (
     GTTableau,
     build_irrep,
     enumerate_tableaux,
+    exact_column,
     export_matrix,
     raise_coeff,
     verify_relations,
@@ -366,3 +367,56 @@ def test_export_rejects_bad_op():
         export_matrix(mod, "X", 1)
     with pytest.raises(ValueError):
         export_matrix(mod, "E", 2)
+
+
+# -- exact amplitudes in the non-normalized basis -------------------------------
+
+def qfrac(z, q):
+    """Exact q-integer at a rational q by direct power sum."""
+    sign = 1 if z > 0 else -1
+    return sign * sum((q**e for e in range(1 - abs(z), abs(z), 2)), Fraction(0))
+
+
+def _exact_radicand(k, j, t, q):
+    """(A^j_k)^2 by the module docstring's formula, in exact rationals."""
+    ljk = t.l(j, k)
+    value = Fraction(-1)
+    for i in range(1, k + 2):
+        value *= qfrac(t.l(i, k + 1) - ljk, q)
+    for i in range(1, k):
+        value *= qfrac(t.l(i, k - 1) - ljk - 1, q)
+    for i in range(1, k + 1):
+        if i != j:
+            d = t.l(i, k) - ljk
+            value /= qfrac(d, q) * qfrac(d - 1, q)
+    return value
+
+
+@pytest.mark.parametrize("q", [Q, Fraction(9, 10)])
+@pytest.mark.parametrize("weight", [(1, 1), (2, 1), (1, 1, 1), (2, 1, 2), (1, 0, 1), (3, 3)])
+def test_exact_amplitudes_multiply_to_raise_radicand(weight, q):
+    # a_j(m) b_j(m^{+j}) = (A^j_k)^2 exactly, and raise_coeff is its root.
+    checked = 0
+    for t in enumerate_tableaux(weight):
+        for k in range(1, len(weight) + 1):
+            up = exact_column("E", k, t, q)
+            raised = [t.raised(j, k) for j in range(1, k + 1)]
+            assert set(up) == {s for s in raised if s is not None}
+            assert set(exact_column("F", k, t, q)) == {
+                s for s in (t.lowered(j, k) for j in range(1, k + 1)) if s is not None}
+            for j, target in enumerate(raised, start=1):
+                if target is None:
+                    continue
+                radicand = _exact_radicand(k, j, t, q)
+                assert up[target] * exact_column("F", k, target, q)[t] == radicand
+                with mp.workdps(PREC):
+                    numeric = raise_coeff(k, j, t, q, PREC) ** 2
+                    assert abs(numeric - mp.mpf(radicand.numerator) / radicand.denominator) \
+                        <= mp.mpf("1e-50") * max(1, numeric)
+                checked += 1
+    assert checked
+
+
+def test_exact_column_rejects_unknown_op():
+    with pytest.raises(ValueError):
+        exact_column("K", 1, enumerate_tableaux((1,))[0], Q)

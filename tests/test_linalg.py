@@ -1,9 +1,12 @@
-"""Sparse matrix plumbing and the numeric rank with its ill-conditioning flag."""
+"""Sparse matrix plumbing, exact elimination, and the numeric rank oracle."""
+
+import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from qproj.linalg import SparseMatrix, numeric_rank
+from qproj.linalg import SparseMatrix, eliminate, numeric_rank
 
 PREC = 60
 
@@ -70,9 +73,50 @@ def test_rank_flags_near_threshold_sigma():
     assert res.ill_conditioned
 
 
-def test_rank_respects_external_scale():
-    # with a shared reference scale, a lone small block ranks as zero
-    with mp.workdps(PREC):
-        small = M(2, 2, {(0, 0): mp.mpf("1e-45"), (1, 1): mp.mpf("1e-45")})
-    assert numeric_rank(small, PREC, sigma_ref=1).rank == 0
-    assert numeric_rank(small, PREC).rank == 2  # self-scaled it is full rank
+
+# -- exact elimination ----------------------------------------------------------
+
+def test_eliminate_full_rank_solves_exactly():
+    # 3x + y = 1, x + 2y = 0
+    red = eliminate([[3, 1, 1], [1, 2, 0]], 2)
+    assert red.rank == 2 and red.consistent
+    assert red.solution() == [Fraction(2, 5), Fraction(-1, 5)]
+
+
+def test_eliminate_deficient_rank():
+    assert eliminate([[1, 3], [2, 6]], 2).rank == 1
+    assert eliminate([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 3).rank == 2
+    # more rows than columns, one redundant
+    assert eliminate([[1, 0], [0, 1], [1, 1]], 2).rank == 2
+
+
+def test_eliminate_empty():
+    assert eliminate([], 3).rank == 0
+    red = eliminate([[0, 0], [0, 0]], 2)
+    assert red.rank == 0 and red.consistent
+
+
+def test_eliminate_inconsistent():
+    # x + y = 1 and x + y = 2
+    red = eliminate([[1, 1, 1], [1, 1, 2]], 2)
+    assert red.rank == 1 and not red.consistent
+
+
+def test_eliminate_free_variables_raise():
+    red = eliminate([[1, 1, 2]], 2)
+    assert red.consistent and red.rank == 1
+    with pytest.raises(ArithmeticError):
+        red.solution()
+
+
+def test_eliminate_rank_matches_numeric_oracle():
+    rng = random.Random(3)
+    for _ in range(30):
+        nrows, ncols, inner = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(nrows)]
+        right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(inner)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        oracle = numeric_rank(
+            M(nrows, ncols, {(i, j): v for i, row in enumerate(rows)
+                             for j, v in enumerate(row)}), PREC)
+        assert eliminate(rows, ncols).rank == oracle.rank
