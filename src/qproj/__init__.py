@@ -27,7 +27,6 @@ from .gtrep import (
     export_matrix,
     raise_coeff,
     verify_relations,
-    weight_exponent,
     weyl_dim,
 )
 from .bundles import (

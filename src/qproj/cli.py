@@ -68,8 +68,15 @@ def _parse_weight(text):
     return tuple(int(x) for x in text.split(","))
 
 
+def _module_weight(args):
+    weight = _parse_weight(args.n)
+    if len(weight) != args.ell:
+        raise ValueError("--n has %d components but --ell is %d" % (len(weight), args.ell))
+    return weight
+
+
 def cmd_irrep(args):
-    mod = gtrep.build_irrep(_parse_weight(args.n), args.q, args.precision, args.dim_cap)
+    mod = gtrep.build_irrep(_module_weight(args), args.q, args.precision, args.dim_cap)
     results = []
     for op in ("K", "E", "F"):
         for k in range(1, mod.ell + 1):
@@ -91,7 +98,7 @@ def cmd_irrep(args):
 
 
 def cmd_verify_relations(args):
-    mod = gtrep.build_irrep(_parse_weight(args.n), args.q, args.precision, args.dim_cap)
+    mod = gtrep.build_irrep(_module_weight(args), args.q, args.precision, args.dim_cap)
     report = gtrep.verify_relations(mod, args.tol)
     results = [{"relation": c.name, "residual": mp.nstr(c.residual, 8),
                 "entry": "-" if c.entry is None else "%d,%d" % c.entry,

@@ -23,10 +23,13 @@ where |m^j_k> raises entry (j, k) by one and, with l_{i,j} = m_{i,j} - i,
     (A^j_k)^2 = - prod_{i<=k+1}[l_{i,k+1} - l_{j,k}] prod_{i<=k-1}[l_{i,k-1} - l_{j,k} - 1]
                 / prod_{i != j}[l_{i,k} - l_{j,k}][l_{i,k} - l_{j,k} - 1],
 
-the positive square root taken.  The GT basis is orthonormal and E_k^* = F_k,
-so at real q the F matrices are the transposes of the E matrices; that is how
-they are built here.  The tests cross-check both raising and lowering
-amplitudes against independently expanded longhand radicands.
+the positive square root taken.  The amplitudes are transcribed once, as the
+rational a_j and b_j of the non-normalized GT basis (`exact_column`); the
+radicand above is a_j(m) b_j(m^j_k), computed exactly and only then rooted.
+The GT basis is orthonormal and E_k^* = F_k, so at real q the F matrices are
+the transposes of the E matrices; that is how they are built here.  The tests
+cross-check both raising and lowering amplitudes against independently
+expanded longhand radicands.
 
 Matrix construction is independent column by column (each column only reads
 one tableau), and built modules are immutable, so they are safe to share.
@@ -43,10 +46,10 @@ from mpmath import mp
 from .linalg import SparseMatrix
 from .qarith import (
     DEFAULT_PRECISION,
+    NegativeRadicandError,
     check_precision,
     guarded_sqrt,
     parse_q,
-    q_int,
 )
 
 DEFAULT_DIM_CAP = 20000
@@ -57,7 +60,6 @@ __all__ = [
     "validate_weight",
     "top_row",
     "enumerate_tableaux",
-    "weight_exponent",
     "raise_coeff",
     "apply_e",
     "exact_column",
@@ -203,51 +205,46 @@ def enumerate_tableaux(weight) -> list:
     return out
 
 
-def weight_exponent(k, tableau) -> int:
-    """a_k for a tableau; K_k acts by q^(a_k/2)."""
-    return tableau.a(k)
+def _q_number(z, qf) -> Fraction:
+    # [z] at a rational q, exactly.
+    return (qf**z - qf**-z) / (qf - 1 / qf)
 
 
-def _amplitude_args(k, j, tableau):
-    """The q-integer arguments of the E_k / F_k amplitudes at entry (j, k).
-
-    With l = tableau.l: up = l_{i,k+1} - l_{j,k} (i <= k+1), down =
-    l_{i,k-1} - l_{j,k} (i <= k-1), gaps = l_{i,k} - l_{j,k} (i != j).
-    """
+def _amplitude(op, k, j, tableau, qf) -> Fraction:
+    """a_j (op "E") or b_j (op "F") of entry (j, k), exactly; see `exact_column`."""
     ljk = tableau.l(j, k)
-    up = [tableau.l(i, k + 1) - ljk for i in range(1, k + 2)]
-    down = [tableau.l(i, k - 1) - ljk for i in range(1, k)]
-    gaps = [tableau.l(i, k) - ljk for i in range(1, k + 1) if i != j]
-    return up, down, gaps
+    row, c = (k + 1, Fraction(-1)) if op == "E" else (k - 1, Fraction(1))
+    for i in range(1, row + 1):
+        c *= _q_number(tableau.l(i, row) - ljk, qf)
+    for i in range(1, k + 1):
+        if i != j:
+            c /= _q_number(tableau.l(i, k) - ljk, qf)
+    return c
 
 
 def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
     """The coefficient A^j_k of |m^j_k> in E_k |m>, as an mpf.
 
     Returns exact zero when raising entry (j, k) breaks interlacing.  The
-    radicand is assembled exactly as a ratio of q-integer products and only
-    then evaluated; a significantly negative value raises
-    NegativeRadicandError since it can only come from a transcription bug.
+    radicand (A^j_k)^2 = a_j(m) b_j(m^j_k) is exact (see `exact_column`) and
+    is only rounded, at precision + 10 digits, to take its root; a negative
+    radicand raises NegativeRadicandError since it can only come from a
+    transcription bug.
     """
     qf = parse_q(q)
     precision = check_precision(precision)
     if not 1 <= j <= k <= tableau.ell:
         raise ValueError("need 1 <= j <= k <= %d, got j=%d k=%d" % (tableau.ell, j, k))
-    if tableau.raised(j, k) is None:
-        with mp.workdps(precision):
-            return mp.mpf(0)
-    up, down, gaps = _amplitude_args(k, j, tableau)
-    num = q_int(1)
-    for z in up:
-        num = num * q_int(z)
-    for z in down:
-        num = num * q_int(z - 1)
-    den = q_int(1)
-    for d in gaps:
-        den = den * q_int(d) * q_int(d - 1)
+    target = tableau.raised(j, k)
+    if target is None:
+        return mp.mpf(0)
+    radicand = _amplitude("E", k, j, tableau, qf) * _amplitude("F", k, j, target, qf)
+    if radicand < 0:
+        raise NegativeRadicandError(
+            "radicand of A^%d_%d is negative: %s" % (j, k, radicand))
     with mp.workdps(precision + 10):
-        radicand = -(num.eval(qf, precision + 10) / den.eval(qf, precision + 10))
-    return guarded_sqrt(radicand, precision)
+        value = mp.mpf(radicand.numerator) / radicand.denominator
+    return guarded_sqrt(value, precision)
 
 
 def apply_e(k, tableau, q, precision: int = DEFAULT_PRECISION) -> dict:
@@ -263,20 +260,16 @@ def apply_e(k, tableau, q, precision: int = DEFAULT_PRECISION) -> dict:
     return out
 
 
-def _q_number(z, qf) -> Fraction:
-    # [z] at a rational q, exactly.
-    return (qf**z - qf**-z) / (qf - 1 / qf)
-
-
 def exact_column(op, k, tableau, q) -> dict:
     """E_k (op "E") or F_k (op "F") on a tableau in the non-normalized GT
     basis, a diagonal rescaling of the orthonormal one (so every rank is the
     same) whose amplitudes are rational at rational q: target -> Fraction,
 
         raising   a_j = -prod_{i<=k+1}[l_{i,k+1} - l_{j,k}] / prod_{i!=j}[l_{i,k} - l_{j,k}],
-        lowering  b_j =  prod_{i<=k-1}[l_{i,k-1} - l_{j,k}] / prod_{i!=j}[l_{i,k} - l_{j,k}],
+        lowering  b_j =  prod_{i<=k-1}[l_{i,k-1} - l_{j,k}] / prod_{i!=j}[l_{i,k} - l_{j,k}].
 
-    and a_j(m) b_j(m^{+j}) = (A^j_k)^2, the radicand of `raise_coeff`.
+    a_j(m) b_j(m^j_k) = (A^j_k)^2 is the radicand whose root `raise_coeff`
+    takes, so this is the one transcription of the GT amplitudes.
     """
     if op not in ("E", "F"):
         raise ValueError("op must be E or F, got %r" % (op,))
@@ -286,12 +279,7 @@ def exact_column(op, k, tableau, q) -> dict:
         target = tableau.raised(j, k) if op == "E" else tableau.lowered(j, k)
         if target is None:
             continue
-        up, down, gaps = _amplitude_args(k, j, tableau)
-        c = Fraction(-1 if op == "E" else 1)
-        for z in up if op == "E" else down:
-            c *= _q_number(z, qf)
-        for d in gaps:
-            c /= _q_number(d, qf)
+        c = _amplitude(op, k, j, tableau, qf)
         if c:
             out[target] = c
     return out
@@ -313,18 +301,17 @@ def weyl_dim(weight) -> int:
 class IrrepModule:
     """A built irreducible module: ordered GT basis plus sparse matrices.
 
-    ``K[k]``, ``Kinv[k]``, ``E[k]``, ``F[k]`` (k = 1..l) are SparseMatrix
-    over mpf; F[k] is the transpose of E[k].  Immutable after construction.
+    ``K[k]``, ``E[k]``, ``F[k]`` (k = 1..l) are SparseMatrix over mpf; F[k]
+    is the transpose of E[k].  Immutable after construction.
     """
 
-    def __init__(self, weight, basis, q, precision, K, Kinv, E, F):
+    def __init__(self, weight, basis, q, precision, K, E, F):
         self.weight = weight
         self.basis = basis
         self.index = {t: i for i, t in enumerate(basis)}
         self.q = q
         self.precision = precision
         self.K = K
-        self.Kinv = Kinv
         self.E = E
         self.F = F
 
@@ -356,19 +343,18 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
     index = {t: i for i, t in enumerate(basis)}
     ell = len(weight)
     dim = len(basis)
-    K, Kinv, E, F = {}, {}, {}, {}
+    K, E, F = {}, {}, {}
     with mp.workdps(precision):
         qs = mp.sqrt(mp.mpf(qf.numerator) / mp.mpf(qf.denominator))
         for k in range(1, ell + 1):
             K[k] = SparseMatrix.diagonal([qs ** t.a(k) for t in basis])
-            Kinv[k] = SparseMatrix.diagonal([qs ** (-t.a(k)) for t in basis])
             entries = {}
             for col, t in enumerate(basis):
                 for target, c in apply_e(k, t, qf, precision).items():
                     entries[(index[target], col)] = c
             E[k] = SparseMatrix(dim, dim, entries)
             F[k] = E[k].transpose()
-    return IrrepModule(weight, basis, qf, precision, K, Kinv, E, F)
+    return IrrepModule(weight, basis, qf, precision, K, E, F)
 
 
 RelationCheck = namedtuple("RelationCheck", "name residual entry")
@@ -419,7 +405,7 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
         qv = mp.mpf(mod.q.numerator) / mp.mpf(mod.q.denominator)
         qs = mp.sqrt(qv)
         ell = mod.ell
-        K, Kinv, E, F = mod.K, mod.Kinv, mod.E, mod.F
+        K, E, F = mod.K, mod.E, mod.F
         checks = []
 
         def residual(name, M):
@@ -455,7 +441,8 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
             for j in range(1, ell + 1):
                 bracket = E[i] @ F[j] - F[j] @ E[i]
                 if i == j:
-                    rhs = (K[i] @ K[i] - Kinv[i] @ Kinv[i]).scaled(1 / (qv - 1 / qv))
+                    Kinv = SparseMatrix.diagonal([qs ** (-t.a(i)) for t in mod.basis])
+                    rhs = (K[i] @ K[i] - Kinv @ Kinv).scaled(1 / (qv - 1 / qv))
                     residual("E%dF%d-F%dE%d-(K%d^2-K%d^-2)/(q-q^-1)" % (i, j, j, i, i, i),
                              bracket - rhs)
                 else:

@@ -104,6 +104,13 @@ def test_irrep_export(tmp_path, capsys):
     assert header == "# irrep ℓ=1 n=2 op=E1 q=1/2 precision=60"
 
 
+@pytest.mark.parametrize("command", ["irrep", "verify-relations"])
+def test_weight_length_must_match_ell(capsys, command):
+    code, report = run_json(capsys, command, "--ell", "5", "--n", "1,1")
+    assert code == 1 and not report["pass"]
+    assert report["results"] == [{"error": "--n has 2 components but --ell is 5"}]
+
+
 def test_global_flags_before_subcommand(capsys):
     code, report = run_json(capsys, "--q", "9/10", "cp2-identity", "--nmax", "1")
     assert code == 0

@@ -1,5 +1,6 @@
 """Gelfand-Tsetlin machinery: enumeration, coefficients, relations, export."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from qproj.gtrep import (
     export_matrix,
     raise_coeff,
     verify_relations,
-    weight_exponent,
     weyl_dim,
 )
 
@@ -87,14 +87,14 @@ def test_interlacing_validation():
 
 def test_weight_exponent_direct_substitution():
     t = enumerate_tableaux((1,))[1]  # m_11 = 1 on top row (1, 0)
-    assert weight_exponent(1, t) == 2 * 1 - (1 + 0)
+    assert t.a(1) == 2 * 1 - (1 + 0)
 
 
 def test_weight_exponent_constant_tableau_vanishes():
     m = 3
     t = GTTableau(((m, m, m, m), (m, m, m), (m, m), (m,)))
     for k in (1, 2, 3):
-        assert weight_exponent(k, t) == 0
+        assert t.a(k) == 0
 
 
 def test_weight_exponent_fundamental_delta_pattern():
@@ -359,6 +359,28 @@ def test_export_header_and_determinism():
         i, j, value = line.split()
         assert int(i) >= 0 and int(j) >= 0
         mp.mpf(value)  # parses back
+
+
+# sha256 of the K, E and F exports (K1.., E1.., F1.. concatenated), pinned so
+# that a change to how entries are computed or printed shows up byte for byte.
+EXPORT_SHA256 = {
+    ((1, 1), Q, 60): "a880c0b4be0e78962019806dea51328e21cf86e43786e542563da92e32a7cc40",
+    ((1, 0, 1), Q, 60): "8e505c6f0da0c7ae55cc140b5c3a4803f217b4d872d3f9bb1cb7ed8afdcb7007",
+    ((1, 1), Fraction(9, 10), 60):
+        "188a957be83fb1b0c7db4924ced7f47d7f8faddbee040bd21a8c6cdb3512d2bc",
+    ((1, 0, 1), Fraction(9, 10), 60):
+        "bc1d7bfe77ae975efe2342a91d223a0e7f7b209522650847e0cfc4f34c7819bb",
+    ((1, 1), Q, 100): "9126e43f79664d0fdad5c014124d36873e74c3527e7c47331101aec49200b34c",
+}
+
+
+@pytest.mark.parametrize("weight,q,precision", list(EXPORT_SHA256),
+                         ids=["%s-q%s-p%d" % (",".join(map(str, w)), q, p)
+                              for w, q, p in EXPORT_SHA256])
+def test_export_bytes_are_pinned(weight, q, precision):
+    mod = build_irrep(weight, q, precision)
+    text = "".join(export_matrix(mod, op, k) for op in "KEF" for k in range(1, mod.ell + 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[(weight, q, precision)]
 
 
 def test_export_rejects_bad_op():
