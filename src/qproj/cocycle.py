@@ -329,14 +329,35 @@ def default_toy_algebra() -> TruncatedPolynomialAlgebra:
     return TruncatedPolynomialAlgebra(2, 2, Fraction(1, 2))
 
 
+def _memoized(phi):
+    """A cochain as a lookup: a dict is copied (absent tuples read zero), a
+    callable is evaluated once per tuple for as long as the lookup lives."""
+    if not callable(phi):
+        snapshot = dict(phi)
+        return lambda t: snapshot.get(t, 0)
+    values = {}
+
+    def lookup(t):
+        v = values.get(t)
+        if v is None:
+            v = values[t] = phi(t)
+        return v
+
+    return lookup
+
+
 def b_sigma(algebra, sigma_eigs, phi, n: int):
     """Twisted Hochschild coboundary of an n-cochain, as a callable.
 
     phi maps (n+1)-tuples of basis indices to Fractions (dict or callable);
     the result evaluates on (n+2)-tuples.  The last face multiplies
     sigma(a_{n+1}) into a_0, picking up the diagonal eigenvalue.
+
+    Values are memoized: a dict phi is copied at this call, so later changes
+    to it are not seen; a callable phi must be pure, since it is evaluated at
+    most once per tuple; and the result evaluates each tuple at most once.
     """
-    lookup = phi if callable(phi) else lambda t, _d=phi: _d.get(t, Fraction(0))
+    lookup = _memoized(phi)
 
     def out(tup):
         assert len(tup) == n + 2
@@ -344,13 +365,18 @@ def b_sigma(algebra, sigma_eigs, phi, n: int):
         for i in range(n + 1):
             c, idx = algebra.product(tup[i], tup[i + 1])
             if idx is not None and c:
-                total += (-1) ** i * c * lookup(tup[:i] + (idx,) + tup[i + 2:])
+                v = lookup(tup[:i] + (idx,) + tup[i + 2:])
+                if v:
+                    total += c * v if i % 2 == 0 else -c * v
         c, idx = algebra.product(tup[n + 1], tup[0])
         if idx is not None and c:
-            total += (-1) ** (n + 1) * sigma_eigs[tup[n + 1]] * c * lookup((idx,) + tup[1:n + 1])
+            v = lookup((idx,) + tup[1:n + 1])
+            if v:
+                v *= sigma_eigs[tup[n + 1]] * c
+                total += -v if n % 2 == 0 else v
         return total
 
-    return out
+    return _memoized(out)
 
 
 def lambda_sigma(algebra, sigma_eigs, phi, n: int):
@@ -382,6 +408,8 @@ def twisted_coboundary_check(n: int, samples: int = 50, seed: int = 0,
     """
     if n < 0 or n > 4:
         raise ValueError("cochain degree n must lie in 0..4")
+    if samples < 1:
+        raise ValueError("need at least one sampled cochain, got samples=%d" % samples)
     algebra = default_toy_algebra() if algebra is None else algebra
     sigma = algebra.scaling_automorphism(sigma_factors)
     rng = random.Random(seed)

@@ -302,7 +302,8 @@ class IrrepModule:
     """A built irreducible module: ordered GT basis plus sparse matrices.
 
     ``K[k]``, ``E[k]``, ``F[k]`` (k = 1..l) are SparseMatrix over mpf; F[k]
-    is the transpose of E[k].  Immutable after construction.
+    is the transpose of E[k].  `build_irrep` fills K, E and F through the
+    module's own ``index``; immutable once it returns.
     """
 
     def __init__(self, weight, basis, q, precision, K, E, F):
@@ -340,10 +341,11 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
         )
     basis = enumerate_tableaux(weight)
     assert len(basis) == expected, "tableau count disagrees with the Weyl formula"
-    index = {t: i for i, t in enumerate(basis)}
     ell = len(weight)
     dim = len(basis)
     K, E, F = {}, {}, {}
+    mod = IrrepModule(weight, basis, qf, precision, K, E, F)
+    index = mod.index
     with mp.workdps(precision):
         qs = mp.sqrt(mp.mpf(qf.numerator) / mp.mpf(qf.denominator))
         for k in range(1, ell + 1):
@@ -354,7 +356,7 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
                     entries[(index[target], col)] = c
             E[k] = SparseMatrix(dim, dim, entries)
             F[k] = E[k].transpose()
-    return IrrepModule(weight, basis, qf, precision, K, E, F)
+    return mod
 
 
 RelationCheck = namedtuple("RelationCheck", "name residual entry")

@@ -92,6 +92,13 @@ def test_coboundary_check(capsys):
     assert code == 0 and report["pass"]
 
 
+def test_coboundary_check_rejects_no_samples(capsys):
+    code, report = run_json(capsys, "coboundary-check", "--n", "0", "--samples", "-5")
+    assert code == 1 and not report["pass"]
+    assert report["results"] == [
+        {"error": "need at least one sampled cochain, got samples=-5"}]
+
+
 def test_irrep_export(tmp_path, capsys):
     out = tmp_path / "mats"
     code, report = run_json(capsys, "irrep", "--ell", "1", "--n", "2",

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qproj.coordring import TruncatedPolynomialAlgebra
 from qproj.cocycle import (
     ChainSearchError,
     b_sigma,
@@ -212,3 +213,39 @@ def test_b_sigma_squared_other_degrees(n):
 def test_degree_bounds():
     with pytest.raises(ValueError):
         twisted_coboundary_check(5)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_samples_below_one_rejected(samples):
+    with pytest.raises(ValueError, match="samples=%d" % samples):
+        twisted_coboundary_check(0, samples=samples)
+
+
+class _BrokenTwistAlgebra(TruncatedPolynomialAlgebra):
+    """The toy algebra with the eigenvalue of z1 z2 doubled: sigma is then no
+    longer multiplicative, so it is not an automorphism."""
+
+    def scaling_automorphism(self, factors):
+        eigs = super().scaling_automorphism(factors)
+        eigs[self.index[(1, 1)]] *= 2
+        return eigs
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_check_fails_for_a_non_multiplicative_twist(n):
+    alg = _BrokenTwistAlgebra(2, 2, Fraction(1, 2))
+    rep = twisted_coboundary_check(n, samples=5, seed=0, algebra=alg)
+    assert not rep.ok
+
+
+def test_b_sigma_snapshots_a_dict_cochain():
+    alg = default_toy_algebra()
+    sigma = alg.scaling_automorphism((Fraction(2, 3), Fraction(3, 2)))
+    unit, z1 = alg.index[(0, 0)], alg.index[(1, 0)]
+    phi = {(z1,): Fraction(5)}
+    b = b_sigma(alg, sigma, phi, 0)
+    # (b phi)(1, z1) = phi(z1) - sigma(z1) phi(z1) = (1 - 2/3) * 5
+    phi[(z1,)] = Fraction(7)
+    assert b((unit, z1)) == Fraction(5, 3)
+    # A fresh call sees the changed dict.
+    assert b_sigma(alg, sigma, phi, 0)((unit, z1)) == Fraction(7, 3)

@@ -220,3 +220,22 @@ def test_scaling_automorphism_eigenvalues():
     assert eigs[alg.index[(1, 0)]] == Fraction(2, 3)
     assert eigs[alg.index[(1, 1)]] == 1
     assert eigs[alg.index[(2, 0)]] == Fraction(4, 9)
+
+
+@pytest.mark.parametrize("gens, max_degree, q", [(2, 2, Fraction(1, 2)),
+                                                 (3, 3, Fraction(2, 3))])
+def test_product_table_matches_normal_order(gens, max_degree, q):
+    alg = TruncatedPolynomialAlgebra(gens, max_degree, q)
+    for i, a in enumerate(alg.basis):
+        for j, b in enumerate(alg.basis):
+            qpow, mono = normal_order(_word(a) + _word(b), gens)
+            if sum(mono) > max_degree:
+                assert alg.product(i, j) == (0, None)
+                continue
+            (e,) = qpow.support()
+            assert qpow.coefficient(e) == 1
+            assert alg.product(i, j) == (q**e, alg.index[mono])
+
+
+def _word(mono):
+    return tuple(g for g, s in enumerate(mono, start=1) for _ in range(s))
