@@ -23,9 +23,10 @@ operator computation are verified, as q-number radical identities
     -sqrt([n][n+5]/([2][3])) - sqrt(...) + 2[2]^{-1} [2] sqrt(...) = 0,
     -sqrt([n+2][n+3]/[2]) - sqrt(...) = -2 sqrt(...),
 
-each side evaluated through an independent arithmetic path so cancellation is
-genuinely exercised, and each residual measured relative to the size of the
-terms that cancel.
+each residual measured relative to the size of the terms that cancel.  Both
+identities hold for any positive reals in place of the q-numbers (see
+`cp2_coefficient_identity`), so this exercises mpmath's square roots and
+rounding, not q-arithmetic; it is not a Riemann-Roch oracle for the plane.
 """
 
 from __future__ import annotations
@@ -167,9 +168,12 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
     """Verify the two degree-2 coefficient identities over a parameter grid.
 
     For each n and q the two cancellations are evaluated with each radical
-    computed along an independent path (product under one root vs. product
-    of roots), so residuals measure true q-arithmetic consistency rather than
-    floating-point idempotence.  Each residual is taken relative to
+    computed along a second path (product under one root vs. product of
+    roots).  Algebraically x_chain = 2[2]^{-1} sqrt([2]) sqrt([2]) x_joint is
+    2 x_joint and y_rhs is 2 y_joint, so both identities hold for any
+    positive values of the q-numbers: the residuals measure mpmath's square
+    roots and rounding, not q-arithmetic, and the check is no Riemann-Roch
+    oracle for qP^2.  Each residual is taken relative to
     max(1, |cancelled term|) (x for the mixed identity, the right-hand side
     2y for the scalar one), because the q-integers grow like q^-n; the
     tolerance is 10^(-precision/2).

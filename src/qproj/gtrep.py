@@ -205,21 +205,54 @@ def enumerate_tableaux(weight) -> list:
     return out
 
 
-def _q_number(z, qf) -> Fraction:
-    # [z] at a rational q, exactly.
-    return (qf**z - qf**-z) / (qf - 1 / qf)
+class _QNumbers(dict):
+    """The exact q-numbers [z] = (q^z - q^-z)/(q - q^-1) at one rational q,
+    each computed on first use.  Lives for one build or one call."""
+
+    def __init__(self, qf):
+        super().__init__()
+        self.qf = qf
+
+    def __missing__(self, z):
+        qf = self.qf
+        value = self[z] = (qf**z - qf**-z) / (qf - 1 / qf)
+        return value
 
 
-def _amplitude(op, k, j, tableau, qf) -> Fraction:
-    """a_j (op "E") or b_j (op "F") of entry (j, k), exactly; see `exact_column`."""
+def _amplitude(op, k, j, tableau, qn) -> Fraction:
+    """a_j (op "E") or b_j (op "F") of entry (j, k), exactly; see `exact_column`.
+
+    `qn` is the `_QNumbers` table of the q at hand.
+    """
     ljk = tableau.l(j, k)
     row, c = (k + 1, Fraction(-1)) if op == "E" else (k - 1, Fraction(1))
     for i in range(1, row + 1):
-        c *= _q_number(tableau.l(i, row) - ljk, qf)
+        c *= qn[tableau.l(i, row) - ljk]
     for i in range(1, k + 1):
         if i != j:
-            c /= _q_number(tableau.l(i, k) - ljk, qf)
+            c /= qn[tableau.l(i, k) - ljk]
     return c
+
+
+def _raise_value(k, j, tableau, target, qn, precision):
+    # A^j_k for a valid raise `target`, with q and precision already checked.
+    radicand = _amplitude("E", k, j, tableau, qn) * _amplitude("F", k, j, target, qn)
+    if radicand < 0:
+        raise NegativeRadicandError(
+            "radicand of A^%d_%d is negative: %s" % (j, k, radicand))
+    with mp.workdps(precision + 10):
+        value = mp.mpf(radicand.numerator) / radicand.denominator
+    return guarded_sqrt(value, precision)
+
+
+def _e_column(k, tableau, qn, precision):
+    # (target, A^j_k) for every nonzero entry of E_k |tableau>, j ascending.
+    for j in range(1, k + 1):
+        target = tableau.raised(j, k)
+        if target is not None:
+            c = _raise_value(k, j, tableau, target, qn, precision)
+            if c:
+                yield target, c
 
 
 def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
@@ -238,26 +271,16 @@ def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
     target = tableau.raised(j, k)
     if target is None:
         return mp.mpf(0)
-    radicand = _amplitude("E", k, j, tableau, qf) * _amplitude("F", k, j, target, qf)
-    if radicand < 0:
-        raise NegativeRadicandError(
-            "radicand of A^%d_%d is negative: %s" % (j, k, radicand))
-    with mp.workdps(precision + 10):
-        value = mp.mpf(radicand.numerator) / radicand.denominator
-    return guarded_sqrt(value, precision)
+    return _raise_value(k, j, tableau, target, _QNumbers(qf), precision)
 
 
 def apply_e(k, tableau, q, precision: int = DEFAULT_PRECISION) -> dict:
     """E_k on a basis tableau: map target tableau -> coefficient."""
-    out = {}
-    for j in range(1, k + 1):
-        target = tableau.raised(j, k)
-        if target is None:
-            continue
-        c = raise_coeff(k, j, tableau, q, precision)
-        if c:
-            out[target] = c
-    return out
+    qn = _QNumbers(parse_q(q))
+    precision = check_precision(precision)
+    if not 1 <= k <= tableau.ell:
+        raise ValueError("k must lie in 1..%d, got %d" % (tableau.ell, k))
+    return dict(_e_column(k, tableau, qn, precision))
 
 
 def exact_column(op, k, tableau, q) -> dict:
@@ -273,13 +296,13 @@ def exact_column(op, k, tableau, q) -> dict:
     """
     if op not in ("E", "F"):
         raise ValueError("op must be E or F, got %r" % (op,))
-    qf = parse_q(q)
+    qn = _QNumbers(parse_q(q))
     out = {}
     for j in range(1, k + 1):
         target = tableau.raised(j, k) if op == "E" else tableau.lowered(j, k)
         if target is None:
             continue
-        c = _amplitude(op, k, j, tableau, qf)
+        c = _amplitude(op, k, j, tableau, qn)
         if c:
             out[target] = c
     return out
@@ -346,13 +369,14 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
     K, E, F = {}, {}, {}
     mod = IrrepModule(weight, basis, qf, precision, K, E, F)
     index = mod.index
+    qn = _QNumbers(qf)
     with mp.workdps(precision):
         qs = mp.sqrt(mp.mpf(qf.numerator) / mp.mpf(qf.denominator))
         for k in range(1, ell + 1):
             K[k] = SparseMatrix.diagonal([qs ** t.a(k) for t in basis])
             entries = {}
             for col, t in enumerate(basis):
-                for target, c in apply_e(k, t, qf, precision).items():
+                for target, c in _e_column(k, t, qn, precision):
                     entries[(index[target], col)] = c
             E[k] = SparseMatrix(dim, dim, entries)
             F[k] = E[k].transpose()

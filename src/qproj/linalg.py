@@ -13,6 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_neg
 
 from .qarith import check_precision
 
@@ -23,7 +24,12 @@ RankResult = namedtuple("RankResult", "rank ill_conditioned threshold sigmas")
 
 
 class SparseMatrix:
-    """A (nrows x ncols) sparse matrix over mpf entries."""
+    """A (nrows x ncols) sparse matrix over mpf entries.
+
+    ``+``, ``-`` and ``@`` work on the raw mpmath.libmp tuples with the same
+    calls, precision, rounding and order as the mpf operators would, so their
+    results are the mpf ones bit for bit.
+    """
 
     __slots__ = ("nrows", "ncols", "_d")
 
@@ -61,8 +67,15 @@ class SparseMatrix:
     def nnz(self):
         return len(self._d)
 
+    @classmethod
+    def _trusted(cls, nrows, ncols, d):
+        # Wrap a dict of in-bounds nonzero entries without re-validating it.
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m._d = nrows, ncols, d
+        return m
+
     def transpose(self):
-        return SparseMatrix(
+        return SparseMatrix._trusted(
             self.ncols, self.nrows, {(j, i): v for (i, j), v in self._d.items()}
         )
 
@@ -71,19 +84,28 @@ class SparseMatrix:
             self.nrows, self.ncols, {k: c * v for k, v in self._d.items()}
         )
 
-    def __add__(self, other):
+    def _combine(self, other, negate):
+        # self + other (or self - other, negating each entry of other at the
+        # working precision first), keeping the insertion order of the dict.
         self._check_shape(other)
+        prec, rnd = mp._prec_rounding
+        make = mp.make_mpf
         d = dict(self._d)
         for k, v in other._d.items():
-            nv = d.get(k, mp.mpf(0)) + v
-            if nv:
-                d[k] = nv
-            elif k in d:
+            v = mpf_neg(v._mpf_, prec, rnd) if negate else v._mpf_
+            old = d.get(k)
+            nv = mpf_add(fzero if old is None else old._mpf_, v, prec, rnd)
+            if nv != fzero:
+                d[k] = make(nv)
+            elif old is not None:
                 del d[k]
-        return SparseMatrix(self.nrows, self.ncols, d)
+        return SparseMatrix._trusted(self.nrows, self.ncols, d)
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     def __sub__(self, other):
-        return self + other.scaled(mp.mpf(-1))
+        return self._combine(other, True)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -91,15 +113,19 @@ class SparseMatrix:
                 "shape mismatch: %dx%d @ %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
+        prec, rnd = mp._prec_rounding
         rows_of_b = {}
         for (k, j), v in other._d.items():
-            rows_of_b.setdefault(k, []).append((j, v))
+            rows_of_b.setdefault(k, []).append((j, v._mpf_))
         acc = {}
         for (i, k), va in self._d.items():
-            for j, vb in rows_of_b.get(k, ()):
+            a = va._mpf_
+            for j, b in rows_of_b.get(k, ()):
                 key = (i, j)
-                acc[key] = acc.get(key, mp.mpf(0)) + va * vb
-        return SparseMatrix(self.nrows, other.ncols, acc)
+                acc[key] = mpf_add(acc.get(key, fzero), mpf_mul(a, b, prec, rnd), prec, rnd)
+        make = mp.make_mpf
+        return SparseMatrix._trusted(
+            self.nrows, other.ncols, {k: make(v) for k, v in acc.items() if v != fzero})
 
     def max_abs(self):
         if not self._d:

@@ -1,4 +1,6 @@
-"""Acceptance suite: one test per criterion, one PASS/FAIL line each.
+"""Acceptance suite: one PASS/FAIL line per test.  Criteria 1 and 3 carry two
+tests each (numeric and exact relations; Euler characteristic and Serre
+duality), every other criterion one.
 
 Tolerances are pinned here and nowhere else.  Criterion 5 requires the
 two-chain partition wherever no parity obstruction rules it out (ell = 1,
@@ -51,6 +53,87 @@ def test_criterion_1_relation_suite():
     conclude(1, "relation suite (%.1fs)" % elapsed, problems)
 
 
+def _exact_apply(columns, vec):
+    """An operator given column by column (tableau -> {target: Fraction}) on
+    a vector (tableau -> Fraction), exactly; zero coordinates are dropped."""
+    out = {}
+    for t, c in vec.items():
+        for s, d in columns[t].items():
+            out[s] = out.get(s, 0) + c * d
+    return {s: v for s, v in out.items() if v}
+
+
+def _exact_word(vec, *ops):
+    # ops[0] ops[1] ... ops[-1] vec: the rightmost operator acts first
+    for columns in reversed(ops):
+        vec = _exact_apply(columns, vec)
+    return vec
+
+
+def _exact_combination(*terms):
+    out = {}
+    for coeff, vec in terms:
+        for s, v in vec.items():
+            out[s] = out.get(s, 0) + coeff * v
+    return {s: v for s, v in out.items() if v}
+
+
+def test_criterion_1_exact_relations():
+    """E_k, F_k from `exact_column` (non-normalized GT basis) satisfy the
+    defining relations with zero residual at rational q, and E_k steps the
+    weights a_i by row k of the Cartan matrix.  Under 10 s."""
+    problems = []
+    start = time.monotonic()
+    for q in (Q, Fraction(9, 10)):
+        two = q + 1 / q
+        qnum = {}  # [a]_q from its Laurent coefficients, not gtrep's formula
+        for w in [(2, 1, 2), (3, 3), (1, 1, 1)]:
+            ell = len(w)
+            basis = gtrep.enumerate_tableaux(w)
+            E = {k: {t: gtrep.exact_column("E", k, t, q) for t in basis}
+                 for k in range(1, ell + 1)}
+            F = {k: {t: gtrep.exact_column("F", k, t, q) for t in basis}
+                 for k in range(1, ell + 1)}
+            bad = set()
+            for t in basis:
+                v = {t: Fraction(1)}
+                for k in range(1, ell + 1):
+                    for s in E[k][t]:
+                        cartan = [2 if i == k else -1 if abs(i - k) == 1 else 0
+                                  for i in range(1, ell + 1)]
+                        if [s.a(i) - t.a(i) for i in range(1, ell + 1)] != cartan:
+                            bad.add("E%d weight step" % k)
+                for i in range(1, ell + 1):
+                    for j in range(1, ell + 1):
+                        bracket = _exact_combination(
+                            (1, _exact_word(v, E[i], F[j])), (-1, _exact_word(v, F[j], E[i])))
+                        want = {}
+                        a = t.a(i)
+                        if i == j and a:
+                            if a not in qnum:
+                                qnum[a] = sum(c * q**e for e, c in q_int(a).coeffs().items())
+                            want = {t: qnum[a]}
+                        if bracket != want:
+                            bad.add("[E%d,F%d]" % (i, j))
+                        if abs(i - j) == 1:
+                            for X, name in ((E, "E"), (F, "F")):
+                                serre = _exact_combination(
+                                    (1, _exact_word(v, X[i], X[i], X[j])),
+                                    (-two, _exact_word(v, X[i], X[j], X[i])),
+                                    (1, _exact_word(v, X[j], X[i], X[i])))
+                                if serre:
+                                    bad.add("serre(%s%d,%s%d)" % (name, i, name, j))
+                        elif abs(i - j) > 1:
+                            for X, name in ((E, "E"), (F, "F")):
+                                if _exact_word(v, X[i], X[j]) != _exact_word(v, X[j], X[i]):
+                                    bad.add("%s%d%s%d" % (name, i, name, j))
+            problems += ["n=%s q=%s %s" % (w, q, b) for b in sorted(bad)]
+    elapsed = time.monotonic() - start
+    if elapsed >= 10:
+        problems.append("runtime %.1fs exceeds 10s" % elapsed)
+    conclude(1, "exact relation suite (%.1fs)" % elapsed, problems)
+
+
 def test_criterion_2_kernel_theorem():
     """Numeric block-kernel totals equal the combinatorial count exactly."""
     problems = []
@@ -79,6 +162,19 @@ def test_criterion_3_euler_characteristic():
                     problems.append("N=%d lmax=%d q=%s -> chi=%d stable=%s"
                                     % (N, lmax, q, res.chi, res.stable))
     conclude(3, "quantum line Euler characteristic", problems)
+
+
+def test_criterion_3_serre_duality():
+    """Serre duality on qP^1: dim ker at N equals dim coker at 2 - N, both
+    max(0, 1 - N), for N in -5..5 at l_max 12, q in {1/2, 9/10}."""
+    problems = []
+    for q in (Q, Fraction(9, 10)):
+        for N in range(-5, 6):
+            ker = dolbeault.cp1_euler_characteristic(N, 12, q, PREC).dim_ker
+            coker = dolbeault.cp1_euler_characteristic(2 - N, 12, q, PREC).dim_coker
+            if not ker == coker == max(0, 1 - N):
+                problems.append("N=%d q=%s ker=%d coker(2-N)=%d" % (N, q, ker, coker))
+    conclude(3, "quantum line Serre duality", problems)
 
 
 def test_criterion_4_ring_grading_and_factorization():

@@ -383,6 +383,29 @@ def test_export_bytes_are_pinned(weight, q, precision):
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[(weight, q, precision)]
 
 
+# sha256 of the verify_relations rows "name residual entry" (residual as the
+# CLI prints it, mp.nstr(.., 8)), pinned like the exports above.
+RELATIONS_SHA256 = {
+    ((2, 1, 2), Q, 60): "4c58551a2336d822e0252ea1aacce8f37d6cdc274fd383bb4d811680b7b8b304",
+    ((2, 1, 2), Q, 100): "3b75b595ef564ee896c6188cc105576ada8bd23af9acafc88d5fbb12872e4348",
+    ((1, 2, 1), Fraction(9, 10), 60):
+        "55fb5abcc8368cd857730f0e9ce7da662167148721c125a52c0e74a4996d9abe",
+    ((4, 2), Fraction(3, 4), 60):
+        "c9a43c0812d368a051a8b400bd3319294ec36bf32f5dddf49e965d2eb2a09228",
+    ((1, 0, 0, 1), Q, 60): "31f8d3199b0c111030db9b08a9f7a354661b9e38be9dbba9707a96094e644f73",
+}
+
+
+@pytest.mark.parametrize("weight,q,precision", list(RELATIONS_SHA256),
+                         ids=["%s-q%s-p%d" % (",".join(map(str, w)), q, p)
+                              for w, q, p in RELATIONS_SHA256])
+def test_relation_residuals_are_pinned(weight, q, precision):
+    report = verify_relations(build_irrep(weight, q, precision))
+    text = "".join("%s %s %s\n" % (c.name, mp.nstr(c.residual, 8), c.entry)
+                   for c in report.checks)
+    assert hashlib.sha256(text.encode()).hexdigest() == RELATIONS_SHA256[(weight, q, precision)]
+
+
 def test_export_rejects_bad_op():
     mod = build_irrep((1,), Q, PREC)
     with pytest.raises(ValueError):

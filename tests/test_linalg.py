@@ -120,3 +120,69 @@ def test_eliminate_rank_matches_numeric_oracle():
             M(nrows, ncols, {(i, j): v for i, row in enumerate(rows)
                              for j, v in enumerate(row)}), PREC)
         assert eliminate(rows, ncols).rank == oracle.rank
+
+
+# -- bit-for-bit arithmetic ------------------------------------------------------
+
+def _ref_add(a, b):
+    # The plain mpf loop: every stored sum is rounded by mpf.__add__.
+    d = dict(a._d)
+    for k, v in b._d.items():
+        nv = d.get(k, mp.mpf(0)) + v
+        if nv:
+            d[k] = nv
+        elif k in d:
+            del d[k]
+    return d
+
+
+def _ref_sub(a, b):
+    return _ref_add(a, b.scaled(mp.mpf(-1)))
+
+
+def _ref_matmul(a, b):
+    acc = {}
+    for (i, k), va in a._d.items():
+        for (k2, j), vb in b._d.items():
+            if k2 == k:
+                acc[(i, j)] = acc.get((i, j), mp.mpf(0)) + va * vb
+    return {key: v for key, v in acc.items() if v}
+
+
+def _random_sparse(rng, n, nnz, digits):
+    with mp.workdps(digits):
+        return SparseMatrix(n, n, {
+            (rng.randrange(n), rng.randrange(n)):
+                mp.mpf(rng.randint(-10**6, 10**6)) / rng.randint(1, 999) * mp.pi
+            for _ in range(nnz)})
+
+
+def _raw(d):
+    return [(k, v._mpf_) for k, v in d.items()]
+
+
+@pytest.mark.parametrize("digits", [60, 100])
+def test_sparse_arithmetic_is_the_mpf_loop_bit_for_bit(digits):
+    # Entries created at `digits`, arithmetic at 60: with 100-digit entries
+    # a subtraction that skips the rounding of the negated entry (a plain
+    # mpf_sub) would cancel A - A exactly and keep no entry at all.
+    rng = random.Random(digits)
+    a = _random_sparse(rng, 12, 60, digits)
+    b = _random_sparse(rng, 12, 60, digits)
+    with mp.workdps(PREC):
+        x, y, z = mp.mpf(3) / 7, mp.mpf(5) / 11, mp.mpf(2) / 13
+        # (0, 0) of c @ e is x*z - x*z: exact cancellation inside a product
+        c = SparseMatrix(2, 2, {(0, 0): x, (0, 1): x, (1, 1): y})
+        e = SparseMatrix(2, 2, {(0, 0): z, (1, 0): -z, (1, 1): y})
+        cases = [(a + b, _ref_add(a, b)), (a - b, _ref_sub(a, b)),
+                 (a @ b, _ref_matmul(a, b)), (b @ a, _ref_matmul(b, a)),
+                 (a - a, _ref_sub(a, a)), (a @ b - b @ a, _ref_sub(a @ b, b @ a)),
+                 (c @ e, _ref_matmul(c, e))]
+        for got, want in cases:
+            assert got.nnz == len(want)
+            assert _raw(got._d) == _raw(want)
+        assert (0, 0) not in (c @ e)._d and (c @ e).nnz == 3
+        if digits == PREC:
+            assert (a - a).nnz == 0
+        else:
+            assert (a - a).nnz > 0
