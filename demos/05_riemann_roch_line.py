@@ -18,7 +18,7 @@ q = Fraction(1, 2)
 print("Euler characteristic of the degree-N bundle on the quantum line:")
 print("  N    ker  coker  chi   stable")
 for N in range(-4, 5):
-    r = cp1_euler_characteristic(N, 8, q, 60)
+    r = cp1_euler_characteristic(N, 8, q)
     print("  %+d    %-4d %-6d %+d    %s" % (N, r.dim_ker, r.dim_coker, r.chi, r.stable))
 print("  (chi = -N + 1 throughout)")
 

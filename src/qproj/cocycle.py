@@ -212,7 +212,7 @@ def _incidence_rows(patterns, edges) -> list:
 
 
 CocycleSolution = namedtuple(
-    "CocycleSolution", "m r bridge x k edges matches_closed_form sign_absorbed")
+    "CocycleSolution", "m r bridge x k edges matches_closed_form sign_absorbed membership")
 
 
 def _closed_form(i, r, kappa, m):
@@ -225,6 +225,28 @@ def _closed_form(i, r, kappa, m):
     return j * m if j < kappa else -(r - j) * m
 
 
+def _telescope(patterns, edges, m):
+    """Exact x with m*tau - 2rm*phi_first = sum_e x_e (phi_a - phi_b).
+
+    One unknown per edge (a, b), one equation per pattern; first =
+    patterns[0] = '0'^l '1'^l and 2r = len(patterns).  Returns (x, rebuilt),
+    or None when x is not unique or does not exist; `rebuilt` re-checks x
+    independently of the solver by summing the weighted pairs.
+    """
+    first = patterns[0]
+    rhs = [m - (len(patterns) * m if p == first else 0) for p in patterns]
+    rows = [row + [b] for row, b in zip(_incidence_rows(patterns, edges), rhs)]
+    reduced = eliminate(rows, len(edges))
+    if reduced.rank != len(edges) or not reduced.consistent:
+        return None
+    x = reduced.solution()
+    total = dict.fromkeys(patterns, Fraction(0))
+    for y, (a, b) in zip(x, edges):
+        total[a] += y
+        total[b] -= y
+    return x, all(total[p] == b for p, b in zip(patterns, rhs))
+
+
 def solve_cocycle_system(ell: int, m=1, chains: Chains = None) -> CocycleSolution:
     """Exact coefficients writing m*tau - k*phi_first as a sum over the chains.
 
@@ -232,7 +254,10 @@ def solve_cocycle_system(ell: int, m=1, chains: Chains = None) -> CocycleSolutio
     contributes +-(phi - phi') with the sign convention fixed edge-forward),
     solves it over the rationals, asserts the solution against the closed
     form above, and records which indices differ from -(2r-i)m only by the
-    documented sign absorption.  Always yields k = 2 r m.
+    documented sign absorption.  k is 2rm: every pair difference has
+    coefficient sum zero, so summing the equations over all patterns forces
+    it.  `membership` is the solver-independent rebuild of the sum, the
+    check `verify_membership` makes.
     """
     m = Fraction(m)
     if chains is None:
@@ -240,27 +265,22 @@ def solve_cocycle_system(ell: int, m=1, chains: Chains = None) -> CocycleSolutio
     patterns = enumerate_shuffles(ell)
     r = len(patterns) // 2
     edges = chain_edges(chains)
-    first = chains.chain1[0]
-    # Unknowns: one coefficient per edge, then k.  Equation per pattern:
-    #   sum_e inc(e, p) x_e + delta(p, first) k = m
-    rows = [row + [int(p == first), m]
-            for p, row in zip(patterns, _incidence_rows(patterns, edges))]
-    reduced = eliminate(rows, len(edges) + 1)
-    if not reduced.consistent:
+    solved = _telescope(patterns, edges, m)
+    if solved is None:
         raise ArithmeticError(
-            "telescoping system inconsistent at ell=%d (falsifies the construction)" % ell)
-    solution = reduced.solution()
-    x, k = solution[:-1], solution[-1]
-    assert k == 2 * r * m, "solved k = %s differs from 2 r m = %s" % (k, 2 * r * m)
+            "telescoping system has no unique solution at ell=%d "
+            "(falsifies the construction)" % ell)
+    x, rebuilt = solved
     kappa = chains.bridge
     expected = [_closed_form(i, r, kappa, m) for i in range(1, 2 * r)]
-    matches = list(map(Fraction, x)) == expected
+    matches = x == expected
     # Indices where the solved coefficient deviates from the bare pattern
     # -(2r-i)m; with the bridge at kappa <= 2 this is at most {r+1}, where
     # only the sign differs (the documented sign absorption).
     sign_absorbed = tuple(
         i for i in range(1, 2 * r) if x[i - 1] != -(2 * r - i) * m)
-    return CocycleSolution(m, r, kappa, tuple(x), k, tuple(edges), matches, sign_absorbed)
+    return CocycleSolution(m, r, kappa, tuple(x), 2 * r * m, tuple(edges), matches,
+                           sign_absorbed, rebuilt)
 
 
 def spanning_tree_edges(ell: int) -> list:
@@ -299,26 +319,17 @@ def verify_membership(ell: int) -> MembershipCertificate:
     """
     patterns = enumerate_shuffles(ell)
     r = len(patterns) // 2
-    first = "0" * ell + "1" * ell
     try:
         edges = chain_edges(build_chains(ell))
         via_chains = True
     except ChainSearchError:
         edges = spanning_tree_edges(ell)
         via_chains = False
-    rhs = [1 - (2 * r if p == first else 0) for p in patterns]
-    rows = [row + [b] for row, b in zip(_incidence_rows(patterns, edges), rhs)]
-    reduced = eliminate(rows, len(edges))
-    if reduced.rank != len(edges) or not reduced.consistent:
+    solved = _telescope(patterns, edges, 1)
+    if solved is None:
         return MembershipCertificate(False, ell, r, via_chains, tuple(edges), ())
-    coeffs = reduced.solution()
-    # Re-verify the certificate independently of the solver.
-    total = {p: Fraction(0) for p in patterns}
-    for y, (a, b) in zip(coeffs, edges):
-        total[a] += y
-        total[b] -= y
-    ok = all(total[p] == b for p, b in zip(patterns, rhs))
-    return MembershipCertificate(ok, ell, r, via_chains, tuple(edges), tuple(coeffs))
+    x, rebuilt = solved
+    return MembershipCertificate(rebuilt, ell, r, via_chains, tuple(edges), tuple(x))
 
 
 # -- twisted Hochschild operators on the toy algebra -----------------------

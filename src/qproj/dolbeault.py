@@ -36,9 +36,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .linalg import SparseMatrix
-from .qarith import (DEFAULT_PRECISION, QLaurent, check_precision, guarded_sqrt,
-                     parse_q, q_int)
+from .qarith import DEFAULT_PRECISION, QLaurent, check_precision, parse_q, q_int
 
 __all__ = [
     "Cp1Block",
@@ -52,60 +50,20 @@ __all__ = [
 
 
 # `radicand` is the exact [l - N/2 + 1][l + N/2] (zero for a source-free
-# block); `coeff` is its square root at the working precision.
-Cp1Block = namedtuple("Cp1Block", "twol dim_source dim_target radicand coeff")
+# block); the block's coefficient c_l is its square root.
+Cp1Block = namedtuple("Cp1Block", "twol dim_source dim_target radicand")
 
 EulerResult = namedtuple("EulerResult", "N l_max dim_ker dim_coker chi stable blocks")
 
 
-class TruncatedComplex:
-    """The truncated two-term complex L_N -> L_{N-2} on the projective line."""
-
-    def __init__(self, N, l_max, q, precision, blocks):
-        self.N = N
-        self.l_max = l_max
-        self.q = q
-        self.precision = precision
-        self.blocks = blocks
-
-    def matrix(self) -> SparseMatrix:
-        """Assembled operator, source coordinates to target coordinates.
-
-        Block diagonal in l by construction; the sparse structure makes that
-        assertable (no entry couples different l blocks).
-        """
-        src_offset, tgt_offset = {}, {}
-        nsrc = ntgt = 0
-        for b in self.blocks:
-            if b.dim_source:
-                src_offset[b.twol] = nsrc
-                nsrc += b.dim_source
-            if b.dim_target:
-                tgt_offset[b.twol] = ntgt
-                ntgt += b.dim_target
-        entries = {}
-        for b in self.blocks:
-            if b.dim_source and b.dim_target and b.coeff:
-                for m in range(b.dim_source):
-                    entries[(tgt_offset[b.twol] + m, src_offset[b.twol] + m)] = b.coeff
-        return SparseMatrix(ntgt, nsrc, entries)
-
-    def block_spans(self):
-        """(twol, source index range, target index range) per block."""
-        spans = []
-        nsrc = ntgt = 0
-        for b in self.blocks:
-            s = (nsrc, nsrc + b.dim_source)
-            t = (ntgt, ntgt + b.dim_target)
-            nsrc, ntgt = s[1], t[1]
-            spans.append((b.twol, s, t))
-        return spans
+# The truncated two-term complex L_N -> L_{N-2} on the projective line, held
+# as its exact blocks.
+TruncatedComplex = namedtuple("TruncatedComplex", "N l_max q blocks")
 
 
-def cp1_dolbeault_matrix(N: int, l_max, q, precision: int = DEFAULT_PRECISION) -> TruncatedComplex:
+def cp1_dolbeault_matrix(N: int, l_max, q) -> TruncatedComplex:
     """Build the truncated degree-N complex up to spin l_max."""
     qf = parse_q(q)
-    precision = check_precision(precision)
     l_max = Fraction(l_max)
     if l_max < Fraction(abs(N), 2):
         raise ValueError("l_max must be at least |N|/2")
@@ -124,13 +82,12 @@ def cp1_dolbeault_matrix(N: int, l_max, q, precision: int = DEFAULT_PRECISION) -
             twol,
             dim_source=twol + 1 if in_source else 0,
             dim_target=twol + 1 if in_target else 0,
-            radicand=radicand,
-            coeff=guarded_sqrt(radicand.eval(qf, precision), precision)))
-    return TruncatedComplex(N, l_max, qf, precision, blocks)
+            radicand=radicand))
+    return TruncatedComplex(N, l_max, qf, blocks)
 
 
-def _euler_once(N, l_max, qf, precision):
-    cx = cp1_dolbeault_matrix(N, l_max, qf, precision)
+def _euler_once(N, l_max, qf):
+    cx = cp1_dolbeault_matrix(N, l_max, qf)
     ker = coker = 0
     for b in cx.blocks:
         rank = b.dim_source if b.radicand else 0
@@ -144,18 +101,17 @@ def _euler_once(N, l_max, qf, precision):
     return ker, coker, ker - coker, cx.blocks
 
 
-def cp1_euler_characteristic(N: int, l_max, q, precision: int = DEFAULT_PRECISION) -> EulerResult:
+def cp1_euler_characteristic(N: int, l_max, q) -> EulerResult:
     """Kernel, cokernel and Euler characteristic of the truncated complex.
 
     Stability is checked by recomputing at l_max - 1; a change in the
     characteristic flips `stable` off instead of being silently accepted.
     """
     qf = parse_q(q)
-    precision = check_precision(precision)
     if Fraction(l_max) < Fraction(abs(N), 2) + 2:
         raise ValueError("l_max must leave a stability margin of at least 2")
-    ker, coker, chi, blocks = _euler_once(N, l_max, qf, precision)
-    _k2, _c2, chi_prev, _b2 = _euler_once(N, Fraction(l_max) - 1, qf, precision)
+    ker, coker, chi, blocks = _euler_once(N, l_max, qf)
+    _k2, _c2, chi_prev, _b2 = _euler_once(N, Fraction(l_max) - 1, qf)
     return EulerResult(N, l_max, ker, coker, chi, chi == chi_prev, blocks)
 
 
@@ -176,9 +132,14 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
     oracle for qP^2.  Each residual is taken relative to
     max(1, |cancelled term|) (x for the mixed identity, the right-hand side
     2y for the scalar one), because the q-integers grow like q^-n; the
-    tolerance is 10^(-precision/2).
+    tolerance is 10^(-precision/2).  An empty grid raises ValueError, since
+    it would pass with nothing checked.
     """
     precision = check_precision(precision)
+    n_values, q_list = list(n_values), list(q_list)
+    if not n_values or not q_list:
+        raise ValueError("empty parameter grid: %d n values, %d q values"
+                         % (len(n_values), len(q_list)))
     rows = []
     with mp.workdps(precision):
         tol = mp.mpf(10) ** (-(precision // 2))

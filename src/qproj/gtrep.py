@@ -92,6 +92,11 @@ def top_row(weight) -> tuple:
     return tuple(sum(weight[i:]) for i in range(len(weight))) + (0,)
 
 
+def _interlace(upper, lower) -> bool:
+    """m_{i,j+1} >= m_{i,j} >= m_{i+1,j+1} for row `lower` under row `upper`."""
+    return all(upper[i] >= x >= upper[i + 1] for i, x in enumerate(lower))
+
+
 class GTTableau:
     """A triangular Gelfand-Tsetlin array, stored top row first.
 
@@ -132,17 +137,8 @@ class GTTableau:
     def flat(self) -> tuple:
         return tuple(itertools.chain.from_iterable(self.rows))
 
-    def weight(self) -> tuple:
-        top = self.rows[0]
-        return tuple(top[i] - top[i + 1] for i in range(len(top) - 1))
-
     def interlaces(self) -> bool:
-        for j in range(self.size, 1, -1):
-            upper, lower = self.row(j), self.row(j - 1)
-            for i in range(j - 1):
-                if not upper[i] >= lower[i] >= upper[i + 1]:
-                    return False
-        return True
+        return all(map(_interlace, self.rows, self.rows[1:]))
 
     def a(self, k) -> int:
         """The K_k weight exponent a_k."""
@@ -153,20 +149,31 @@ class GTTableau:
             total -= sum(self.row(k - 1))
         return total
 
-    def replaced(self, i, k, value) -> "GTTableau":
-        rows = [list(r) for r in self.rows]
-        rows[self.size - k][i - 1] = value
-        return GTTableau(rows)
+    def _moved(self, i, k, step):
+        # Entry (i, k) moved by `step` in an interlacing tableau.  Only the
+        # row pairs (k+1, k) and (k, k-1) hold the entry, so only they can
+        # break; the top row k = l+1 has no row above it.
+        rows = self.rows
+        pos = self.size - k
+        old = rows[pos]
+        row = old[:i - 1] + (old[i - 1] + step,) + old[i:]
+        if pos and not _interlace(rows[pos - 1], row):
+            return None
+        if k > 1 and not _interlace(row, rows[pos + 1]):
+            return None
+        t = GTTableau.__new__(GTTableau)
+        t.rows = rows[:pos] + (row,) + rows[pos + 1:]
+        return t
 
     def raised(self, i, k):
-        """Entry (i, k) increased by one, or None if interlacing breaks."""
-        t = self.replaced(i, k, self.entry(i, k) + 1)
-        return t if t.interlaces() else None
+        """Entry (i, k) of this interlacing tableau increased by one, or None
+        if interlacing breaks."""
+        return self._moved(i, k, 1)
 
     def lowered(self, i, k):
-        """Entry (i, k) decreased by one, or None if interlacing breaks."""
-        t = self.replaced(i, k, self.entry(i, k) - 1)
-        return t if t.interlaces() else None
+        """Entry (i, k) of this interlacing tableau decreased by one, or None
+        if interlacing breaks."""
+        return self._moved(i, k, -1)
 
     def __eq__(self, other):
         return isinstance(other, GTTableau) and self.rows == other.rows

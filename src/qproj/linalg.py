@@ -3,8 +3,7 @@
 Plumbing shared by the representation modules.  Matrices are immutable-ish
 dicts keyed by (row, col); all scalar entries are mpmath floats created under
 an explicit working precision.  Every rank decision and linear solve in the
-library runs on exact rationals through `eliminate`; the SVD-based
-`numeric_rank` is kept only as an independent oracle for the tests.
+library runs on exact rationals through `eliminate`.
 """
 
 from __future__ import annotations
@@ -15,12 +14,7 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_neg
 
-from .qarith import check_precision
-
-__all__ = ["SparseMatrix", "Elimination", "eliminate", "RankResult", "numeric_rank"]
-
-
-RankResult = namedtuple("RankResult", "rank ill_conditioned threshold sigmas")
+__all__ = ["SparseMatrix", "Elimination", "eliminate"]
 
 
 class SparseMatrix:
@@ -45,11 +39,6 @@ class SparseMatrix:
                 if v:
                     d[(i, j)] = v
         self._d = d
-
-    @classmethod
-    def identity(cls, n, one=None):
-        one = mp.mpf(1) if one is None else one
-        return cls(n, n, {(i, i): one for i in range(n)})
 
     @classmethod
     def diagonal(cls, values):
@@ -127,14 +116,6 @@ class SparseMatrix:
         return SparseMatrix._trusted(
             self.nrows, other.ncols, {k: make(v) for k, v in acc.items() if v != fzero})
 
-    def max_abs(self):
-        if not self._d:
-            return mp.mpf(0)
-        return max(abs(v) for v in self._d.values())
-
-    def is_diagonal(self, tol=0):
-        return all(i == j or abs(v) <= tol for (i, j), v in self._d.items())
-
     def _check_shape(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
@@ -197,34 +178,3 @@ def eliminate(rows, ncols) -> Elimination:
         row += 1
     return Elimination(ncols, tuple(pivots), A)
 
-
-def numeric_rank(matrix, precision) -> RankResult:
-    """Numeric rank with relative singular-value threshold 10^(-precision/2).
-
-    Zero rows and columns are compressed away before the SVD; the reference
-    scale is the largest singular value.  A rank decision is flagged as ill
-    conditioned when any singular value falls within a factor 10 of the cut.
-    The library decides ranks exactly (`eliminate`); this is the independent
-    oracle the tests hold the exact ranks against.
-    """
-    if not isinstance(matrix, SparseMatrix):
-        raise TypeError("numeric_rank expects a SparseMatrix")
-    precision = check_precision(precision)
-    with mp.workdps(precision):
-        rows = sorted({i for (i, _j), _v in matrix.entries()})
-        cols = sorted({j for (_i, j), _v in matrix.entries()})
-        if not rows or not cols:
-            return RankResult(0, False, mp.mpf(0), ())
-        rmap = {r: a for a, r in enumerate(rows)}
-        cmap = {c: a for a, c in enumerate(cols)}
-        dense = mp.zeros(len(rows), len(cols))
-        for (i, j), v in matrix.entries():
-            dense[rmap[i], cmap[j]] = v
-        sigmas = mp.svd_r(dense, compute_uv=False)
-        sigmas = sorted((abs(s) for s in sigmas), reverse=True)
-        if not sigmas or sigmas[0] == 0:
-            return RankResult(0, False, mp.mpf(0), tuple(sigmas))
-        cut = sigmas[0] * mp.mpf(10) ** (-(precision // 2))
-        rank = sum(1 for s in sigmas if s > cut)
-        ill = any(cut / 10 < s < cut * 10 for s in sigmas)
-        return RankResult(rank, ill, cut, tuple(sigmas))

@@ -1,0 +1,47 @@
+"""Independent oracles for the tests, kept out of the library.
+
+`numeric_rank` decides a rank from the singular values of a dense mpmath
+matrix, a route that shares no code with the exact `qproj.linalg.eliminate`
+the library uses, so the tests can hold the exact ranks against it.
+"""
+
+from collections import namedtuple
+
+from mpmath import mp
+
+from qproj.linalg import SparseMatrix
+from qproj.qarith import check_precision
+
+RankResult = namedtuple("RankResult", "rank ill_conditioned threshold sigmas")
+
+
+def numeric_rank(matrix, precision) -> RankResult:
+    """Numeric rank with relative singular-value threshold 10^(-precision/2).
+
+    Zero rows and columns are compressed away before the SVD; the reference
+    scale is the largest singular value.  A rank decision is flagged as ill
+    conditioned when any singular value falls within a factor 10 of the cut.
+    The library decides ranks exactly (`eliminate`); this is the independent
+    oracle the tests hold the exact ranks against.
+    """
+    if not isinstance(matrix, SparseMatrix):
+        raise TypeError("numeric_rank expects a SparseMatrix")
+    precision = check_precision(precision)
+    with mp.workdps(precision):
+        rows = sorted({i for (i, _j), _v in matrix.entries()})
+        cols = sorted({j for (_i, j), _v in matrix.entries()})
+        if not rows or not cols:
+            return RankResult(0, False, mp.mpf(0), ())
+        rmap = {r: a for a, r in enumerate(rows)}
+        cmap = {c: a for a, c in enumerate(cols)}
+        dense = mp.zeros(len(rows), len(cols))
+        for (i, j), v in matrix.entries():
+            dense[rmap[i], cmap[j]] = v
+        sigmas = mp.svd_r(dense, compute_uv=False)
+        sigmas = sorted((abs(s) for s in sigmas), reverse=True)
+        if not sigmas or sigmas[0] == 0:
+            return RankResult(0, False, mp.mpf(0), tuple(sigmas))
+        cut = sigmas[0] * mp.mpf(10) ** (-(precision // 2))
+        rank = sum(1 for s in sigmas if s > cut)
+        ill = any(cut / 10 < s < cut * 10 for s in sigmas)
+        return RankResult(rank, ill, cut, tuple(sigmas))

@@ -157,7 +157,7 @@ def test_criterion_3_euler_characteristic():
     for q in (Q, Fraction(9, 10)):
         for lmax in (8, 10):
             for N in range(-4, 5):
-                res = dolbeault.cp1_euler_characteristic(N, lmax, q, PREC)
+                res = dolbeault.cp1_euler_characteristic(N, lmax, q)
                 if res.chi != -N + 1 or not res.stable:
                     problems.append("N=%d lmax=%d q=%s -> chi=%d stable=%s"
                                     % (N, lmax, q, res.chi, res.stable))
@@ -170,8 +170,8 @@ def test_criterion_3_serre_duality():
     problems = []
     for q in (Q, Fraction(9, 10)):
         for N in range(-5, 6):
-            ker = dolbeault.cp1_euler_characteristic(N, 12, q, PREC).dim_ker
-            coker = dolbeault.cp1_euler_characteristic(2 - N, 12, q, PREC).dim_coker
+            ker = dolbeault.cp1_euler_characteristic(N, 12, q).dim_ker
+            coker = dolbeault.cp1_euler_characteristic(2 - N, 12, q).dim_coker
             if not ker == coker == max(0, 1 - N):
                 problems.append("N=%d q=%s ker=%d coker(2-N)=%d" % (N, q, ker, coker))
     conclude(3, "quantum line Serre duality", problems)

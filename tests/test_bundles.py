@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import numeric_rank
 from qproj import bundles
 from qproj.bundles import (
     block_weight,
@@ -22,7 +23,7 @@ from qproj.gtrep import (
     raise_coeff,
     weyl_dim,
 )
-from qproj.linalg import SparseMatrix, numeric_rank
+from qproj.linalg import SparseMatrix
 
 Q = Fraction(1, 2)
 

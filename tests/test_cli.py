@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qproj import cocycle
 from qproj.cli import main
 
 
@@ -90,6 +91,39 @@ def test_shuffle_certificate_ell4_fails_with_membership(capsys):
 def test_coboundary_check(capsys):
     code, report = run_json(capsys, "coboundary-check", "--n", "1", "--samples", "5")
     assert code == 0 and report["pass"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("ring-dims", "--ell", "2", "--Nmax", "-3"), "--Nmax must be non-negative, got -3"),
+    (("cp2-identity", "--nmax", "-1"), "empty parameter grid: 0 n values, 1 q values"),
+])
+def test_empty_ranges_are_rejected(capsys, argv, error):
+    # A negative upper bound leaves nothing to check; it must not pass.
+    code, report = run_json(capsys, *argv)
+    assert code == 1 and not report["pass"]
+    assert report["results"] == [{"error": error}]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_shuffle_certificate_searches_and_solves_once(monkeypatch, capsys, ell):
+    calls = {"build_chains": 0, "eliminate": 0}
+
+    def count(name):
+        original = getattr(cocycle, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cocycle, name, counted)
+
+    count("build_chains")
+    count("eliminate")
+    main(["shuffle-certificate", "--ell", str(ell)])
+    capsys.readouterr()
+    assert calls["eliminate"] == 1
+    if ell < 4:     # the chain path; ell = 4 has no chains
+        assert calls["build_chains"] == 1
 
 
 def test_coboundary_check_rejects_no_samples(capsys):

@@ -465,3 +465,28 @@ def test_exact_amplitudes_multiply_to_raise_radicand(weight, q):
 def test_exact_column_rejects_unknown_op():
     with pytest.raises(ValueError):
         exact_column("K", 1, enumerate_tableaux((1,))[0], Q)
+
+
+def _moved_by_rebuild(t, i, k, step):
+    # The reference move: rebuild the whole tableau, re-check every row pair.
+    rows = [list(r) for r in t.rows]
+    rows[t.size - k][i - 1] += step
+    moved = GTTableau(rows)
+    return moved if moved.interlaces() else None
+
+
+@pytest.mark.parametrize("weight", [(1, 1, 1, 1), (2, 1, 2), (3, 3), (1, 0, 0, 1)])
+def test_raised_and_lowered_match_a_full_rebuild(weight):
+    # raised/lowered check only the row pairs (k+1, k) and (k, k-1); every
+    # entry, the top row k = l+1 included, must agree with the full check.
+    moves = 0
+    for t in enumerate_tableaux(weight):
+        for k in range(1, t.size + 1):
+            for i in range(1, k + 1):
+                for step, got in ((1, t.raised(i, k)), (-1, t.lowered(i, k))):
+                    want = _moved_by_rebuild(t, i, k, step)
+                    assert got == want
+                    if got is not None:
+                        assert got.rows == want.rows and got.interlaces()
+                        moves += 1
+    assert moves
