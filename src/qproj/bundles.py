@@ -19,6 +19,13 @@ never by a numeric threshold.  The known
 closed-form shape of the constrained tableaux is kept only as an independent
 cross-check (`closed_form_section_tableaux`), and the kernel count has an
 independent combinatorial oracle (`ker_el_combinatorial`).
+
+Writing s_j for the sum of row j (s_0 = 0), a_k = 2 s_k - s_(k-1) - s_(k+1),
+so the K conditions hold exactly when the row sums form the progression
+s_j = j s_1 (j <= l) with s_1 = (N + s_(l+1)) / (l + 1).  The tableau
+descent uses it to prune every row that breaks it, so only a handful of
+candidates are ever built; the K conditions are still checked on every
+candidate.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ from .gtrep import (
     DEFAULT_DIM_CAP,
     DimensionCapError,
     GTTableau,
-    enumerate_tableaux,
+    _check_dim_cap,
+    _tableaux,
     exact_column,
     top_row,
     weyl_dim,
@@ -106,7 +114,15 @@ def ln_conditions_filter(ell: int, N: int, weight, q,
     the stacked E_i, F_i columns (i < l) on that set is then computed by
     exact rank and must be spanned by single tableaux, which are returned
     in lexicographic order.  Nothing here assumes the closed-form shape.
+
+    With s_j the sum of row j (s_0 = 0), a_k = 2 s_k - s_(k-1) - s_(k+1), so
+    the K conditions a_i = 0 (i < l) and sum_k k a_k = N l hold exactly
+    when s_j = j s_1 for every j <= l and s_1 = (N + s_(l+1)) / (l + 1).
+    The descent from the top row uses this progression to prune every row
+    that breaks it (no candidate at all when s_1 is not an integer); the K
+    conditions are still checked on every candidate it returns.
     """
+    _check_dim_cap(dim_cap)
     qf = parse_q(q)
     weight = tuple(int(n) for n in weight)
     if len(weight) != ell:
@@ -116,7 +132,7 @@ def ln_conditions_filter(ell: int, N: int, weight, q,
             "block weight %s has dimension %d above the cap %d"
             % (weight, weyl_dim(weight), dim_cap))
     selected = [
-        t for t in enumerate_tableaux(weight)
+        t for t in _candidates(ell, N, weight)
         if all(t.a(i) == 0 for i in range(1, ell))
         and sum(k * t.a(k) for k in range(1, ell + 1)) == N * ell
     ]
@@ -128,6 +144,14 @@ def ln_conditions_filter(ell: int, N: int, weight, q,
             "joint kernel (dim %d) is not spanned by single tableaux (%d found)"
             % (kernel_dim, len(zero_cols)))
     return sorted(zero_cols, key=GTTableau.flat)
+
+
+def _candidates(ell, N, weight) -> list:
+    """The tableaux of `weight` on the row-sum progression of the K
+    conditions (see `ln_conditions_filter`)."""
+    top = top_row(weight)
+    s1, rest = divmod(N + sum(top), ell + 1)
+    return [] if rest else _tableaux(top, s1)
 
 
 def _condition_column(ell, t, qf) -> dict:
@@ -159,6 +183,7 @@ BlockKernel = namedtuple("BlockKernel", "ell N n1 dim_constrained dim_kernel")
 def build_block(ell: int, N: int, n1: int, q,
                 dim_cap: int = DEFAULT_DIM_CAP) -> LineBundleBlock:
     """Constrained tableaux and free-leg dimension of one bundle block."""
+    _check_dim_cap(dim_cap)
     weight = block_weight(ell, N, n1)
     section = ln_conditions_filter(ell, N, weight, q, dim_cap)
     return LineBundleBlock(ell, N, n1, weight, section, weyl_dim(weight))
@@ -191,6 +216,7 @@ def ker_el_numeric(ell: int, N: int, n1_max: int, q,
     """
     if n1_max < 0:
         raise ValueError("n1_max must be non-negative")
+    _check_dim_cap(dim_cap)
     qf = parse_q(q)
     records = []
     for n1 in range(n1_max + 1):

@@ -317,14 +317,23 @@ def verify_membership(ell: int) -> MembershipCertificate:
     Uses the chain edges when the two-chain partition exists; otherwise the
     spanning-tree pairs of the flip graph (2r - 1 pairs either way).
     """
-    patterns = enumerate_shuffles(ell)
-    r = len(patterns) // 2
     try:
         edges = chain_edges(build_chains(ell))
-        via_chains = True
     except ChainSearchError:
-        edges = spanning_tree_edges(ell)
-        via_chains = False
+        return _tree_certificate(ell)
+    return _certificate(ell, edges, True)
+
+
+def _tree_certificate(ell: int) -> MembershipCertificate:
+    """`verify_membership` through the spanning-tree pairs, for when the
+    two-chain partition does not exist; no chain search is made."""
+    return _certificate(ell, spanning_tree_edges(ell), False)
+
+
+def _certificate(ell, edges, via_chains) -> MembershipCertificate:
+    # One solve over the given pairs, re-checked by rebuilding the sum.
+    patterns = enumerate_shuffles(ell)
+    r = len(patterns) // 2
     solved = _telescope(patterns, edges, 1)
     if solved is None:
         return MembershipCertificate(False, ell, r, via_chains, tuple(edges), ())

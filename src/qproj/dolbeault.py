@@ -132,7 +132,8 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
     oracle for qP^2.  Each residual is taken relative to
     max(1, |cancelled term|) (x for the mixed identity, the right-hand side
     2y for the scalar one), because the q-integers grow like q^-n; the
-    tolerance is 10^(-precision/2).  An empty grid raises ValueError, since
+    tolerance is 10^(-precision/2).  Each [z] is evaluated once per q and
+    reused by every row that needs it.  An empty grid raises ValueError, since
     it would pass with nothing checked.
     """
     precision = check_precision(precision)
@@ -145,14 +146,19 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
         tol = mp.mpf(10) ** (-(precision // 2))
     for q in q_list:
         qf = parse_q(q)
+        values = {}
+
+        def e(z):
+            value = values.get(z)
+            if value is None:
+                value = values[z] = q_int(z).eval(qf, precision)
+            return value
+
         for n in n_values:
             n = int(n)
             if n < 0:
                 raise ValueError("n must be non-negative")
             with mp.workdps(precision):
-                def e(z, _qf=qf):
-                    return q_int(z).eval(_qf, precision)
-
                 # Component along the mixed basis vector: -x - x + 2 [2]^{-1} [2] x = 0.
                 x_joint = mp.sqrt(e(n) * e(n + 5) / (e(2) * e(3)))
                 x_split = (mp.sqrt(e(n)) * mp.sqrt(e(n + 5))

@@ -194,22 +194,38 @@ def enumerate_tableaux(weight) -> list:
     The top row is the normalized one; lower rows range over every choice
     allowed by interlacing.
     """
-    top = top_row(weight)
+    return _tableaux(top_row(weight))
+
+
+def _tableaux(top, step=None) -> list:
+    """The interlacing tableaux under the row `top`, in flat() order.
+
+    With `step`, a lower row j is kept only when it sums to j * step, so the
+    descent never enters a subtree that breaks this row-sum progression.
+    Rows come from a product of ascending ranges, descended depth first, so
+    the list is already sorted.
+    """
     out = []
 
     def descend(rows):
         upper = rows[-1]
-        if len(upper) == 1:
+        j = len(upper) - 1
+        if not j:
             out.append(GTTableau(rows))
             return
-        j = len(upper) - 1
         choices = [range(upper[i + 1], upper[i] + 1) for i in range(j)]
         for lower in itertools.product(*choices):
-            descend(rows + [lower])
+            if step is None or sum(lower) == j * step:
+                descend(rows + [lower])
 
     descend([top])
-    out.sort(key=GTTableau.flat)
     return out
+
+
+def _check_dim_cap(dim_cap):
+    # A cap below 1 would reject every module as if it were above a real cap.
+    if dim_cap < 1:
+        raise ValueError("dim_cap must be at least 1, got %s" % (dim_cap,))
 
 
 class _QNumbers(dict):
@@ -361,6 +377,7 @@ class IrrepModule:
 def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
                 dim_cap: int = DEFAULT_DIM_CAP) -> IrrepModule:
     """Enumerate the GT basis and populate all K/E/F matrices."""
+    _check_dim_cap(dim_cap)
     weight = validate_weight(weight)
     qf = parse_q(q)
     precision = check_precision(precision)

@@ -18,9 +18,11 @@ from qproj.bundles import (
 from qproj.gtrep import (
     DimensionCapError,
     apply_e,
+    build_irrep,
     enumerate_tableaux,
     exact_column,
     raise_coeff,
+    top_row,
     weyl_dim,
 )
 from qproj.linalg import SparseMatrix
@@ -81,9 +83,45 @@ def test_filter_equals_shape_enumeration_sweep(ell, N):
         assert len(filtered) == 1  # one constrained tableau per block
 
 
+def _k_conditions_hold(ell, N, t):
+    return (all(t.a(i) == 0 for i in range(1, ell))
+            and sum(k * t.a(k) for k in range(1, ell + 1)) == N * ell)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_pruned_descent_is_the_k_filtered_enumeration(ell):
+    # The descent keeps only rows whose sums follow s_j = j s_1; that must be
+    # exactly the full enumeration cut down by the K conditions, element for
+    # element and in order, before any K check is applied to it.  Each block
+    # weight is paired with an off-family weight (last part plus one), which
+    # moves N + s_(l+1) by l, off a multiple of l + 1.
+    indivisible = 0
+    for N in range(-4, 7):
+        for n1 in range(3 if ell == 4 else 6):
+            weight = block_weight(ell, N, n1)
+            for w in (weight, weight[:-1] + (weight[-1] + 1,)):
+                indivisible += (N + sum(top_row(w))) % (ell + 1) != 0
+                full = [t for t in enumerate_tableaux(w) if _k_conditions_hold(ell, N, t)]
+                assert bundles._candidates(ell, N, w) == full, (N, w)
+    assert indivisible == 11 * (3 if ell == 4 else 6)
+
+
 def test_filter_off_block_weight_is_empty():
     # A weight outside the block family carries no constrained tableau.
     assert ln_conditions_filter(2, 1, (1, 1), Q) == []
+
+
+def test_non_positive_dim_cap_is_rejected():
+    weight = block_weight(2, 1, 0)
+    for cap in (0, -1):
+        message = "dim_cap must be at least 1, got %d" % cap
+        for call in (lambda: ln_conditions_filter(2, 1, weight, Q, dim_cap=cap),
+                     lambda: build_block(2, 1, 0, Q, dim_cap=cap),
+                     lambda: ker_el_numeric(2, 1, 0, Q, dim_cap=cap),
+                     lambda: build_irrep(weight, Q, dim_cap=cap)):
+            with pytest.raises(ValueError, match=message) as info:
+                call()
+            assert not isinstance(info.value, DimensionCapError)
 
 
 # -- combinatorial kernel count ------------------------------------------------------
@@ -128,6 +166,29 @@ def test_numeric_kernel_total_independent_of_n1max():
     for n1_max in (1, 2, 4):
         total = sum(r.dim_kernel for r in ker_el_numeric(2, 2, n1_max, Q))
         assert total == ker_el_combinatorial(2, 2) == 6
+
+
+# (dim_constrained, dim_kernel) per n1 of the `ln-kernel` benchmark jobs.
+BLOCK_TABLES = {
+    (3, -2, 6): [(10, 0), (70, 0), (270, 0), (770, 0), (1820, 0), (3780, 0), (7140, 0)],
+    (3, 0, 6): [(1, 1), (15, 0), (84, 0), (300, 0), (825, 0), (1911, 0), (3920, 0)],
+    (3, 3, 6): [(20, 20), (120, 0), (420, 0), (1120, 0), (2520, 0), (5040, 0), (9240, 0)],
+    (3, 6, 6): [(84, 84), (396, 0), (1170, 0), (2750, 0), (5610, 0), (10374, 0),
+                (17836, 0)],
+    (2, 6, 10): [(28, 28), (80, 0), (162, 0), (280, 0), (440, 0), (648, 0), (910, 0),
+                 (1232, 0), (1620, 0), (2080, 0), (2618, 0)],
+    (4, 2, 3): [(15, 15), (160, 0), (875, 0), (3360, 0)],
+}
+
+
+@pytest.mark.parametrize("ell, N, n1_max", list(BLOCK_TABLES))
+def test_kernel_block_tables_are_pinned(ell, N, n1_max):
+    records = ker_el_numeric(ell, N, n1_max, Q)
+    assert [r.n1 for r in records] == list(range(n1_max + 1))
+    assert [(r.dim_constrained, r.dim_kernel) for r in records] == BLOCK_TABLES[
+        (ell, N, n1_max)]
+    total = sum(r.dim_kernel for r in records)
+    assert total == (ker_el_combinatorial(ell, N) if N >= 0 else 0)
 
 
 def test_top_antiholomorphic_form_constraint_is_degree_ell_plus_one():

@@ -121,9 +121,23 @@ def test_shuffle_certificate_searches_and_solves_once(monkeypatch, capsys, ell):
     count("eliminate")
     main(["shuffle-certificate", "--ell", str(ell)])
     capsys.readouterr()
-    assert calls["eliminate"] == 1
-    if ell < 4:     # the chain path; ell = 4 has no chains
-        assert calls["build_chains"] == 1
+    # ell 1..3 take the chain path; at ell = 4 the one search raises the
+    # parity certificate and the spanning tree is solved without a second.
+    assert calls == {"build_chains": 1, "eliminate": 1}
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("ln-kernel", "--ell", "3", "--N", "2", "--n1max", "2", "--dim-cap", "-1"), "-1"),
+    (("ln-kernel", "--ell", "2", "--N", "0", "--n1max", "0", "--dim-cap", "0"), "0"),
+    (("irrep", "--ell", "2", "--n", "1,1", "--dim-cap", "0"), "0"),
+    (("verify-relations", "--ell", "2", "--n", "1,1", "--dim-cap", "-5"), "-5"),
+])
+def test_non_positive_dim_cap_is_rejected(capsys, argv, cap):
+    # A cap below 1 rejects every module; it is a usage error, not a block
+    # above a real cap.
+    code, report = run_json(capsys, *argv)
+    assert code == 1 and not report["pass"]
+    assert report["results"] == [{"error": "dim_cap must be at least 1, got %s" % cap}]
 
 
 def test_coboundary_check_rejects_no_samples(capsys):

@@ -1,5 +1,6 @@
 """Quantum line complex and quantum plane coefficient identities."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,39 @@ def test_cp2_identities_grid():
     rep = cp2_coefficient_identity(range(1, 21), [Q, Fraction(3, 4), Fraction(9, 10)], PREC)
     assert rep.ok
     assert len(rep.rows) == 60
+
+
+# sha256 of the "n residual_mixed residual_scalar ok" rows (residuals as the
+# CLI prints them, mp.nstr(.., 6)) of `cp2-identity --nmax` at each q.
+CP2_SHA256 = {
+    (120, Q, 60): "71c70bcdffc779507e640500488744893cc0f187f9b813cf3cf70d7b773e6fb5",
+    (120, Fraction(3, 4), 60):
+        "645167a3c4de28c04e708d6ba94e703055ed9f6ddbb8a0aff0a9aedad31f7307",
+    (60, Fraction(9, 10), 100):
+        "5fde9337f63ed3d07ca44dc5c8a4ee28c91f42c9d549cac81bbffcb0b7ce66ab",
+}
+
+
+def _cp2_text(rows):
+    return "".join("%d %s %s %s\n" % (r.n, mp.nstr(r.residual_mixed, 6),
+                                       mp.nstr(r.residual_scalar, 6), r.ok)
+                   for r in rows)
+
+
+@pytest.mark.parametrize("nmax,q,precision", list(CP2_SHA256),
+                         ids=["n%d-q%s-p%d" % key for key in CP2_SHA256])
+def test_cp2_rows_are_pinned(nmax, q, precision):
+    rep = cp2_coefficient_identity(range(nmax + 1), [q], precision)
+    text = _cp2_text(rep.rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == CP2_SHA256[(nmax, q, precision)]
+
+
+def test_cp2_rows_do_not_depend_on_the_other_q():
+    # Each q of a grid gets the rows it gets alone.
+    qs = [Q, Fraction(3, 4)]
+    both = cp2_coefficient_identity(range(30), qs, PREC)
+    alone = [row for q in qs for row in cp2_coefficient_identity(range(30), [q], PREC).rows]
+    assert _cp2_text(both.rows) == _cp2_text(alone)
 
 
 def test_cp2_rejects_negative_n():
