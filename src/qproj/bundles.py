@@ -14,7 +14,7 @@ tableaux) * (block dimension).  The anti-holomorphic kernel is the kernel of
 the E_l action on the constrained leg.  Both the conditions and the kernel
 are computed here by applying the actual representation matrices, in the
 non-normalized GT basis where every entry is an exact rational at rational q,
-so each rank is decided by exact elimination (`qproj.linalg.eliminate`),
+so each rank is decided by exact elimination (`qproj.linalg.exact_rank`),
 never by a numeric threshold.  The known
 closed-form shape of the constrained tableaux is kept only as an independent
 cross-check (`closed_form_section_tableaux`), and the kernel count has an
@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .linalg import eliminate
+from .linalg import exact_rank
 from .qarith import parse_q
 from .gtrep import (
     DEFAULT_DIM_CAP,
@@ -171,7 +171,7 @@ def _exact_rank(columns) -> int:
     for col, column in enumerate(columns):
         for key, c in column.items():
             rows[row_ids[key]][col] = c
-    return eliminate(rows, len(columns)).rank
+    return exact_rank(rows)
 
 
 LineBundleBlock = namedtuple(

@@ -1,20 +1,19 @@
-"""Sparse matrices over arbitrary-precision floats, and exact elimination.
+"""Sparse matrices over arbitrary-precision floats, and the exact rank.
 
 Plumbing shared by the representation modules.  Matrices are immutable-ish
 dicts keyed by (row, col); all scalar entries are mpmath floats created under
-an explicit working precision.  Every rank decision and linear solve in the
-library runs on exact rationals through `eliminate`.
+an explicit working precision.  Every rank decision in the library runs on
+exact rationals through `exact_rank`.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
 from mpmath import mp
 from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_neg
 
-__all__ = ["SparseMatrix", "Elimination", "eliminate"]
+__all__ = ["SparseMatrix", "exact_rank"]
 
 
 class SparseMatrix:
@@ -124,57 +123,23 @@ class SparseMatrix:
         return "SparseMatrix(%dx%d, nnz=%d)" % (self.nrows, self.ncols, self.nnz)
 
 
-class Elimination(namedtuple("Elimination", "ncols pivots rows")):
-    """Reduced rows from `eliminate` (right-hand sides after the first
-    `ncols` columns) and the pivot column of each leading row."""
+def exact_rank(rows) -> int:
+    """Rank of a matrix given as rows of exact numbers (ints or Fractions).
 
-    __slots__ = ()
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    @property
-    def consistent(self) -> bool:
-        """No reduced row reads 0 = nonzero."""
-        n = self.ncols
-        return not any(not any(r[:n]) and any(r[n:]) for r in self.rows)
-
-    def solution(self) -> list:
-        """The unique solution for the first right-hand side; free variables raise."""
-        if self.rank != self.ncols:
-            raise ArithmeticError("underdetermined system (free variables left)")
-        x = [Fraction(0)] * self.ncols
-        for i, col in enumerate(self.pivots):
-            x[col] = self.rows[i][self.ncols]
-        return x
-
-
-def eliminate(rows, ncols) -> Elimination:
-    """Gauss-Jordan elimination over the rationals.
-
-    `rows` are sequences of exact numbers (ints or Fractions).  Pivots are
-    sought in the first `ncols` columns only; further columns (right-hand
-    sides) are carried along.  Nothing is rounded, so the rank is exact.
+    Forward elimination over the rationals; nothing is rounded, so the rank
+    is exact.
     """
     A = [list(map(Fraction, row)) for row in rows]
-    m = len(A)
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row == m:
-            break
-        piv = next((i for i in range(row, m) if A[i][col] != 0), None)
+    rank = 0
+    for col in range(len(A[0]) if A else 0):
+        piv = next((i for i in range(rank, len(A)) if A[i][col]), None)
         if piv is None:
             continue
-        A[row], A[piv] = A[piv], A[row]
-        pv = A[row][col]
-        A[row] = [x / pv for x in A[row]]
-        for i in range(m):
-            if i != row and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[row])]
-        pivots.append(col)
-        row += 1
-    return Elimination(ncols, tuple(pivots), A)
-
+        A[rank], A[piv] = A[piv], A[rank]
+        top = A[rank]
+        for i in range(rank + 1, len(A)):
+            if A[i][col]:
+                f = A[i][col] / top[col]
+                A[i] = [a - f * b for a, b in zip(A[i], top)]
+        rank += 1
+    return rank

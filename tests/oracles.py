@@ -1,7 +1,7 @@
 """Independent oracles for the tests, kept out of the library.
 
 `numeric_rank` decides a rank from the singular values of a dense mpmath
-matrix, a route that shares no code with the exact `qproj.linalg.eliminate`
+matrix, a route that shares no code with the exact `qproj.linalg.exact_rank`
 the library uses, so the tests can hold the exact ranks against it.
 """
 
@@ -21,7 +21,7 @@ def numeric_rank(matrix, precision) -> RankResult:
     Zero rows and columns are compressed away before the SVD; the reference
     scale is the largest singular value.  A rank decision is flagged as ill
     conditioned when any singular value falls within a factor 10 of the cut.
-    The library decides ranks exactly (`eliminate`); this is the independent
+    The library decides ranks exactly (`exact_rank`); this is the independent
     oracle the tests hold the exact ranks against.
     """
     if not isinstance(matrix, SparseMatrix):

@@ -106,7 +106,7 @@ def test_empty_ranges_are_rejected(capsys, argv, error):
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_shuffle_certificate_searches_and_solves_once(monkeypatch, capsys, ell):
-    calls = {"build_chains": 0, "eliminate": 0}
+    calls = {"build_chains": 0, "_telescope": 0}
 
     def count(name):
         original = getattr(cocycle, name)
@@ -118,12 +118,12 @@ def test_shuffle_certificate_searches_and_solves_once(monkeypatch, capsys, ell):
         monkeypatch.setattr(cocycle, name, counted)
 
     count("build_chains")
-    count("eliminate")
+    count("_telescope")
     main(["shuffle-certificate", "--ell", str(ell)])
     capsys.readouterr()
     # ell 1..3 take the chain path; at ell = 4 the one search raises the
     # parity certificate and the spanning tree is solved without a second.
-    assert calls == {"build_chains": 1, "eliminate": 1}
+    assert calls == {"build_chains": 1, "_telescope": 1}
 
 
 @pytest.mark.parametrize("argv, cap", [

@@ -1,5 +1,7 @@
 """Shuffle chains, the telescoping solve, membership, twisted coboundary."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,9 @@ import pytest
 from qproj.coordring import TruncatedPolynomialAlgebra
 from qproj.cocycle import (
     ChainSearchError,
+    Chains,
+    _certificate,
+    _double_coboundary,
     b_sigma,
     build_chains,
     chain_edges,
@@ -132,6 +137,58 @@ def test_solution_reconstructs_target():
             assert coeff == expected
 
 
+# Coefficients at m = 1, as a dense rational solve of the incidence system
+# gives them; the tree solve must return the same exact Fractions.
+CHAIN_X = {
+    1: (-1,),
+    2: (-5, -4, -3, 1, -1),
+    3: (-19, -18, -17, -16, -15, -14, -13, -12, -11, -10, 1, -8, -7, -6, -5, -4, -3,
+        -2, -1),
+}
+TREE_X_ELL4 = (
+    -69, -65, -3, -55, -9, -2, -35, -19, -6, -2, -1, -34, -16, -2, -5, -1, -31, -2, -10,
+    -5, -1, -3, -1, -25, -5, -1, -9, -3, -1, -2, -15, -9, -3, -1, -7, -1, -2, -1, -14,
+    -7, -1, -2, -4, -2, -1, -12, -1, -4, -2, -1, -3, -1, -9, -2, -3, -1, -2, -5, -3, -1,
+    -2, -1, -4, -2, -1, -3, -1, -2, -1)
+
+
+def _exact(values):
+    return all(type(v) is Fraction for v in values)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, Fraction(3, 7), -2])
+def test_solved_coefficients_are_pinned_fractions(ell, m):
+    sol = solve_cocycle_system(ell, m)
+    assert _exact(sol.x) and type(sol.k) is Fraction
+    assert sol.x == tuple(m * v for v in CHAIN_X[ell])
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_membership_coefficients_are_pinned_fractions(ell):
+    cert = verify_membership(ell)
+    assert cert.ok and _exact(cert.coefficients)
+    assert cert.coefficients == (TREE_X_ELL4 if ell == 4 else CHAIN_X[ell])
+
+
+# Pairs at ell = 2 that are no spanning tree of the six patterns: chain2
+# repeats 0110 and misses 1100 (a doubled pair), chain2 is one pattern short,
+# and the chains close the cycle 0101-0110-1010-1001 and miss 1100.
+NOT_A_TREE = [
+    Chains(("0011", "0101", "0110"), ("1001", "1010", "0110"), 2),
+    Chains(("0011", "0101", "0110"), ("1100", "1010"), 2),
+    Chains(("0011", "0101", "0110"), ("1010", "1001", "0101"), 1),
+]
+
+
+@pytest.mark.parametrize("chains", NOT_A_TREE)
+def test_pairs_that_are_no_spanning_tree_are_refused(chains):
+    with pytest.raises(ArithmeticError, match="no unique solution"):
+        solve_cocycle_system(2, 1, chains)
+    cert = _certificate(2, chain_edges(chains), True)
+    assert not cert.ok and cert.coefficients == ()
+
+
 # -- membership -----------------------------------------------------------------------
 
 def test_membership_ell1():
@@ -231,7 +288,7 @@ class _BrokenTwistAlgebra(TruncatedPolynomialAlgebra):
         return eigs
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_check_fails_for_a_non_multiplicative_twist(n):
     alg = _BrokenTwistAlgebra(2, 2, Fraction(1, 2))
     rep = twisted_coboundary_check(n, samples=5, seed=0, algebra=alg)
@@ -249,3 +306,27 @@ def test_b_sigma_snapshots_a_dict_cochain():
     assert b((unit, z1)) == Fraction(5, 3)
     # A fresh call sees the changed dict.
     assert b_sigma(alg, sigma, phi, 0)((unit, z1)) == Fraction(7, 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("algebra", [default_toy_algebra(),
+                                     _BrokenTwistAlgebra(2, 2, Fraction(1, 2))],
+                         ids=["true", "broken"])
+def test_double_coboundary_combination_is_b_sigma_squared(n, algebra):
+    # The formal check rests on linearity: the combination at a tuple,
+    # applied to any cochain, is the direct b_sigma(b_sigma(phi)) value.
+    rng = random.Random(n)
+    sigma = algebra.scaling_automorphism((Fraction(2, 3), Fraction(3, 2)))
+    dim = algebra.dim
+    phi = {t: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+           for t in itertools.product(range(dim), repeat=n + 1)}
+    bb = b_sigma(algebra, sigma, b_sigma(algebra, sigma, phi, n), n + 1)
+    tuples = list(itertools.product(range(dim), repeat=n + 3))
+    nonzero = 0
+    if len(tuples) > 1296:
+        tuples = rng.sample(tuples, 300)
+    for t in tuples:
+        combo = _double_coboundary(algebra, sigma, t, n)
+        assert sum(c * phi[inner] for inner, c in combo.items()) == bb(t)
+        nonzero += bb(t) != 0
+    assert (nonzero > 0) == isinstance(algebra, _BrokenTwistAlgebra)

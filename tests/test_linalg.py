@@ -1,4 +1,4 @@
-"""Sparse matrix plumbing, exact elimination, and the numeric rank oracle."""
+"""Sparse matrix plumbing, the exact rank, and the numeric rank oracle."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from oracles import numeric_rank
-from qproj.linalg import SparseMatrix, eliminate
+from qproj.linalg import SparseMatrix, exact_rank
 
 PREC = 60
 
@@ -68,39 +68,19 @@ def test_rank_flags_near_threshold_sigma():
 
 
 
-# -- exact elimination ----------------------------------------------------------
-
-def test_eliminate_full_rank_solves_exactly():
-    # 3x + y = 1, x + 2y = 0
-    red = eliminate([[3, 1, 1], [1, 2, 0]], 2)
-    assert red.rank == 2 and red.consistent
-    assert red.solution() == [Fraction(2, 5), Fraction(-1, 5)]
-
+# -- exact rank -----------------------------------------------------------------
 
 def test_eliminate_deficient_rank():
-    assert eliminate([[1, 3], [2, 6]], 2).rank == 1
-    assert eliminate([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 3).rank == 2
+    assert exact_rank([[1, 3], [2, 6]]) == 1
+    assert exact_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
     # more rows than columns, one redundant
-    assert eliminate([[1, 0], [0, 1], [1, 1]], 2).rank == 2
+    assert exact_rank([[1, 0], [0, 1], [1, 1]]) == 2
+    assert exact_rank([[0, 3], [Fraction(1, 2), 1]]) == 2
 
 
 def test_eliminate_empty():
-    assert eliminate([], 3).rank == 0
-    red = eliminate([[0, 0], [0, 0]], 2)
-    assert red.rank == 0 and red.consistent
-
-
-def test_eliminate_inconsistent():
-    # x + y = 1 and x + y = 2
-    red = eliminate([[1, 1, 1], [1, 1, 2]], 2)
-    assert red.rank == 1 and not red.consistent
-
-
-def test_eliminate_free_variables_raise():
-    red = eliminate([[1, 1, 2]], 2)
-    assert red.consistent and red.rank == 1
-    with pytest.raises(ArithmeticError):
-        red.solution()
+    assert exact_rank([]) == 0
+    assert exact_rank([[0, 0], [0, 0]]) == 0
 
 
 def test_eliminate_rank_matches_numeric_oracle():
@@ -113,7 +93,7 @@ def test_eliminate_rank_matches_numeric_oracle():
         oracle = numeric_rank(
             M(nrows, ncols, {(i, j): v for i, row in enumerate(rows)
                              for j, v in enumerate(row)}), PREC)
-        assert eliminate(rows, ncols).rank == oracle.rank
+        assert exact_rank(rows) == oracle.rank
 
 
 # -- bit-for-bit arithmetic ------------------------------------------------------
