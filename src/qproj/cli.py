@@ -23,7 +23,7 @@ from . import bundles, cocycle, coordring, dolbeault, gtrep
 from .qarith import DEFAULT_PRECISION, check_precision, parse_q
 
 
-def _fmt(value, precision=None):
+def _fmt(value):
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, Fraction):

@@ -15,11 +15,14 @@ pairs form a spanning tree of the patterns, read off two chains
 partitioning all patterns, plus one bridge pi_r ~ pi'_kappa.  The
 coefficients are read off the tree by peeling leaves, with no linear solve:
 the pair (a, b) carries m times the number of patterns beyond it, signed by
-which end those patterns hang from.  Chains are
-found by exhaustive backtracking with lexicographic tie-breaking, preferring
-the bridge at kappa = 2 (kappa = 1 when r = 1) because that placement makes
-the solved coefficients match the closed form x_i = -(2r-i)m with a single
-sign absorption at x_{r+1}.
+which end those patterns hang from.  The chains are found by one exhaustive
+depth-first search over the sequence chain1 + chain2 with lexicographic
+tie-breaking, preferring the bridge at kappa = 2 (kappa = 1 when r = 1)
+because that placement makes the solved coefficients match the closed form
+x_i = -(2r-i)m with a single sign absorption at x_{r+1}.  The preferred
+bridge is tested as soon as position kappa of chain2 is filled, so no
+subtree that cannot hold it is entered; failing that, a second pass takes
+the first bridge position that works.
 
 The flip graph is bipartite (an adjacent transposition moves one '1' by one
 position) and a path alternates parity classes, so two r-vertex chains can
@@ -36,7 +39,11 @@ algebra with a diagonal scaling automorphism, in exact rational arithmetic.
 b_sigma is linear, so b_sigma^2 = 0 is certified for every cochain at once:
 at each checked tuple the double coboundary is a fixed combination of
 cochain values, and it must vanish (the twisted calculus of Kustermans,
-Murphy and Tuset, J. Geom. Phys. 44 (2003)).
+Murphy and Tuset, J. Geom. Phys. 44 (2003)).  The lambda_sigma-invariance
+of b_sigma is certified the same way.  A full turn of lambda_sigma acts at
+each tuple as a scalar, so the sigma-invariant cochains are spanned by the
+indicators of the tuples the turn fixes, and at each checked tuple the
+invariance defect is a fixed combination of their values that must vanish.
 """
 
 from __future__ import annotations
@@ -92,10 +99,11 @@ def flip_neighbors(pattern: str) -> list:
 
 
 def is_flip_adjacent(a: str, b: str) -> bool:
+    if len(a) != len(b):
+        return False
     diff = [i for i in range(len(a)) if a[i] != b[i]]
     return (
-        len(a) == len(b)
-        and len(diff) == 2
+        len(diff) == 2
         and diff[1] == diff[0] + 1
         and a[diff[0]] == b[diff[1]]
         and a[diff[1]] == b[diff[0]]
@@ -120,8 +128,10 @@ def build_chains(ell: int) -> Chains:
 
     chain1 starts at '0'^l '1'^l, chain2 at '1'^l '0'^l, each of length
     r = binom(2l, l)/2; `bridge` is the 1-based position kappa in chain2
-    adjacent to the end of chain1.  Exhaustive backtracking, lexicographic
-    tie-breaking, bridge preferred at 2 (1 when r = 1).
+    adjacent to the end of chain1.  One exhaustive depth-first search over
+    chain1 + chain2, lexicographic tie-breaking, bridge preferred at 2 (1
+    when r = 1) and tested as soon as that position is filled; then a pass
+    that takes the first bridge position that works.
 
     Raises ChainSearchError when the partition provably cannot exist (parity
     certificate, any even l >= 4) or when the search space is exhausted.
@@ -142,55 +152,30 @@ def build_chains(ell: int) -> Chains:
     start2 = "1" * ell + "0" * ell
     nbr = {p: tuple(flip_neighbors(p)) for p in patterns}
 
-    def bridge_position(end, chain2, want):
-        if want is None:
-            for k, p in enumerate(chain2, start=1):
-                if p in nbr[end]:
-                    return k
+    def search(seq, used, want):
+        # One depth-first search over chain1 + chain2: positions 1..r are
+        # chain1, r+1..2r chain2, which restarts at start2.  A wanted bridge
+        # is tested as soon as its chain2 position is filled.
+        depth = len(seq)
+        if want is not None and depth == r + want and seq[-1] not in nbr[seq[r - 1]]:
             return None
-        ok = len(chain2) >= want and chain2[want - 1] in nbr[end]
-        return want if ok else None
-
-    def search_chain2(chain2, used, end, want):
-        if len(chain2) == r:
-            k = bridge_position(end, chain2, want)
-            return (list(chain2), k) if k is not None else None
-        for n in nbr[chain2[-1]]:
-            if n not in used:
-                used.add(n)
-                chain2.append(n)
-                res = search_chain2(chain2, used, end, want)
+        if depth == 2 * r:
+            kappa = want or next(
+                (k for k, p in enumerate(seq[r:], 1) if p in nbr[seq[r - 1]]), None)
+            return kappa and Chains(tuple(seq[:r]), tuple(seq[r:]), kappa)
+        for p in (start2,) if depth == r else nbr[seq[-1]]:
+            if p not in used and (p != start2 or depth == r):
+                used.add(p)
+                seq.append(p)
+                res = search(seq, used, want)
                 if res:
                     return res
-                chain2.pop()
-                used.remove(n)
+                seq.pop()
+                used.remove(p)
         return None
 
-    def search_chain1(chain1, used, want):
-        if len(chain1) == r:
-            if start2 in used:
-                return None
-            used.add(start2)
-            res = search_chain2([start2], used, chain1[-1], want)
-            used.remove(start2)
-            if res:
-                chain2, k = res
-                return Chains(tuple(chain1), tuple(chain2), k)
-            return None
-        for n in nbr[chain1[-1]]:
-            if n not in used and n != start2:
-                used.add(n)
-                chain1.append(n)
-                res = search_chain1(chain1, used, want)
-                if res:
-                    return res
-                chain1.pop()
-                used.remove(n)
-        return None
-
-    preferences = (1,) if r == 1 else (2, None)
-    for want in preferences:
-        res = search_chain1([start1], {start1}, want)
+    for want in (1,) if r == 1 else (2, None):
+        res = search([start1], {start1}, want)
         if res:
             return res
     raise ChainSearchError(
@@ -447,26 +432,57 @@ def lambda_sigma(algebra, sigma_eigs, phi, n: int):
     return out
 
 
+def _rotation_scalar(algebra, sigma_eigs, tup):
+    """The scalar by which a full turn of lambda_sigma (len(tup) rotations of
+    a (len(tup)-1)-cochain) acts at `tup`, read off lambda_sigma itself: the
+    full turn maps every tuple back to itself."""
+    n = len(tup) - 1
+    turned = {tup: Fraction(1)}
+    for _ in range(n + 1):
+        turned = lambda_sigma(algebra, sigma_eigs, turned, n)
+    return turned(tup)
+
+
+def _invariance_defect(algebra, sigma_eigs, tup, n):
+    """(lambda_sigma^(n+2) b_sigma phi - b_sigma phi)(tup) for every
+    sigma-invariant n-cochain phi at once.  Those cochains are spanned by the
+    indicators of the (n+1)-tuples a full turn fixes, and at the
+    (n+2)-tuple `tup` the full turn is the scalar c, so the value is
+    (c - 1) * (b_sigma phi)(tup): the fixed combination
+    {fixed (n+1)-tuple: coefficient} returned here, zeros dropped."""
+    scale = _rotation_scalar(algebra, sigma_eigs, tup) - 1
+    combo = {}
+    if scale:
+        for c, face in _faces(algebra, sigma_eigs, tup, n):
+            if _rotation_scalar(algebra, sigma_eigs, face) == 1:
+                combo[face] = combo.get(face, 0) + scale * c
+    return {t: c for t, c in combo.items() if c}
+
+
 CoboundaryReport = namedtuple(
     "CoboundaryReport",
     "n cochains tuples_checked invariant_cochains invariance_tuples ok")
 
+# All tuples of a length are checked when there are at most this many,
+# otherwise _TUPLE_BUDGET // 5 random ones.
+_TUPLE_BUDGET = 2000
+
 
 def twisted_coboundary_check(n: int, samples: int = 50, seed: int = 0,
-                             algebra=None, sigma_factors=(Fraction(2, 3), Fraction(3, 2)),
-                             tuple_budget: int = 2000) -> CoboundaryReport:
+                             algebra=None, sigma_factors=(Fraction(2, 3), Fraction(3, 2))
+                             ) -> CoboundaryReport:
     """Exact checks of the twisted coboundary on the toy algebra.
 
-    Certifies b_sigma(b_sigma(phi)) = 0 for every cochain phi at once: at
-    each checked (n+3)-tuple the double coboundary is a fixed rational
-    combination of values of phi, and that combination must vanish.  The
-    checked tuples are all of them when there are at most `tuple_budget`,
-    otherwise tuple_budget // 5 random ones.  Also checks that the coboundary
-    of a rotation-fixed cochain stays rotation-fixed (the fixedness condition
-    is sigma-invariance, realized by supporting cochains on tuples of total
-    sigma-eigenvalue one), on max(3, samples // 10) random such cochains;
-    `samples` is echoed as `cochains`.  All arithmetic is exact; any nonzero
-    value fails the report.
+    Certifies two identities for every cochain at once, each as a fixed
+    rational combination of cochain values that must vanish at every checked
+    tuple: b_sigma(b_sigma(phi)) = 0 for every n-cochain phi, at the checked
+    (n+3)-tuples, and lambda_sigma^(n+2) b_sigma(phi) = b_sigma(phi) for every
+    sigma-invariant (full-turn-fixed) n-cochain phi, at the checked
+    (n+2)-tuples.  The checked tuples of a length are all of them when there
+    are at most 2000, otherwise 400 random ones drawn from `seed`; the RNG
+    draws nothing else.  No cochain is sampled: `samples` is echoed as
+    `cochains`, and max(3, samples // 10) as `invariant_cochains`.  All
+    arithmetic is exact; any nonzero coefficient fails the report.
     """
     if n < 0 or n > 4:
         raise ValueError("cochain degree n must lie in 0..4")
@@ -477,56 +493,15 @@ def twisted_coboundary_check(n: int, samples: int = 50, seed: int = 0,
     rng = random.Random(seed)
     dim = algebra.dim
 
-    def random_tuple(length):
-        return tuple(rng.randrange(dim) for _ in range(length))
-
     def evaluation_tuples(length):
-        if dim**length <= tuple_budget:
+        if dim**length <= _TUPLE_BUDGET:
             return list(itertools.product(range(dim), repeat=length))
-        return [random_tuple(length) for _ in range(tuple_budget // 5)]
+        return [tuple(rng.randrange(dim) for _ in range(length))
+                for _ in range(_TUPLE_BUDGET // 5)]
 
     bsq_tuples = evaluation_tuples(n + 3)
-    ok = not any(_double_coboundary(algebra, sigma, t, n) for t in bsq_tuples)
-
-    def tuple_weight(t):
-        w = Fraction(1)
-        for idx in t:
-            w *= sigma[idx]
-        return w
-
-    # sigma-invariant cochains are exactly the rotation^(n+1)-fixed ones.
-    # Support them on tuples of total sigma-eigenvalue one; enumerate the
-    # pool when it is small, otherwise rejection-sample with a cap.
-    if dim ** (n + 1) <= tuple_budget:
-        fixed_pool = [t for t in itertools.product(range(dim), repeat=n + 1)
-                      if tuple_weight(t) == 1]
-    else:
-        fixed_pool = []
-        for _ in range(tuple_budget):
-            t = random_tuple(n + 1)
-            if tuple_weight(t) == 1:
-                fixed_pool.append(t)
-        fixed_pool = sorted(set(fixed_pool))
-    invariant_count = max(3, samples // 10)
     inv_tuples = evaluation_tuples(n + 2)
-    checked_invariance = 0
-    for _ in range(invariant_count):
-        support = rng.sample(fixed_pool, min(12, len(fixed_pool)))
-        phi = {t: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for t in support}
-        rotated_phi = lambda t, _d=phi: _d.get(t, Fraction(0))
-        for _ in range(n + 1):
-            rotated_phi = lambda_sigma(algebra, sigma, rotated_phi, n)
-        if any(rotated_phi(t) != phi.get(t, Fraction(0)) for t in phi):
-            ok = False
-            break
-        psi = b_sigma(algebra, sigma, phi, n)
-        rotated = psi
-        for _ in range(n + 2):
-            rotated = lambda_sigma(algebra, sigma, rotated, n + 1)
-        if any(rotated(t) != psi(t) for t in inv_tuples):
-            ok = False
-            break
-        checked_invariance += 1
-
-    return CoboundaryReport(n, samples, len(bsq_tuples), checked_invariance,
+    ok = not any(_double_coboundary(algebra, sigma, t, n) for t in bsq_tuples)
+    ok = ok and not any(_invariance_defect(algebra, sigma, t, n) for t in inv_tuples)
+    return CoboundaryReport(n, samples, len(bsq_tuples), max(3, samples // 10),
                             len(inv_tuples), ok)

@@ -12,6 +12,7 @@ from qproj.cocycle import (
     Chains,
     _certificate,
     _double_coboundary,
+    _invariance_defect,
     b_sigma,
     build_chains,
     chain_edges,
@@ -49,6 +50,11 @@ def test_flip_adjacency():
     assert "0101" in flip_neighbors("0011")
 
 
+@pytest.mark.parametrize("a, b", [("0011", "01"), ("01", "0011")])
+def test_flip_adjacency_of_different_lengths_is_false(a, b):
+    assert not is_flip_adjacent(a, b)
+
+
 # -- chains ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -76,6 +82,17 @@ def test_ell2_chains_explicit():
     chains = build_chains(2)
     assert chains.chain1 == ("0011", "0101", "0110")
     assert chains.chain2 == ("1100", "1010", "1001")
+
+
+def test_ell3_chains_explicit():
+    chains = build_chains(3)
+    assert chains.chain1 == (
+        "000111", "001011", "001101", "001110", "010110",
+        "010101", "011001", "011010", "011100", "101100")
+    assert chains.chain2 == (
+        "111000", "110100", "110010", "110001", "101001",
+        "101010", "100110", "100101", "100011", "010011")
+    assert chains.bridge == 2
 
 
 def test_chains_impossible_at_ell4_with_parity_certificate():
@@ -330,3 +347,73 @@ def test_double_coboundary_combination_is_b_sigma_squared(n, algebra):
         assert sum(c * phi[inner] for inner, c in combo.items()) == bb(t)
         nonzero += bb(t) != 0
     assert (nonzero > 0) == isinstance(algebra, _BrokenTwistAlgebra)
+
+
+class _Z1SquaredTwistAlgebra(TruncatedPolynomialAlgebra):
+    """The toy algebra with the eigenvalue of z1^2 set to 1: a full turn then
+    fixes tuples whose products it does not fix, which breaks the
+    lambda_sigma-invariance of b_sigma."""
+
+    def scaling_automorphism(self, factors):
+        eigs = super().scaling_automorphism(factors)
+        eigs[self.index[(2, 0)]] = Fraction(1)
+        return eigs
+
+
+def _is_invariant(algebra, sigma, t):
+    # A full turn of lambda_sigma is the product of the eigenvalues at t.
+    w = Fraction(1)
+    for idx in t:
+        w *= sigma[idx]
+    return w == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("algebra", [default_toy_algebra(),
+                                     _Z1SquaredTwistAlgebra(2, 2, Fraction(1, 2))],
+                         ids=["true", "z1-squared"])
+def test_invariance_defect_combination_is_the_rotated_coboundary(n, algebra):
+    # The formal invariance check rests on linearity: the combination at a
+    # tuple, applied to any invariant cochain, is the direct value of
+    # lambda_sigma^(n+2) b_sigma(phi) - b_sigma(phi).
+    rng = random.Random(n)
+    sigma = algebra.scaling_automorphism((Fraction(2, 3), Fraction(3, 2)))
+    dim = algebra.dim
+    phi = {t: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+           for t in itertools.product(range(dim), repeat=n + 1)
+           if _is_invariant(algebra, sigma, t)}
+    assert phi
+    psi = b_sigma(algebra, sigma, phi, n)
+    rotated = psi
+    for _ in range(n + 2):
+        rotated = lambda_sigma(algebra, sigma, rotated, n + 1)
+    nonzero = 0
+    for t in itertools.product(range(dim), repeat=n + 2):
+        combo = _invariance_defect(algebra, sigma, t, n)
+        assert set(combo) <= set(phi)
+        assert sum(c * phi[face] for face, c in combo.items()) == rotated(t) - psi(t)
+        nonzero += bool(combo)
+    assert (nonzero > 0) == isinstance(algebra, _Z1SquaredTwistAlgebra)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_invariance_half_alone_rejects_the_z1_squared_twist(monkeypatch, n):
+    # With the b_sigma^2 half switched off, the invariance half must see the
+    # broken twist by itself at every seed.
+    monkeypatch.setattr("qproj.cocycle._double_coboundary", lambda *args: {})
+    alg = _Z1SquaredTwistAlgebra(2, 2, Fraction(1, 2))
+    for seed in range(5):
+        assert not twisted_coboundary_check(n, samples=5, seed=seed, algebra=alg).ok
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_true_twist_passes_at_every_seed(n):
+    for seed in range(5):
+        assert twisted_coboundary_check(n, samples=5, seed=seed).ok
+
+
+@pytest.mark.parametrize("samples", [1, 5, 29, 30, 50])
+def test_invariant_cochains_echoes_samples(samples):
+    rep = twisted_coboundary_check(1, samples=samples)
+    assert rep.cochains == samples
+    assert rep.invariant_cochains == max(3, samples // 10)
