@@ -80,7 +80,6 @@ def cmd_irrep(args):
     results = []
     for op in ("K", "E", "F"):
         for k in range(1, mod.ell + 1):
-            text = gtrep.export_matrix(mod, op, k)
             row = {"op": "%s%d" % (op, k),
                    "nnz": {"K": mod.K, "E": mod.E, "F": mod.F}[op][k].nnz}
             if args.out:
@@ -89,7 +88,7 @@ def cmd_irrep(args):
                     args.out, "irrep_ell%d_n%s_%s%d.coo"
                     % (mod.ell, "-".join(map(str, mod.weight)), op, k))
                 with open(path, "w") as fh:
-                    fh.write(text)
+                    fh.write(gtrep.export_matrix(mod, op, k))
                 row["path"] = path
             results.append(row)
     cfg = _basic_config(args, ell=mod.ell, n=list(mod.weight), dim=mod.dim,

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, _Memo
 from .qarith import (
     DEFAULT_PRECISION,
     NegativeRadicandError,
@@ -268,12 +268,37 @@ def _raise_value(k, j, tableau, target, qn, precision):
     return guarded_sqrt(value, precision)
 
 
-def _e_column(k, tableau, qn, precision):
-    # (target, A^j_k) for every nonzero entry of E_k |tableau>, j ascending.
+class _RaiseValues(dict):
+    """A^j_k at one rational q and precision, each computed on first use.
+
+    The radicand a_j(m) b_j(m^j_k) reads only the differences of rows k+1, k
+    and k-1 to m_{j,k}, so (k, j) and those rows shifted by m_{j,k} fix it,
+    and so its root.  Lives for one build or one call.
+    """
+
+    def __init__(self, qn, precision):
+        super().__init__()
+        self.qn = qn
+        self.precision = precision
+
+    def at(self, k, j, tableau, target):
+        pos = tableau.size - k
+        shift = tableau.rows[pos][j - 1]
+        key = (k, j) + tuple(tuple(x - shift for x in row)
+                             for row in tableau.rows[pos - 1:pos + 2])
+        value = self.get(key)
+        if value is None:
+            value = self[key] = _raise_value(k, j, tableau, target, self.qn, self.precision)
+        return value
+
+
+def _e_column(k, tableau, values):
+    # (target, A^j_k) for every nonzero entry of E_k |tableau>, j ascending;
+    # `values` is the `_RaiseValues` table of the q and precision at hand.
     for j in range(1, k + 1):
         target = tableau.raised(j, k)
         if target is not None:
-            c = _raise_value(k, j, tableau, target, qn, precision)
+            c = values.at(k, j, tableau, target)
             if c:
                 yield target, c
 
@@ -299,11 +324,10 @@ def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
 
 def apply_e(k, tableau, q, precision: int = DEFAULT_PRECISION) -> dict:
     """E_k on a basis tableau: map target tableau -> coefficient."""
-    qn = _QNumbers(parse_q(q))
-    precision = check_precision(precision)
+    values = _RaiseValues(_QNumbers(parse_q(q)), check_precision(precision))
     if not 1 <= k <= tableau.ell:
         raise ValueError("k must lie in 1..%d, got %d" % (tableau.ell, k))
-    return dict(_e_column(k, tableau, qn, precision))
+    return dict(_e_column(k, tableau, values))
 
 
 def exact_column(op, k, tableau, q) -> dict:
@@ -393,14 +417,15 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
     K, E, F = {}, {}, {}
     mod = IrrepModule(weight, basis, qf, precision, K, E, F)
     index = mod.index
-    qn = _QNumbers(qf)
+    values = _RaiseValues(_QNumbers(qf), precision)
     with mp.workdps(precision):
         qs = mp.sqrt(mp.mpf(qf.numerator) / mp.mpf(qf.denominator))
+        powers = _Memo(lambda a: qs ** a)  # one power per distinct exponent
         for k in range(1, ell + 1):
-            K[k] = SparseMatrix.diagonal([qs ** t.a(k) for t in basis])
+            K[k] = SparseMatrix.diagonal([powers[t.a(k)] for t in basis])
             entries = {}
             for col, t in enumerate(basis):
-                for target, c in _e_column(k, t, qn, precision):
+                for target, c in _e_column(k, t, values):
                     entries[(index[target], col)] = c
             E[k] = SparseMatrix(dim, dim, entries)
             F[k] = E[k].transpose()
@@ -454,6 +479,7 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
         tol = mp.mpf(DEFAULT_RELATION_TOL if tol is None else tol)
         qv = mp.mpf(mod.q.numerator) / mp.mpf(mod.q.denominator)
         qs = mp.sqrt(qv)
+        powers = _Memo(lambda a: qs ** a)
         ell = mod.ell
         K, E, F = mod.K, mod.E, mod.F
         checks = []
@@ -491,7 +517,7 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
             for j in range(1, ell + 1):
                 bracket = E[i] @ F[j] - F[j] @ E[i]
                 if i == j:
-                    Kinv = SparseMatrix.diagonal([qs ** (-t.a(i)) for t in mod.basis])
+                    Kinv = SparseMatrix.diagonal([powers[-t.a(i)] for t in mod.basis])
                     rhs = (K[i] @ K[i] - Kinv @ Kinv).scaled(1 / (qv - 1 / qv))
                     residual("E%dF%d-F%dE%d-(K%d^2-K%d^-2)/(q-q^-1)" % (i, j, j, i, i, i),
                              bracket - rhs)

@@ -4,6 +4,13 @@ Plumbing shared by the representation modules.  Matrices are immutable-ish
 dicts keyed by (row, col); all scalar entries are mpmath floats created under
 an explicit working precision.  Every rank decision in the library runs on
 exact rationals through `exact_rank`.
+
+The GT matrices hold few distinct values (the E matrices of (1,1,1,1) hold
+3,684 nonzeros but 103 values), so each sparse operation memoises its mpf
+arithmetic by operand value for the length of that one call.  The results
+stay bit for bit those of the plain loop, for two reasons: the mpf functions
+are pure in (operands, precision, rounding), and mpf_add(fzero, p) is p for a
+p already rounded at that precision and rounding.
 """
 
 from __future__ import annotations
@@ -16,12 +23,30 @@ from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_neg
 __all__ = ["SparseMatrix", "exact_rank"]
 
 
+class _Memo(dict):
+    """f(key) for each distinct key, computed on its first lookup.  A memo
+    lives for one call, so every value is computed at that call's working
+    precision."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
+
+
 class SparseMatrix:
     """A (nrows x ncols) sparse matrix over mpf entries.
 
     ``+``, ``-`` and ``@`` work on the raw mpmath.libmp tuples with the same
     calls, precision, rounding and order as the mpf operators would, so their
-    results are the mpf ones bit for bit.
+    results are the mpf ones bit for bit.  Within one call of ``@``, ``+``,
+    ``-`` or `scaled`, each distinct operand pair is multiplied, added or
+    scaled once: a memo by value cannot change a pure function's result.  The
+    first product in a cell of ``@`` is stored as it is, since adding it to
+    zero returns it unchanged.
     """
 
     __slots__ = ("nrows", "ncols", "_d")
@@ -68,8 +93,9 @@ class SparseMatrix:
         )
 
     def scaled(self, c):
+        scale = _Memo(lambda v: c * mp.make_mpf(v))
         return SparseMatrix(
-            self.nrows, self.ncols, {k: c * v for k, v in self._d.items()}
+            self.nrows, self.ncols, {k: scale[v._mpf_] for k, v in self._d.items()}
         )
 
     def _combine(self, other, negate):
@@ -77,14 +103,20 @@ class SparseMatrix:
         # working precision first), keeping the insertion order of the dict.
         self._check_shape(other)
         prec, rnd = mp._prec_rounding
-        make = mp.make_mpf
+
+        def add(pair):
+            # The stored sum as an mpf, or None where it is zero.
+            old, v = pair
+            nv = mpf_add(old, mpf_neg(v, prec, rnd) if negate else v, prec, rnd)
+            return None if nv == fzero else mp.make_mpf(nv)
+
+        sums = _Memo(add)
         d = dict(self._d)
         for k, v in other._d.items():
-            v = mpf_neg(v._mpf_, prec, rnd) if negate else v._mpf_
             old = d.get(k)
-            nv = mpf_add(fzero if old is None else old._mpf_, v, prec, rnd)
-            if nv != fzero:
-                d[k] = make(nv)
+            nv = sums[fzero if old is None else old._mpf_, v._mpf_]
+            if nv is not None:
+                d[k] = nv
             elif old is not None:
                 del d[k]
         return SparseMatrix._trusted(self.nrows, self.ncols, d)
@@ -105,15 +137,20 @@ class SparseMatrix:
         rows_of_b = {}
         for (k, j), v in other._d.items():
             rows_of_b.setdefault(k, []).append((j, v._mpf_))
+        products = _Memo(lambda ab: mpf_mul(ab[0], ab[1], prec, rnd))
+        sums = _Memo(lambda st: mpf_add(st[0], st[1], prec, rnd))
         acc = {}
         for (i, k), va in self._d.items():
             a = va._mpf_
             for j, b in rows_of_b.get(k, ()):
+                p = products[a, b]
                 key = (i, j)
-                acc[key] = mpf_add(acc.get(key, fzero), mpf_mul(a, b, prec, rnd), prec, rnd)
-        make = mp.make_mpf
+                old = acc.get(key)
+                # mpf_add(fzero, p) is p: p is already rounded at prec, rnd.
+                acc[key] = p if old is None else sums[old, p]
+        make = _Memo(mp.make_mpf)
         return SparseMatrix._trusted(
-            self.nrows, other.ncols, {k: make(v) for k, v in acc.items() if v != fzero})
+            self.nrows, other.ncols, {k: make[v] for k, v in acc.items() if v != fzero})
 
     def _check_shape(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

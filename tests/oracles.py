@@ -3,6 +3,11 @@
 `numeric_rank` decides a rank from the singular values of a dense mpmath
 matrix, a route that shares no code with the exact `qproj.linalg.exact_rank`
 the library uses, so the tests can hold the exact ranks against it.
+
+`ref_add`, `ref_sub`, `ref_matmul` and `ref_scaled` are the plain mpf loops
+the sparse arithmetic of `qproj.linalg.SparseMatrix` must reproduce bit for
+bit: every entry is rounded by the mpf operators, in the order the entries
+are stored, with no memo.
 """
 
 from collections import namedtuple
@@ -45,3 +50,35 @@ def numeric_rank(matrix, precision) -> RankResult:
         rank = sum(1 for s in sigmas if s > cut)
         ill = any(cut / 10 < s < cut * 10 for s in sigmas)
         return RankResult(rank, ill, cut, tuple(sigmas))
+
+
+def ref_add(a, b, negate=False):
+    """The entries of a + b, as a dict in storage order; with `negate`, of
+    a - b, each entry of b negated at the working precision, then added."""
+    d = dict(a._d)
+    for k, v in b._d.items():
+        nv = d.get(k, mp.mpf(0)) + (-v if negate else v)
+        if nv:
+            d[k] = nv
+        elif k in d:
+            del d[k]
+    return d
+
+
+def ref_sub(a, b):
+    return ref_add(a, b, negate=True)
+
+
+def ref_matmul(a, b):
+    """The entries of a @ b: each product rounded, then added to its cell."""
+    acc = {}
+    for (i, k), va in a._d.items():
+        for (k2, j), vb in b._d.items():
+            if k2 == k:
+                acc[(i, j)] = acc.get((i, j), mp.mpf(0)) + va * vb
+    return {key: v for key, v in acc.items() if v}
+
+
+def ref_scaled(a, c):
+    """The entries of a.scaled(c)."""
+    return {k: p for k, v in a._d.items() if (p := c * v)}

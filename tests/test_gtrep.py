@@ -371,6 +371,7 @@ EXPORT_SHA256 = {
     ((1, 0, 1), Fraction(9, 10), 60):
         "bc1d7bfe77ae975efe2342a91d223a0e7f7b209522650847e0cfc4f34c7819bb",
     ((1, 1), Q, 100): "9126e43f79664d0fdad5c014124d36873e74c3527e7c47331101aec49200b34c",
+    ((1, 1, 1, 1), Q, 60): "d972294ba02208a81ca757ec84eba2149d6f562acfcc9612b2033cc651c70d41",
 }
 
 
@@ -393,6 +394,8 @@ RELATIONS_SHA256 = {
     ((4, 2), Fraction(3, 4), 60):
         "c9a43c0812d368a051a8b400bd3319294ec36bf32f5dddf49e965d2eb2a09228",
     ((1, 0, 0, 1), Q, 60): "31f8d3199b0c111030db9b08a9f7a354661b9e38be9dbba9707a96094e644f73",
+    ((1, 1, 1, 1), Q, 60): "b847cb5f3678e6a4a0ff40c536ffed037ef62f0528311481a6899f5bdf23b13d",
+    ((3, 3), Q, 60): "8bc7552950d2c579fd405c2ec52fe7738153e55d412c100969afc56c9f4ca669",
 }
 
 
@@ -404,6 +407,27 @@ def test_relation_residuals_are_pinned(weight, q, precision):
     text = "".join("%s %s %s\n" % (c.name, mp.nstr(c.residual, 8), c.entry)
                    for c in report.checks)
     assert hashlib.sha256(text.encode()).hexdigest() == RELATIONS_SHA256[(weight, q, precision)]
+
+
+@pytest.mark.parametrize("weight,q", [((1, 1, 1, 1), Q), ((1, 2, 1), Fraction(9, 10))],
+                         ids=["1,1,1,1-q1/2", "1,2,1-q9/10"])
+def test_built_entries_are_the_unmemoised_coefficients(weight, q):
+    # build_irrep takes each root and each power of q^(1/2) once per distinct
+    # value; every stored entry must still be the one computed afresh.
+    mod = build_irrep(weight, q, PREC)
+    with mp.workdps(PREC):
+        qs = mp.sqrt(mp.mpf(q.numerator) / mp.mpf(q.denominator))
+        for k in range(1, mod.ell + 1):
+            for col, t in enumerate(mod.basis):
+                assert mod.K[k].get(col, col)._mpf_ == (qs ** t.a(k))._mpf_
+    for k in range(1, mod.ell + 1):
+        want = {}
+        for col, t in enumerate(mod.basis):
+            for j in range(1, k + 1):
+                target = t.raised(j, k)
+                if target is not None:
+                    want[(mod.index[target], col)] = raise_coeff(k, j, t, q, PREC)._mpf_
+        assert {key: v._mpf_ for key, v in mod.E[k].entries()} == want
 
 
 def test_export_rejects_bad_op():

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from oracles import numeric_rank
+from oracles import numeric_rank, ref_add, ref_matmul, ref_scaled, ref_sub
 from qproj.linalg import SparseMatrix, exact_rank
 
 PREC = 60
@@ -98,31 +99,6 @@ def test_eliminate_rank_matches_numeric_oracle():
 
 # -- bit-for-bit arithmetic ------------------------------------------------------
 
-def _ref_add(a, b):
-    # The plain mpf loop: every stored sum is rounded by mpf.__add__.
-    d = dict(a._d)
-    for k, v in b._d.items():
-        nv = d.get(k, mp.mpf(0)) + v
-        if nv:
-            d[k] = nv
-        elif k in d:
-            del d[k]
-    return d
-
-
-def _ref_sub(a, b):
-    return _ref_add(a, b.scaled(mp.mpf(-1)))
-
-
-def _ref_matmul(a, b):
-    acc = {}
-    for (i, k), va in a._d.items():
-        for (k2, j), vb in b._d.items():
-            if k2 == k:
-                acc[(i, j)] = acc.get((i, j), mp.mpf(0)) + va * vb
-    return {key: v for key, v in acc.items() if v}
-
-
 def _random_sparse(rng, n, nnz, digits):
     with mp.workdps(digits):
         return SparseMatrix(n, n, {
@@ -148,10 +124,10 @@ def test_sparse_arithmetic_is_the_mpf_loop_bit_for_bit(digits):
         # (0, 0) of c @ e is x*z - x*z: exact cancellation inside a product
         c = SparseMatrix(2, 2, {(0, 0): x, (0, 1): x, (1, 1): y})
         e = SparseMatrix(2, 2, {(0, 0): z, (1, 0): -z, (1, 1): y})
-        cases = [(a + b, _ref_add(a, b)), (a - b, _ref_sub(a, b)),
-                 (a @ b, _ref_matmul(a, b)), (b @ a, _ref_matmul(b, a)),
-                 (a - a, _ref_sub(a, a)), (a @ b - b @ a, _ref_sub(a @ b, b @ a)),
-                 (c @ e, _ref_matmul(c, e))]
+        cases = [(a + b, ref_add(a, b)), (a - b, ref_sub(a, b)),
+                 (a @ b, ref_matmul(a, b)), (b @ a, ref_matmul(b, a)),
+                 (a - a, ref_sub(a, a)), (a @ b - b @ a, ref_sub(a @ b, b @ a)),
+                 (c @ e, ref_matmul(c, e))]
         for got, want in cases:
             assert got.nnz == len(want)
             assert _raw(got._d) == _raw(want)
@@ -160,3 +136,40 @@ def test_sparse_arithmetic_is_the_mpf_loop_bit_for_bit(digits):
             assert (a - a).nnz == 0
         else:
             assert (a - a).nnz > 0
+
+
+def _pool(digits):
+    # A few values and their negatives: the sparse products meet the same
+    # operand pairs over and over, and opposite signs cancel exactly.
+    with mp.workdps(digits):
+        base = [mp.mpf(1), mp.mpf(3) / 7, mp.mpf(5) / 11, mp.sqrt(2), mp.pi / 3]
+        return base + [-x for x in base]
+
+
+def _pool_matrix(data, n, pool):
+    if data.draw(st.booleans(), label="diagonal"):
+        cells = [(i, i) for i in range(n)]
+    else:
+        cells = [(i, j) for i in range(n) for j in range(n)]
+    picks = data.draw(st.lists(st.tuples(st.sampled_from(cells), st.sampled_from(pool)),
+                               max_size=3 * n))
+    return SparseMatrix(n, n, dict(picks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), digits=st.sampled_from([PREC, 100]), n=st.integers(1, 6))
+def test_memoised_kernels_are_the_mpf_loops_bit_for_bit(data, digits, n):
+    pool = _pool(digits)
+    a, b = _pool_matrix(data, n, pool), _pool_matrix(data, n, pool)
+    c = data.draw(st.sampled_from(pool))
+    with mp.workdps(PREC):
+        ab, ba = a @ b, b @ a
+        cases = [(ab, ref_matmul(a, b)), (ba, ref_matmul(b, a)), (a @ a, ref_matmul(a, a)),
+                 (a + b, ref_add(a, b)), (a - b, ref_sub(a, b)), (a - a, ref_sub(a, a)),
+                 (ab - ba, ref_sub(ab, ba)), (ab + a, ref_add(ab, a)),
+                 (a.scaled(c), ref_scaled(a, c)), (ab.scaled(c), ref_scaled(ab, c))]
+        for got, want in cases:
+            # the same keys in the same order, the same raw tuple in each
+            assert _raw(got._d) == _raw(want)
+        if digits == PREC:
+            assert (a - a).nnz == 0
