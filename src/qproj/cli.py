@@ -305,7 +305,7 @@ def main(argv=None):
         args.q = parse_q(args.q)
         args.precision = check_precision(args.precision)
         report = args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         report = {"command": args.command, "config": {},
                   "results": [{"error": str(exc)}], "pass": False}
     sys.stdout.write(_render(report, args.format))

@@ -354,21 +354,13 @@ def default_toy_algebra() -> TruncatedPolynomialAlgebra:
     return TruncatedPolynomialAlgebra(2, 2, Fraction(1, 2))
 
 
-def _memoized(phi):
-    """A cochain as a lookup: a dict is copied (absent tuples read zero), a
-    callable is evaluated once per tuple for as long as the lookup lives."""
-    if not callable(phi):
-        snapshot = dict(phi)
-        return lambda t: snapshot.get(t, 0)
-    values = {}
-
-    def lookup(t):
-        v = values.get(t)
-        if v is None:
-            v = values[t] = phi(t)
-        return v
-
-    return lookup
+def _lookup(phi):
+    """A cochain as a callable: a dict is copied (absent tuples read zero), a
+    callable is passed through."""
+    if callable(phi):
+        return phi
+    snapshot = dict(phi)
+    return lambda t: snapshot.get(t, 0)
 
 
 def _faces(algebra, sigma_eigs, tup, n):
@@ -401,13 +393,10 @@ def b_sigma(algebra, sigma_eigs, phi, n: int):
 
     phi maps (n+1)-tuples of basis indices to Fractions (dict or callable);
     the result evaluates on (n+2)-tuples.  The last face multiplies
-    sigma(a_{n+1}) into a_0, picking up the diagonal eigenvalue.
-
-    Values are memoized: a dict phi is copied at this call, so later changes
-    to it are not seen; a callable phi must be pure, since it is evaluated at
-    most once per tuple; and the result evaluates each tuple at most once.
+    sigma(a_{n+1}) into a_0, picking up the diagonal eigenvalue.  A dict phi
+    is copied at this call, so later changes to it are not seen.
     """
-    lookup = _memoized(phi)
+    lookup = _lookup(phi)
 
     def out(tup):
         assert len(tup) == n + 2
@@ -418,12 +407,12 @@ def b_sigma(algebra, sigma_eigs, phi, n: int):
                 total += c * v
         return total
 
-    return _memoized(out)
+    return out
 
 
 def lambda_sigma(algebra, sigma_eigs, phi, n: int):
     """Twisted cyclic rotation of an n-cochain, as a callable."""
-    lookup = phi if callable(phi) else lambda t, _d=phi: _d.get(t, Fraction(0))
+    lookup = _lookup(phi)
 
     def out(tup):
         assert len(tup) == n + 1

@@ -36,6 +36,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
+from .linalg import _Memo
 from .qarith import DEFAULT_PRECISION, QLaurent, check_precision, parse_q, q_int
 
 __all__ = [
@@ -146,30 +147,23 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
         tol = mp.mpf(10) ** (-(precision // 2))
     for q in q_list:
         qf = parse_q(q)
-        values = {}
-
-        def e(z):
-            value = values.get(z)
-            if value is None:
-                value = values[z] = q_int(z).eval(qf, precision)
-            return value
-
+        e = _Memo(lambda z: q_int(z).eval(qf, precision))
         for n in n_values:
             n = int(n)
             if n < 0:
                 raise ValueError("n must be non-negative")
             with mp.workdps(precision):
                 # Component along the mixed basis vector: -x - x + 2 [2]^{-1} [2] x = 0.
-                x_joint = mp.sqrt(e(n) * e(n + 5) / (e(2) * e(3)))
-                x_split = (mp.sqrt(e(n)) * mp.sqrt(e(n + 5))
-                           / (mp.sqrt(e(2)) * mp.sqrt(e(3))))
-                x_chain = 2 / e(2) * mp.sqrt(e(2)) * mp.sqrt(e(2)) * x_joint
+                x_joint = mp.sqrt(e[n] * e[n + 5] / (e[2] * e[3]))
+                x_split = (mp.sqrt(e[n]) * mp.sqrt(e[n + 5])
+                           / (mp.sqrt(e[2]) * mp.sqrt(e[3])))
+                x_chain = 2 / e[2] * mp.sqrt(e[2]) * mp.sqrt(e[2]) * x_joint
                 residual_mixed = abs(-x_joint - x_split + x_chain) / max(1, abs(x_joint))
 
                 # Scalar component: -y - y against -2y.
-                y_joint = mp.sqrt(e(n + 2) * e(n + 3) / e(2))
-                y_split = mp.sqrt(e(n + 2)) * mp.sqrt(e(n + 3)) / mp.sqrt(e(2))
-                y_rhs = 2 * mp.sqrt(e(n + 2) * e(n + 3)) / mp.sqrt(e(2))
+                y_joint = mp.sqrt(e[n + 2] * e[n + 3] / e[2])
+                y_split = mp.sqrt(e[n + 2]) * mp.sqrt(e[n + 3]) / mp.sqrt(e[2])
+                y_rhs = 2 * mp.sqrt(e[n + 2] * e[n + 3]) / mp.sqrt(e[2])
                 residual_scalar = abs((-y_joint - y_split) - (-y_rhs)) / max(1, abs(y_rhs))
 
                 ok = residual_mixed <= tol and residual_scalar <= tol

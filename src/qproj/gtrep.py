@@ -61,7 +61,6 @@ __all__ = [
     "top_row",
     "enumerate_tableaux",
     "raise_coeff",
-    "apply_e",
     "exact_column",
     "weyl_dim",
     "IrrepModule",
@@ -228,38 +227,39 @@ def _check_dim_cap(dim_cap):
         raise ValueError("dim_cap must be at least 1, got %s" % (dim_cap,))
 
 
-class _QNumbers(dict):
-    """The exact q-numbers [z] = (q^z - q^-z)/(q - q^-1) at one rational q,
-    each computed on first use.  Lives for one build or one call."""
-
-    def __init__(self, qf):
-        super().__init__()
-        self.qf = qf
-
-    def __missing__(self, z):
-        qf = self.qf
-        value = self[z] = (qf**z - qf**-z) / (qf - 1 / qf)
-        return value
+def _q_numbers(qf):
+    # The exact q-numbers [z] = (q^z - q^-z)/(q - q^-1) at one rational q.
+    return _Memo(lambda z: (qf**z - qf**-z) / (qf - 1 / qf))
 
 
-def _amplitude(op, k, j, tableau, qn) -> Fraction:
-    """a_j (op "E") or b_j (op "F") of entry (j, k), exactly; see `exact_column`.
+def _window(tableau, k):
+    # Rows k+1, k and k-1 of a tableau; row 0 is empty.
+    return tableau.row(k + 1), tableau.row(k), tableau.row(k - 1) if k > 1 else ()
 
-    `qn` is the `_QNumbers` table of the q at hand.
+
+def _amplitude(op, j, row, other, qn) -> Fraction:
+    """a_j (op "E", `other` row k+1) or b_j (op "F", `other` row k-1) of
+    entry j of row k = `row`, exactly; see `exact_column`.
+
+    Only differences of entries enter, so rows shifted by one constant give
+    the same value.  `qn` is the `_q_numbers` memo of the q at hand.
     """
-    ljk = tableau.l(j, k)
-    row, c = (k + 1, Fraction(-1)) if op == "E" else (k - 1, Fraction(1))
-    for i in range(1, row + 1):
-        c *= qn[tableau.l(i, row) - ljk]
-    for i in range(1, k + 1):
+    ljk = row[j - 1] - j
+    c = Fraction(-1) if op == "E" else Fraction(1)
+    for i, m in enumerate(other, 1):
+        c *= qn[m - i - ljk]
+    for i, m in enumerate(row, 1):
         if i != j:
-            c /= qn[tableau.l(i, k) - ljk]
+            c /= qn[m - i - ljk]
     return c
 
 
-def _raise_value(k, j, tableau, target, qn, precision):
-    # A^j_k for a valid raise `target`, with q and precision already checked.
-    radicand = _amplitude("E", k, j, tableau, qn) * _amplitude("F", k, j, target, qn)
+def _raise_value(k, j, window, qn, precision):
+    # A^j_k for a valid raise of entry j of row k, from the rows k+1, k, k-1
+    # of `window`, with q and precision already checked.
+    upper, row, lower = window
+    raised = row[:j - 1] + (row[j - 1] + 1,) + row[j:]
+    radicand = _amplitude("E", j, row, upper, qn) * _amplitude("F", j, raised, lower, qn)
     if radicand < 0:
         raise NegativeRadicandError(
             "radicand of A^%d_%d is negative: %s" % (j, k, radicand))
@@ -268,37 +268,16 @@ def _raise_value(k, j, tableau, target, qn, precision):
     return guarded_sqrt(value, precision)
 
 
-class _RaiseValues(dict):
-    """A^j_k at one rational q and precision, each computed on first use.
-
-    The radicand a_j(m) b_j(m^j_k) reads only the differences of rows k+1, k
-    and k-1 to m_{j,k}, so (k, j) and those rows shifted by m_{j,k} fix it,
-    and so its root.  Lives for one build or one call.
-    """
-
-    def __init__(self, qn, precision):
-        super().__init__()
-        self.qn = qn
-        self.precision = precision
-
-    def at(self, k, j, tableau, target):
-        pos = tableau.size - k
-        shift = tableau.rows[pos][j - 1]
-        key = (k, j) + tuple(tuple(x - shift for x in row)
-                             for row in tableau.rows[pos - 1:pos + 2])
-        value = self.get(key)
-        if value is None:
-            value = self[key] = _raise_value(k, j, tableau, target, self.qn, self.precision)
-        return value
-
-
 def _e_column(k, tableau, values):
     # (target, A^j_k) for every nonzero entry of E_k |tableau>, j ascending;
-    # `values` is the `_RaiseValues` table of the q and precision at hand.
+    # `values` is `_raise_value` memoised by its (k, j, window) arguments.
+    window = _window(tableau, k)
     for j in range(1, k + 1):
         target = tableau.raised(j, k)
         if target is not None:
-            c = values.at(k, j, tableau, target)
+            # Shifted by m_{j,k}, the window still fixes A^j_k (`_amplitude`).
+            shift = window[1][j - 1]
+            c = values[k, j, tuple(tuple(x - shift for x in r) for r in window)]
             if c:
                 yield target, c
 
@@ -316,18 +295,9 @@ def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
     precision = check_precision(precision)
     if not 1 <= j <= k <= tableau.ell:
         raise ValueError("need 1 <= j <= k <= %d, got j=%d k=%d" % (tableau.ell, j, k))
-    target = tableau.raised(j, k)
-    if target is None:
+    if tableau.raised(j, k) is None:
         return mp.mpf(0)
-    return _raise_value(k, j, tableau, target, _QNumbers(qf), precision)
-
-
-def apply_e(k, tableau, q, precision: int = DEFAULT_PRECISION) -> dict:
-    """E_k on a basis tableau: map target tableau -> coefficient."""
-    values = _RaiseValues(_QNumbers(parse_q(q)), check_precision(precision))
-    if not 1 <= k <= tableau.ell:
-        raise ValueError("k must lie in 1..%d, got %d" % (tableau.ell, k))
-    return dict(_e_column(k, tableau, values))
+    return _raise_value(k, j, _window(tableau, k), _q_numbers(qf), precision)
 
 
 def exact_column(op, k, tableau, q) -> dict:
@@ -343,13 +313,17 @@ def exact_column(op, k, tableau, q) -> dict:
     """
     if op not in ("E", "F"):
         raise ValueError("op must be E or F, got %r" % (op,))
-    qn = _QNumbers(parse_q(q))
+    if not 1 <= k <= tableau.ell:
+        raise ValueError("k must lie in 1..%d, got %d" % (tableau.ell, k))
+    qn = _q_numbers(parse_q(q))
+    upper, row, lower = _window(tableau, k)
+    move, other = (tableau.raised, upper) if op == "E" else (tableau.lowered, lower)
     out = {}
     for j in range(1, k + 1):
-        target = tableau.raised(j, k) if op == "E" else tableau.lowered(j, k)
+        target = move(j, k)
         if target is None:
             continue
-        c = _amplitude(op, k, j, tableau, qn)
+        c = _amplitude(op, j, row, other, qn)
         if c:
             out[target] = c
     return out
@@ -417,7 +391,8 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
     K, E, F = {}, {}, {}
     mod = IrrepModule(weight, basis, qf, precision, K, E, F)
     index = mod.index
-    values = _RaiseValues(_QNumbers(qf), precision)
+    qn = _q_numbers(qf)
+    values = _Memo(lambda key: _raise_value(*key, qn, precision))
     with mp.workdps(precision):
         qs = mp.sqrt(mp.mpf(qf.numerator) / mp.mpf(qf.denominator))
         powers = _Memo(lambda a: qs ** a)  # one power per distinct exponent
@@ -495,23 +470,21 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
             for j in range(i + 1, ell + 1):
                 residual("K%dK%d-K%dK%d" % (i, j, j, i), K[i] @ K[j] - K[j] @ K[i])
 
+        # Each E relation and its F twin: the generator, the scalars of
+        # K_j X_i at i == j and at |i - j| == 1, and their names.
+        twins = (("E", E, 1 / qv, "q^-1", qs, "q^(1/2)"),
+                 ("F", F, qv, "q", 1 / qs, "q^(-1/2)"))
+
         for i in range(1, ell + 1):
             for j in range(1, ell + 1):
-                EiKj = E[i] @ K[j]
-                FiKj = F[i] @ K[j]
-                if i == j:
-                    residual("E%dK%d-q^-1K%dE%d" % (i, j, j, i),
-                             EiKj - (K[j] @ E[i]).scaled(1 / qv))
-                    residual("F%dK%d-qK%dF%d" % (i, j, j, i),
-                             FiKj - (K[j] @ F[i]).scaled(qv))
-                elif abs(i - j) == 1:
-                    residual("E%dK%d-q^(1/2)K%dE%d" % (i, j, j, i),
-                             EiKj - (K[j] @ E[i]).scaled(qs))
-                    residual("F%dK%d-q^(-1/2)K%dF%d" % (i, j, j, i),
-                             FiKj - (K[j] @ F[i]).scaled(1 / qs))
-                else:
-                    residual("E%dK%d-K%dE%d" % (i, j, j, i), EiKj - K[j] @ E[i])
-                    residual("F%dK%d-K%dF%d" % (i, j, j, i), FiKj - K[j] @ F[i])
+                for X, M, same, same_name, near, near_name in twins:
+                    XiKj, KjXi = M[i] @ K[j], K[j] @ M[i]
+                    if abs(i - j) > 1:
+                        residual("%s%dK%d-K%d%s%d" % (X, i, j, j, X, i), XiKj - KjXi)
+                    else:
+                        c, c_name = (same, same_name) if i == j else (near, near_name)
+                        residual("%s%dK%d-%sK%d%s%d" % (X, i, j, c_name, j, X, i),
+                                 XiKj - KjXi.scaled(c))
 
         for i in range(1, ell + 1):
             for j in range(1, ell + 1):
@@ -524,21 +497,17 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
                 else:
                     residual("E%dF%d-F%dE%d" % (i, j, j, i), bracket)
 
+        serre = qv + 1 / qv
         for i in range(1, ell + 1):
             for j in range(1, ell + 1):
-                if abs(i - j) > 1:
-                    residual("E%dE%d-E%dE%d" % (i, j, j, i), E[i] @ E[j] - E[j] @ E[i])
-                    residual("F%dF%d-F%dF%d" % (i, j, j, i), F[i] @ F[j] - F[j] @ F[i])
-                elif abs(i - j) == 1:
-                    coeff = qv + 1 / qv
-                    serre_e = (E[i] @ E[i] @ E[j]
-                               - (E[i] @ E[j] @ E[i]).scaled(coeff)
-                               + E[j] @ E[i] @ E[i])
-                    serre_f = (F[i] @ F[i] @ F[j]
-                               - (F[i] @ F[j] @ F[i]).scaled(coeff)
-                               + F[j] @ F[i] @ F[i])
-                    residual("serre(E%d,E%d)" % (i, j), serre_e)
-                    residual("serre(F%d,F%d)" % (i, j), serre_f)
+                for X, M, *_scalars in twins:
+                    if abs(i - j) > 1:
+                        residual("%s%d%s%d-%s%d%s%d" % (X, i, X, j, X, j, X, i),
+                                 M[i] @ M[j] - M[j] @ M[i])
+                    elif abs(i - j) == 1:
+                        residual("serre(%s%d,%s%d)" % (X, i, X, j),
+                                 M[i] @ M[i] @ M[j] - (M[i] @ M[j] @ M[i]).scaled(serre)
+                                 + M[j] @ M[i] @ M[i])
 
     return RelationReport(checks, tol)
 

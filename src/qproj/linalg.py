@@ -10,7 +10,9 @@ The GT matrices hold few distinct values (the E matrices of (1,1,1,1) hold
 arithmetic by operand value for the length of that one call.  The results
 stay bit for bit those of the plain loop, for two reasons: the mpf functions
 are pure in (operands, precision, rounding), and mpf_add(fzero, p) is p for a
-p already rounded at that precision and rounding.
+p already rounded at that precision and rounding.  `_Memo` is the library's
+one per-call memo: the GT build, the relation check and the cp2 identities
+use it too.
 """
 
 from __future__ import annotations

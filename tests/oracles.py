@@ -8,12 +8,16 @@ the library uses, so the tests can hold the exact ranks against it.
 the sparse arithmetic of `qproj.linalg.SparseMatrix` must reproduce bit for
 bit: every entry is rounded by the mpf operators, in the order the entries
 are stored, with no memo.
+
+`apply_e` is E_k on a tableau, entry by entry from the public, unmemoised
+`qproj.gtrep.raise_coeff`, so it shares no memo with the library's build.
 """
 
 from collections import namedtuple
 
 from mpmath import mp
 
+from qproj.gtrep import raise_coeff
 from qproj.linalg import SparseMatrix
 from qproj.qarith import check_precision
 
@@ -50,6 +54,16 @@ def numeric_rank(matrix, precision) -> RankResult:
         rank = sum(1 for s in sigmas if s > cut)
         ill = any(cut / 10 < s < cut * 10 for s in sigmas)
         return RankResult(rank, ill, cut, tuple(sigmas))
+
+
+def apply_e(k, tableau, q, precision):
+    """E_k on a basis tableau: map target tableau -> coefficient."""
+    out = {}
+    for j in range(1, k + 1):
+        c = raise_coeff(k, j, tableau, q, precision)
+        if c:
+            out[tableau.raised(j, k)] = c
+    return out
 
 
 def ref_add(a, b, negate=False):

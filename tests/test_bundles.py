@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import numeric_rank
+from oracles import apply_e, numeric_rank
 from qproj import bundles
 from qproj.bundles import (
     block_weight,
@@ -17,7 +17,6 @@ from qproj.bundles import (
 )
 from qproj.gtrep import (
     DimensionCapError,
-    apply_e,
     build_irrep,
     enumerate_tableaux,
     exact_column,

@@ -159,6 +159,16 @@ def test_irrep_export(tmp_path, capsys):
     assert header == "# irrep ℓ=1 n=2 op=E1 q=1/2 precision=60"
 
 
+def test_irrep_out_onto_a_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("keep\n")
+    code, report = run_json(capsys, "irrep", "--ell", "1", "--n", "2", "--out", str(path))
+    assert code == 1 and not report["pass"]
+    [row] = report["results"]
+    assert str(path) in row["error"]
+    assert path.read_text() == "keep\n"
+
+
 @pytest.mark.parametrize("command", ["irrep", "verify-relations"])
 def test_weight_length_must_match_ell(capsys, command):
     code, report = run_json(capsys, command, "--ell", "5", "--n", "1,1")

@@ -396,6 +396,10 @@ RELATIONS_SHA256 = {
     ((1, 0, 0, 1), Q, 60): "31f8d3199b0c111030db9b08a9f7a354661b9e38be9dbba9707a96094e644f73",
     ((1, 1, 1, 1), Q, 60): "b847cb5f3678e6a4a0ff40c536ffed037ef62f0528311481a6899f5bdf23b13d",
     ((3, 3), Q, 60): "8bc7552950d2c579fd405c2ec52fe7738153e55d412c100969afc56c9f4ca669",
+    ((3,), Fraction(9, 10), 60):
+        "3adaff194c91ef95ef9775b451698693e0f31702ad71fb9a6b6912c1c3c5840c",
+    ((1, 0, 0, 0, 1), Q, 60):
+        "9d933ba1daab3c471aca272e3f11c05d5cd910f60d8fced2a7b6c6c71bdcd729",
 }
 
 
@@ -489,6 +493,15 @@ def test_exact_amplitudes_multiply_to_raise_radicand(weight, q):
 def test_exact_column_rejects_unknown_op():
     with pytest.raises(ValueError):
         exact_column("K", 1, enumerate_tableaux((1,))[0], Q)
+
+
+@pytest.mark.parametrize("op", ["E", "F"])
+@pytest.mark.parametrize("k", [0, 3, 4])
+def test_exact_column_rejects_k_outside_1_to_ell(op, k):
+    # k = 3 would lower or raise the top row, which is the weight.
+    t = enumerate_tableaux((1, 1))[4]
+    with pytest.raises(ValueError, match="k must lie in 1..2, got %d" % k):
+        exact_column(op, k, t, Q)
 
 
 def _moved_by_rebuild(t, i, k, step):

@@ -3,7 +3,9 @@
 Each `src/qproj` module is parsed with `ast`.  A name a module imports must be
 read somewhere in that module; the package `__init__` imports only to
 re-export, so it is exempt.  A private function or method (one leading
-underscore, not a dunder) must be referenced somewhere in `src/qproj`.
+underscore, not a dunder) must be referenced somewhere in `src/qproj`.  The
+library keeps one per-call memo, `linalg._Memo`: no other class defines
+`__missing__` or subclasses `dict`.
 """
 
 import ast
@@ -53,3 +55,13 @@ def test_every_private_function_is_referenced():
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and _is_private(node.name) and node.name not in used)
     assert unused == []
+
+
+def test_memo_is_the_only_dict_subclass():
+    memos = sorted("%s: %s" % (module, node.name)
+                   for module, tree in TREES.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)
+                   and (any(isinstance(b, ast.Name) and b.id == "dict" for b in node.bases)
+                        or any(isinstance(f, ast.FunctionDef) and f.name == "__missing__"
+                               for f in node.body)))
+    assert memos == ["linalg.py: _Memo"]
