@@ -138,7 +138,7 @@ def ln_conditions_filter(ell: int, N: int, weight, q,
     ]
     columns = [_condition_column(ell, t, qf) for t in selected]
     zero_cols = [t for t, column in zip(selected, columns) if not column]
-    kernel_dim = len(selected) - _exact_rank(columns)
+    kernel_dim = len(selected) - exact_rank(columns)
     if kernel_dim != len(zero_cols):
         raise FilterError(
             "joint kernel (dim %d) is not spanned by single tableaux (%d found)"
@@ -159,19 +159,6 @@ def _condition_column(ell, t, qf) -> dict:
     return {(op, i, target): c
             for i in range(1, ell) for op in ("E", "F")
             for target, c in exact_column(op, i, t, qf).items()}
-
-
-def _exact_rank(columns) -> int:
-    """Exact rank of the matrix with the given {row key: Fraction} columns."""
-    row_ids = {}
-    for column in columns:
-        for key in column:
-            row_ids.setdefault(key, len(row_ids))
-    rows = [[0] * len(columns) for _ in row_ids]
-    for col, column in enumerate(columns):
-        for key, c in column.items():
-            rows[row_ids[key]][col] = c
-    return exact_rank(rows)
 
 
 LineBundleBlock = namedtuple(
@@ -222,7 +209,7 @@ def ker_el_numeric(ell: int, N: int, n1_max: int, q,
     for n1 in range(n1_max + 1):
         block = build_block(ell, N, n1, qf, dim_cap)
         columns = [exact_column("E", ell, t, qf) for t in block.section_basis]
-        leg_kernel = len(columns) - _exact_rank(columns)
+        leg_kernel = len(columns) - exact_rank(columns)
         records.append(BlockKernel(
             ell, N, n1,
             dim_constrained=len(block.section_basis) * block.free_dim,

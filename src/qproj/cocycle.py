@@ -17,12 +17,13 @@ coefficients are read off the tree by peeling leaves, with no linear solve:
 the pair (a, b) carries m times the number of patterns beyond it, signed by
 which end those patterns hang from.  The chains are found by one exhaustive
 depth-first search over the sequence chain1 + chain2 with lexicographic
-tie-breaking, preferring the bridge at kappa = 2 (kappa = 1 when r = 1)
+tie-breaking and the bridge fixed at kappa = 2 (kappa = 1 when r = 1),
 because that placement makes the solved coefficients match the closed form
-x_i = -(2r-i)m with a single sign absorption at x_{r+1}.  The preferred
-bridge is tested as soon as position kappa of chain2 is filled, so no
-subtree that cannot hold it is entered; failing that, a second pass takes
-the first bridge position that works.
+x_i = -(2r-i)m with a single sign absorption at x_{r+1}.  The bridge is
+tested as soon as position kappa of chain2 is filled, so no subtree that
+cannot hold it is entered.  The search recurses once per placed pattern, so
+from l = 7 (2r = 3432) it can pass Python's recursion limit; it then raises
+ChainSearchError, as it does when the search space is exhausted.
 
 The flip graph is bipartite (an adjacent transposition moves one '1' by one
 position) and a path alternates parity classes, so two r-vertex chains can
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -117,7 +119,7 @@ def parity_split(patterns) -> tuple:
 
 
 class ChainSearchError(RuntimeError):
-    """No valid two-chain partition exists (or the search exhausted)."""
+    """No two-chain partition exists, or the search ended without one."""
 
 
 Chains = namedtuple("Chains", "chain1 chain2 bridge")
@@ -128,13 +130,13 @@ def build_chains(ell: int) -> Chains:
 
     chain1 starts at '0'^l '1'^l, chain2 at '1'^l '0'^l, each of length
     r = binom(2l, l)/2; `bridge` is the 1-based position kappa in chain2
-    adjacent to the end of chain1.  One exhaustive depth-first search over
-    chain1 + chain2, lexicographic tie-breaking, bridge preferred at 2 (1
-    when r = 1) and tested as soon as that position is filled; then a pass
-    that takes the first bridge position that works.
+    adjacent to the end of chain1, always 2 (1 when r = 1).  One exhaustive
+    depth-first search over chain1 + chain2, lexicographic tie-breaking, the
+    bridge tested as soon as its position is filled.
 
     Raises ChainSearchError when the partition provably cannot exist (parity
-    certificate, any even l >= 4) or when the search space is exhausted.
+    certificate, any even l >= 4), or when the search is exhausted or passes
+    Python's recursion limit (it nests one call per placed pattern).
     """
     patterns = enumerate_shuffles(ell)
     r = len(patterns) // 2
@@ -148,36 +150,39 @@ def build_chains(ell: int) -> Chains:
             "bipartite with classes (%d, %d), and two alternating paths of "
             "length r=%d cover at most %d vertices of the larger class"
             % (ell, even, odd, r, 2 * ((r + 1) // 2)))
+    kappa = 1 if r == 1 else 2
     start1 = "0" * ell + "1" * ell
     start2 = "1" * ell + "0" * ell
     nbr = {p: tuple(flip_neighbors(p)) for p in patterns}
 
-    def search(seq, used, want):
+    def search(seq, used):
         # One depth-first search over chain1 + chain2: positions 1..r are
-        # chain1, r+1..2r chain2, which restarts at start2.  A wanted bridge
-        # is tested as soon as its chain2 position is filled.
+        # chain1, r+1..2r chain2, which restarts at start2.  The bridge is
+        # tested as soon as its chain2 position is filled.
         depth = len(seq)
-        if want is not None and depth == r + want and seq[-1] not in nbr[seq[r - 1]]:
+        if depth == r + kappa and seq[-1] not in nbr[seq[r - 1]]:
             return None
         if depth == 2 * r:
-            kappa = want or next(
-                (k for k, p in enumerate(seq[r:], 1) if p in nbr[seq[r - 1]]), None)
-            return kappa and Chains(tuple(seq[:r]), tuple(seq[r:]), kappa)
+            return Chains(tuple(seq[:r]), tuple(seq[r:]), kappa)
         for p in (start2,) if depth == r else nbr[seq[-1]]:
             if p not in used and (p != start2 or depth == r):
                 used.add(p)
                 seq.append(p)
-                res = search(seq, used, want)
+                res = search(seq, used)
                 if res:
                     return res
                 seq.pop()
                 used.remove(p)
         return None
 
-    for want in (1,) if r == 1 else (2, None):
-        res = search([start1], {start1}, want)
-        if res:
-            return res
+    try:
+        res = search([start1], {start1})
+    except RecursionError:
+        raise ChainSearchError(
+            "chain search for ell=%d needs up to 2r=%d nested calls and passed "
+            "the recursion limit %d" % (ell, 2 * r, sys.getrecursionlimit())) from None
+    if res:
+        return res
     raise ChainSearchError(
         "chain search exhausted for ell=%d without finding a partition" % ell)
 

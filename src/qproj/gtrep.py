@@ -123,10 +123,14 @@ class GTTableau:
 
     def row(self, j) -> tuple:
         """Row j (1-based, j entries)."""
-        return self.rows[self.size - j]
+        if not 1 <= j <= len(self.rows):
+            raise ValueError("row j must lie in 1..%d, got %d" % (len(self.rows), j))
+        return self.rows[-j]
 
     def entry(self, i, j) -> int:
         """m_{i,j}, 1-based."""
+        if not 1 <= i <= j:
+            raise ValueError("entry i of row %d must lie in 1..%d, got %d" % (j, j, i))
         return self.row(j)[i - 1]
 
     def l(self, i, j) -> int:

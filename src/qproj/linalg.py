@@ -3,7 +3,8 @@
 Plumbing shared by the representation modules.  Matrices are immutable-ish
 dicts keyed by (row, col); all scalar entries are mpmath floats created under
 an explicit working precision.  Every rank decision in the library runs on
-exact rationals through `exact_rank`.
+exact rationals through `exact_rank`, on sparse {key: Fraction} rows, so the
+exact GT columns are ranked as they come, with no dense copy.
 
 The GT matrices hold few distinct values (the E matrices of (1,1,1,1) hold
 3,684 nonzeros but 103 values), so each sparse operation memoises its mpf
@@ -163,22 +164,24 @@ class SparseMatrix:
 
 
 def exact_rank(rows) -> int:
-    """Rank of a matrix given as rows of exact numbers (ints or Fractions).
+    """Exact rank of a matrix given as sparse rows, {key: int | Fraction} dicts.
 
-    Forward elimination over the rationals; nothing is rounded, so the rank
-    is exact.
+    Forward elimination over the rationals: each row is reduced against the
+    pivot rows kept so far, in the order they were kept.  A kept row is zero
+    at every earlier pivot key, so one pass clears them all; the rest is kept
+    under its first nonzero key, scaled to 1 there.  The rank, the number of
+    rows kept, is that of the transpose too, so columns may go in as rows.
     """
-    A = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    for col in range(len(A[0]) if A else 0):
-        piv = next((i for i in range(rank, len(A)) if A[i][col]), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        top = A[rank]
-        for i in range(rank + 1, len(A)):
-            if A[i][col]:
-                f = A[i][col] / top[col]
-                A[i] = [a - f * b for a, b in zip(A[i], top)]
-        rank += 1
-    return rank
+    pivots = []
+    for row in rows:
+        row = {k: Fraction(v) for k, v in row.items()}
+        for key, pivot in pivots:
+            c = row.get(key)
+            if c:
+                for k, v in pivot.items():
+                    row[k] = row.get(k, 0) - c * v
+        row = {k: v for k, v in row.items() if v}
+        if row:
+            key, c = next(iter(row.items()))
+            pivots.append((key, {k: v / c for k, v in row.items()}))
+    return len(pivots)

@@ -24,7 +24,7 @@ from qproj.gtrep import (
     top_row,
     weyl_dim,
 )
-from qproj.linalg import SparseMatrix
+from qproj.linalg import SparseMatrix, exact_rank
 
 Q = Fraction(1, 2)
 
@@ -263,9 +263,9 @@ def test_exact_ranks_match_numeric_oracle(ell, N, q):
             if all(t.a(i) == 0 for i in range(1, ell))
             and sum(k * t.a(k) for k in range(1, ell + 1)) == N * ell
         ]
-        assert bundles._exact_rank(
+        assert exact_rank(
             [bundles._condition_column(ell, t, q) for t in candidates]
         ) == _oracle_rank([_orthonormal_condition_column(ell, t, q) for t in candidates])
-        assert bundles._exact_rank(
+        assert exact_rank(
             [exact_column("E", ell, t, q) for t in candidates]
         ) == _oracle_rank([apply_e(ell, t, q, ORACLE_PREC) for t in candidates])

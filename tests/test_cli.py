@@ -88,6 +88,17 @@ def test_shuffle_certificate_ell4_fails_with_membership(capsys):
     assert row["membership"] is True and row["pairs"] == 69
 
 
+def test_shuffle_certificate_ell7_falls_back_to_the_tree(capsys):
+    # The chain search passes the recursion limit; the report still comes,
+    # certified through the spanning tree, and exits 1.
+    code, report = run_json(capsys, "shuffle-certificate", "--ell", "7")
+    assert code == 1 and not report["pass"]
+    row = report["results"][0]
+    assert "recursion limit" in row["chain_error"]
+    assert row["membership"] is True and row["via_chains"] is False
+    assert row["pairs"] == 3431
+
+
 def test_coboundary_check(capsys):
     code, report = run_json(capsys, "coboundary-check", "--n", "1", "--samples", "5")
     assert code == 0 and report["pass"]

@@ -104,6 +104,13 @@ def test_chains_impossible_at_ell4_with_parity_certificate():
         build_chains(4)
 
 
+def test_chain_search_past_the_recursion_limit_is_a_typed_error():
+    # At ell = 7 (r = 1716) the search nests one call per placed pattern,
+    # up to 2r = 3432, past the recursion limit; it must end typed.
+    with pytest.raises(ChainSearchError, match=r"ell=7 .*2r=3432 .*recursion limit"):
+        build_chains(7)
+
+
 # -- the exact solve ----------------------------------------------------------------
 
 def test_solve_ell1():

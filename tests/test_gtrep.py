@@ -83,6 +83,19 @@ def test_interlacing_validation():
         GTTableau(((1, 0), (0, 0)))
 
 
+def test_row_and_entry_ranges():
+    t = GTTableau(((2, 1, 0), (2, 0), (1,)))
+    assert [t.row(j) for j in (1, 2, 3)] == [(1,), (2, 0), (2, 1, 0)]
+    assert t.entry(1, 1) == 1 and t.entry(2, 2) == 0 and t.entry(3, 3) == 0
+    for j in (0, 4, 5):
+        with pytest.raises(ValueError, match=r"row j must lie in 1\.\.3, got %d" % j):
+            t.row(j)
+    with pytest.raises(ValueError, match=r"entry i of row 3 must lie in 1\.\.3, got 0"):
+        t.entry(0, 3)
+    with pytest.raises(ValueError, match=r"entry i of row 2 must lie in 1\.\.2, got 3"):
+        t.entry(3, 2)
+
+
 # -- weight exponents ----------------------------------------------------------
 
 def test_weight_exponent_direct_substitution():

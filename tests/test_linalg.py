@@ -71,17 +71,30 @@ def test_rank_flags_near_threshold_sigma():
 
 # -- exact rank -----------------------------------------------------------------
 
+def _rows(matrix):
+    """The rows of a literal matrix as the {column: value} dicts `exact_rank`
+    takes."""
+    return [dict(enumerate(row)) for row in matrix]
+
+
 def test_eliminate_deficient_rank():
-    assert exact_rank([[1, 3], [2, 6]]) == 1
-    assert exact_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+    assert exact_rank(_rows([[1, 3], [2, 6]])) == 1
+    assert exact_rank(_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
     # more rows than columns, one redundant
-    assert exact_rank([[1, 0], [0, 1], [1, 1]]) == 2
-    assert exact_rank([[0, 3], [Fraction(1, 2), 1]]) == 2
+    assert exact_rank(_rows([[1, 0], [0, 1], [1, 1]])) == 2
+    assert exact_rank(_rows([[0, 3], [Fraction(1, 2), 1]])) == 2
 
 
 def test_eliminate_empty():
     assert exact_rank([]) == 0
-    assert exact_rank([[0, 0], [0, 0]]) == 0
+    assert exact_rank(_rows([[0, 0], [0, 0]])) == 0
+    assert exact_rank([{}, {}]) == 0
+
+
+def test_eliminate_sparse_keys():
+    # rows need not share keys, and keys need not be integers
+    assert exact_rank([{"a": 1}, {"b": 2}, {"a": 3, "b": 6}]) == 2
+    assert exact_rank([{"a": 1, "b": 1}, {"b": 1, "c": 1}, {"a": 1, "c": -1}]) == 2
 
 
 def test_eliminate_rank_matches_numeric_oracle():
@@ -94,7 +107,22 @@ def test_eliminate_rank_matches_numeric_oracle():
         oracle = numeric_rank(
             M(nrows, ncols, {(i, j): v for i, row in enumerate(rows)
                              for j, v in enumerate(row)}), PREC)
-        assert exact_rank(rows) == oracle.rank
+        assert exact_rank(_rows(rows)) == oracle.rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols), max_size=5)))
+def test_rank_of_rows_equals_rank_of_columns(matrix):
+    # Small entries make zero rows, zero columns and dependent rows common;
+    # the rows keep their zeros, the columns drop them (a zero column is {}).
+    ncols = len(matrix[0]) if matrix else 0
+    columns = [{i: row[j] for i, row in enumerate(matrix) if row[j]}
+               for j in range(ncols)]
+    oracle = numeric_rank(
+        M(len(matrix), ncols, {(i, j): v for i, row in enumerate(matrix)
+                               for j, v in enumerate(row)}), PREC)
+    assert exact_rank(_rows(matrix)) == exact_rank(columns) == oracle.rank
 
 
 # -- bit-for-bit arithmetic ------------------------------------------------------
