@@ -1,10 +1,12 @@
 """Command line front end.
 
-Every subcommand runs one verifiable computation and emits a report with the
-configuration echoed for provenance.  Output formats: human table (default),
-JSON (the stable machine contract, shape {"command", "config", "results",
-"pass"}), and CSV.  Exit status 0 when all checks pass, 1 otherwise, 2 on
-usage errors.  Identical configuration gives byte-identical output.
+Every subcommand runs one verifiable computation and returns its config
+fields, its result rows and whether it passed; `main` alone wraps them in the
+report, with q and precision echoed first for provenance.  Output formats:
+human table (default), JSON (the stable machine contract, shape {"command",
+"config", "results", "pass"}), and CSV.  Exit status 0 when all checks pass,
+1 otherwise (an error is one "error" row under an empty config), 2 on usage
+errors.  Identical configuration gives byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import bundles, cocycle, coordring, dolbeault, gtrep
-from .qarith import DEFAULT_PRECISION, check_precision, parse_q
+from .qarith import DEFAULT_PRECISION, DEFAULT_Q, check_precision, parse_q
 
 
 def _fmt(value):
@@ -57,26 +59,19 @@ def _render(report, fmt):
     return "\n".join(lines) + "\n"
 
 
-def _basic_config(args, **extra):
-    cfg = {"q": "%d/%d" % (args.q.numerator, args.q.denominator),
-           "precision": args.precision}
-    cfg.update(extra)
-    return cfg
-
-
 def _parse_weight(text):
     return tuple(int(x) for x in text.split(","))
 
 
-def _module_weight(args):
+def _build_module(args):
     weight = _parse_weight(args.n)
     if len(weight) != args.ell:
         raise ValueError("--n has %d components but --ell is %d" % (len(weight), args.ell))
-    return weight
+    return gtrep.build_irrep(weight, args.q, args.precision, args.dim_cap)
 
 
 def cmd_irrep(args):
-    mod = gtrep.build_irrep(_module_weight(args), args.q, args.precision, args.dim_cap)
+    mod = _build_module(args)
     results = []
     for op in ("K", "E", "F"):
         for k in range(1, mod.ell + 1):
@@ -91,22 +86,20 @@ def cmd_irrep(args):
                     fh.write(gtrep.export_matrix(mod, op, k))
                 row["path"] = path
             results.append(row)
-    cfg = _basic_config(args, ell=mod.ell, n=list(mod.weight), dim=mod.dim,
-                        dim_cap=args.dim_cap)
-    return {"command": "irrep", "config": cfg, "results": results, "pass": True}
+    cfg = {"ell": mod.ell, "n": list(mod.weight), "dim": mod.dim, "dim_cap": args.dim_cap}
+    return cfg, results, True
 
 
 def cmd_verify_relations(args):
-    mod = gtrep.build_irrep(_module_weight(args), args.q, args.precision, args.dim_cap)
-    report = gtrep.verify_relations(mod, args.tol)
+    mod = _build_module(args)
+    tol = gtrep.default_relation_tol(args.precision) if args.tol is None else args.tol
+    report = gtrep.verify_relations(mod, tol)
     results = [{"relation": c.name, "residual": mp.nstr(c.residual, 8),
                 "entry": "-" if c.entry is None else "%d,%d" % c.entry,
                 "ok": c.residual <= report.tolerance}
                for c in report.checks]
-    cfg = _basic_config(args, ell=mod.ell, n=list(mod.weight), tol=args.tol,
-                        dim_cap=args.dim_cap)
-    return {"command": "verify-relations", "config": cfg, "results": results,
-            "pass": report.ok}
+    cfg = {"ell": mod.ell, "n": list(mod.weight), "tol": tol, "dim_cap": args.dim_cap}
+    return cfg, results, report.ok
 
 
 def cmd_ln_kernel(args):
@@ -121,11 +114,9 @@ def cmd_ln_kernel(args):
                for r in records]
     total = sum(r.dim_kernel for r in records)
     expected = bundles.ker_el_combinatorial(args.ell, args.N)
-    ok = total == expected
-    cfg = _basic_config(args, ell=args.ell, N=args.N, n1max=args.n1max,
-                        dim_cap=args.dim_cap, combinatorial_total=expected,
-                        numeric_total=total)
-    return {"command": "ln-kernel", "config": cfg, "results": results, "pass": ok}
+    cfg = {"ell": args.ell, "N": args.N, "n1max": args.n1max, "dim_cap": args.dim_cap,
+           "combinatorial_total": expected, "numeric_total": total}
+    return cfg, results, total == expected
 
 
 def cmd_ring_dims(args):
@@ -139,8 +130,7 @@ def cmd_ring_dims(args):
         match = gd == kc
         ok = ok and match
         results.append({"N": N, "graded_dim": gd, "kernel_count": kc, "ok": match})
-    cfg = _basic_config(args, ell=args.ell, Nmax=args.Nmax)
-    return {"command": "ring-dims", "config": cfg, "results": results, "pass": ok}
+    return {"ell": args.ell, "Nmax": args.Nmax}, results, ok
 
 
 def cmd_factorize(args):
@@ -151,8 +141,7 @@ def cmd_factorize(args):
                 "R": fac.R,
                 "Z1": coordring.format_monomial(fac.left),
                 "Z2": coordring.format_monomial(fac.right)}]
-    cfg = _basic_config(args, Z=list(mono), N=args.N)
-    return {"command": "factorize", "config": cfg, "results": results, "pass": True}
+    return {"Z": list(mono), "N": args.N}, results, True
 
 
 def cmd_euler_cp1(args):
@@ -163,8 +152,7 @@ def cmd_euler_cp1(args):
         ok = ok and res.chi == -N + 1 and res.stable
         results.append({"N": N, "dim_ker": res.dim_ker, "dim_coker": res.dim_coker,
                         "chi": res.chi, "stable": res.stable})
-    cfg = _basic_config(args, lmax=args.lmax)
-    return {"command": "euler-cp1", "config": cfg, "results": results, "pass": ok}
+    return {"lmax": args.lmax}, results, ok
 
 
 def cmd_cp2_identity(args):
@@ -175,9 +163,7 @@ def cmd_cp2_identity(args):
                 "residual_scalar": mp.nstr(row.residual_scalar, 6),
                 "ok": row.ok}
                for row in report.rows]
-    cfg = _basic_config(args, nmax=args.nmax)
-    return {"command": "cp2-identity", "config": cfg, "results": results,
-            "pass": report.ok}
+    return {"nmax": args.nmax}, results, report.ok
 
 
 def cmd_shuffle_certificate(args):
@@ -210,32 +196,24 @@ def cmd_shuffle_certificate(args):
             "pairs": len(solution.edges),
         }]
         ok = solution.matches_closed_form and solution.membership
-    cfg = _basic_config(args, ell=args.ell)
-    return {"command": "shuffle-certificate", "config": cfg, "results": results,
-            "pass": ok}
+    return {"ell": args.ell}, results, ok
 
 
 def cmd_coboundary_check(args):
-    report = cocycle.twisted_coboundary_check(args.n, samples=args.samples)
+    report = cocycle.twisted_coboundary_check(
+        args.n, samples=args.samples,
+        algebra=coordring.TruncatedPolynomialAlgebra(2, 2, args.q))
     results = [{"n": report.n, "cochains": report.cochains,
                 "tuples_checked": report.tuples_checked,
                 "invariant_cochains": report.invariant_cochains,
                 "ok": report.ok}]
-    cfg = _basic_config(args, n=args.n, samples=args.samples)
-    return {"command": "coboundary-check", "config": cfg, "results": results,
-            "pass": report.ok}
+    return {"n": args.n, "samples": args.samples}, results, report.ok
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="qproj",
-        description="Quantum projective space computations with built-in checks.")
-    parser.add_argument("--q", default="1/2", help="deformation parameter p/r in (0,1)")
-    parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                        help="working decimal digits (>= 30)")
-    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    # The same flags are accepted after the subcommand; SUPPRESS keeps a
-    # pre-subcommand value from being clobbered by a subparser default.
+    # The global flags are accepted before and after the subcommand; with
+    # SUPPRESS a subparser leaves a value given before it alone, and `main`
+    # fills in what neither gave.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", default=argparse.SUPPRESS,
                         help="deformation parameter p/r in (0,1)")
@@ -243,73 +221,64 @@ def build_parser():
                         help="working decimal digits (>= 30)")
     common.add_argument("--format", choices=("table", "json", "csv"),
                         default=argparse.SUPPRESS)
+    # Flags that several subcommands share, one parent parser each.
+    ell, weight, dim_cap = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    ell.add_argument("--ell", type=int, required=True)
+    weight.add_argument("--n", required=True, help="comma separated highest weight")
+    dim_cap.add_argument("--dim-cap", type=int, default=gtrep.DEFAULT_DIM_CAP)
+
+    parser = argparse.ArgumentParser(
+        prog="qproj", parents=[common],
+        description="Quantum projective space computations with built-in checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("irrep", parents=[common],
-                       help="build a module and export its matrices")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--n", required=True, help="comma separated highest weight")
-    p.add_argument("--dim-cap", dest="dim_cap", type=int, default=gtrep.DEFAULT_DIM_CAP)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("irrep", cmd_irrep, "build a module and export its matrices",
+                ell, weight, dim_cap)
     p.add_argument("--out", help="directory for coordinate-list matrix files")
-    p.set_defaults(func=cmd_irrep)
-
-    p = sub.add_parser("verify-relations", parents=[common], help="check all defining relations")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--n", required=True)
-    p.add_argument("--tol", default=gtrep.DEFAULT_RELATION_TOL)
-    p.add_argument("--dim-cap", dest="dim_cap", type=int, default=gtrep.DEFAULT_DIM_CAP)
-    p.set_defaults(func=cmd_verify_relations)
-
-    p = sub.add_parser("ln-kernel", parents=[common], help="line bundle kernel dimensions per block")
-    p.add_argument("--ell", type=int, required=True)
+    p = command("verify-relations", cmd_verify_relations, "check all defining relations",
+                ell, weight, dim_cap)
+    p.add_argument("--tol", help="default 1e-min(40, 2*precision//3)")
+    p = command("ln-kernel", cmd_ln_kernel, "line bundle kernel dimensions per block",
+                ell, dim_cap)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n1max", type=int, default=4)
-    p.add_argument("--dim-cap", dest="dim_cap", type=int, default=gtrep.DEFAULT_DIM_CAP)
-    p.set_defaults(func=cmd_ln_kernel)
-
-    p = sub.add_parser("ring-dims", parents=[common], help="graded ring dimensions vs kernel counts")
-    p.add_argument("--ell", type=int, required=True)
+    p = command("ring-dims", cmd_ring_dims, "graded ring dimensions vs kernel counts", ell)
     p.add_argument("--Nmax", type=int, default=10)
-    p.set_defaults(func=cmd_ring_dims)
-
-    p = sub.add_parser("factorize", parents=[common], help="split a monomial across two degrees")
+    p = command("factorize", cmd_factorize, "split a monomial across two degrees")
     p.add_argument("--Z", required=True, help="comma separated exponent vector")
     p.add_argument("--N", type=int, required=True, help="degree of the left factor")
-    p.set_defaults(func=cmd_factorize)
-
-    p = sub.add_parser("euler-cp1", parents=[common], help="Euler characteristic on the quantum line")
+    p = command("euler-cp1", cmd_euler_cp1, "Euler characteristic on the quantum line")
     p.add_argument("--N", type=int, nargs="+", required=True)
     p.add_argument("--lmax", type=int, default=8)
-    p.set_defaults(func=cmd_euler_cp1)
-
-    p = sub.add_parser("cp2-identity", parents=[common], help="degree-2 coefficient identities")
+    p = command("cp2-identity", cmd_cp2_identity, "degree-2 coefficient identities")
     p.add_argument("--nmax", type=int, default=20)
-    p.set_defaults(func=cmd_cp2_identity)
-
-    p = sub.add_parser("shuffle-certificate", parents=[common], help="two-chain cocycle certificate")
-    p.add_argument("--ell", type=int, required=True)
-    p.set_defaults(func=cmd_shuffle_certificate)
-
-    p = sub.add_parser("coboundary-check", parents=[common], help="twisted coboundary checks")
+    command("shuffle-certificate", cmd_shuffle_certificate, "two-chain cocycle certificate",
+            ell)
+    p = command("coboundary-check", cmd_coboundary_check, "twisted coboundary checks")
     p.add_argument("--n", type=int, default=2, help="cochain degree (0..4)")
     p.add_argument("--samples", type=int, default=50)
-    p.set_defaults(func=cmd_coboundary_check)
-
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv, argparse.Namespace(
+        q=DEFAULT_Q, precision=DEFAULT_PRECISION, format="table"))
     try:
         args.q = parse_q(args.q)
         args.precision = check_precision(args.precision)
-        report = args.func(args)
+        fields, results, ok = args.func(args)
+        config = {"q": "%d/%d" % (args.q.numerator, args.q.denominator),
+                  "precision": args.precision, **fields}
     except (ValueError, ArithmeticError, OSError) as exc:
-        report = {"command": args.command, "config": {},
-                  "results": [{"error": str(exc)}], "pass": False}
+        config, results, ok = {}, [{"error": str(exc)}], False
+    report = {"command": args.command, "config": config, "results": results, "pass": ok}
     sys.stdout.write(_render(report, args.format))
-    return 0 if report["pass"] else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

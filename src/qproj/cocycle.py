@@ -42,14 +42,16 @@ at each checked tuple the double coboundary is a fixed combination of
 cochain values, and it must vanish (the twisted calculus of Kustermans,
 Murphy and Tuset, J. Geom. Phys. 44 (2003)).  The lambda_sigma-invariance
 of b_sigma is certified the same way.  A full turn of lambda_sigma acts at
-each tuple as a scalar, so the sigma-invariant cochains are spanned by the
-indicators of the tuples the turn fixes, and at each checked tuple the
-invariance defect is a fixed combination of their values that must vanish.
+each tuple as a scalar, the product of the sigma-eigenvalues of its entries,
+so the sigma-invariant cochains are spanned by the indicators of the tuples
+the turn fixes, and at each checked tuple the invariance defect is a fixed
+combination of their values that must vanish.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 from collections import namedtuple
@@ -426,15 +428,13 @@ def lambda_sigma(algebra, sigma_eigs, phi, n: int):
     return out
 
 
-def _rotation_scalar(algebra, sigma_eigs, tup):
-    """The scalar by which a full turn of lambda_sigma (len(tup) rotations of
-    a (len(tup)-1)-cochain) acts at `tup`, read off lambda_sigma itself: the
-    full turn maps every tuple back to itself."""
-    n = len(tup) - 1
-    turned = {tup: Fraction(1)}
-    for _ in range(n + 1):
-        turned = lambda_sigma(algebra, sigma_eigs, turned, n)
-    return turned(tup)
+def _rotation_scalar(sigma_eigs, tup):
+    """The scalar by which a full turn of lambda_sigma (len(tup) = n + 1
+    rotations of an n-cochain) acts at `tup`: the turn maps every tuple back
+    to itself, each rotation moves one entry to the front and multiplies by
+    its sigma-eigenvalue, and the signs give (-1)^(n(n+1)) = 1, so the scalar
+    is the product of the sigma-eigenvalues of the entries."""
+    return math.prod(sigma_eigs[i] for i in tup)
 
 
 def _invariance_defect(algebra, sigma_eigs, tup, n):
@@ -444,11 +444,11 @@ def _invariance_defect(algebra, sigma_eigs, tup, n):
     (n+2)-tuple `tup` the full turn is the scalar c, so the value is
     (c - 1) * (b_sigma phi)(tup): the fixed combination
     {fixed (n+1)-tuple: coefficient} returned here, zeros dropped."""
-    scale = _rotation_scalar(algebra, sigma_eigs, tup) - 1
+    scale = _rotation_scalar(sigma_eigs, tup) - 1
     combo = {}
     if scale:
         for c, face in _faces(algebra, sigma_eigs, tup, n):
-            if _rotation_scalar(algebra, sigma_eigs, face) == 1:
+            if _rotation_scalar(sigma_eigs, face) == 1:
                 combo[face] = combo.get(face, 0) + scale * c
     return {t: c for t, c in combo.items() if c}
 

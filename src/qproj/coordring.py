@@ -23,6 +23,7 @@ scaling automorphisms, used as the test bed for twisted Hochschild checks.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -79,15 +80,13 @@ def monomials(num_generators: int, degree: int):
     if degree < 0:
         raise ValueError("degree must be non-negative")
 
-    def parts(remaining, slots):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in parts(remaining - first, slots - 1):
-                yield (first,) + rest
-
-    yield from parts(degree, num_generators)
+    # Stars and bars: the g - 1 bars among degree + g - 1 slots cut the stars
+    # into the exponents, and bars in lexicographic order give exponent
+    # tuples in lexicographic order.
+    slots = degree + num_generators - 1
+    for bars in itertools.combinations(range(slots), num_generators - 1):
+        cuts = (-1,) + bars + (slots,)
+        yield tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
 
 
 def graded_dim(num_generators: int, degree: int) -> int:

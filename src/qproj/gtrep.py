@@ -53,7 +53,6 @@ from .qarith import (
 )
 
 DEFAULT_DIM_CAP = 20000
-DEFAULT_RELATION_TOL = "1e-40"
 
 __all__ = [
     "GTTableau",
@@ -74,6 +73,13 @@ __all__ = [
 
 class DimensionCapError(ValueError):
     """A requested module exceeds the configured dimension cap."""
+
+
+def default_relation_tol(precision: int) -> str:
+    """The relation tolerance used when none is given: 1e-40, raised to
+    1e-(2*precision//3) below 60 digits so it stays above the rounding floor
+    of the working precision."""
+    return "1e-%d" % min(40, 2 * precision // 3)
 
 
 def validate_weight(weight) -> tuple:
@@ -205,23 +211,23 @@ def _tableaux(top, step=None) -> list:
 
     With `step`, a lower row j is kept only when it sums to j * step, so the
     descent never enters a subtree that breaks this row-sum progression.
-    Rows come from a product of ascending ranges, descended depth first, so
-    the list is already sorted.
+    Rows come from a product of ascending ranges, descended depth first off
+    an explicit stack (children pushed in reverse, so the first is taken
+    first), so the list is already sorted and no row count can reach the
+    recursion limit.
     """
     out = []
-
-    def descend(rows):
+    stack = [[top]]
+    while stack:
+        rows = stack.pop()
         upper = rows[-1]
         j = len(upper) - 1
         if not j:
             out.append(GTTableau(rows))
-            return
+            continue
         choices = [range(upper[i + 1], upper[i] + 1) for i in range(j)]
-        for lower in itertools.product(*choices):
-            if step is None or sum(lower) == j * step:
-                descend(rows + [lower])
-
-    descend([top])
+        stack.extend(rows + [lower] for lower in reversed(list(itertools.product(*choices)))
+                     if step is None or sum(lower) == j * step)
     return out
 
 
@@ -451,11 +457,17 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
     Covered: K commutativity, the three E-K exchange cases, E-F brackets
     against (K^2 - K^-2)/(q - q^-1), E-E commutation at distance > 1, Serre
     relations at distance 1, and the transposed F counterparts of all of the
-    above.  Residuals are max-entry absolute values.
+    above.  Residuals are max-entry absolute values.  The tolerance defaults
+    to `default_relation_tol` of the module's precision; a NaN, infinite or
+    negative one is a ValueError.
     """
     precision = mod.precision
     with mp.workdps(precision):
-        tol = mp.mpf(DEFAULT_RELATION_TOL if tol is None else tol)
+        given = default_relation_tol(precision) if tol is None else tol
+        tol = mp.mpf(given)
+        if not mp.isfinite(tol) or tol < 0:
+            raise ValueError("relation tolerance must be finite and non-negative, got %s"
+                             % (given,))
         qv = mp.mpf(mod.q.numerator) / mp.mpf(mod.q.denominator)
         qs = mp.sqrt(qv)
         powers = _Memo(lambda a: qs ** a)

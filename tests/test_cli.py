@@ -1,11 +1,13 @@
 """Command line interface: reports, formats, exit codes, determinism."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from qproj import cocycle
-from qproj.cli import main
+from qproj.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -102,6 +104,48 @@ def test_shuffle_certificate_ell7_falls_back_to_the_tree(capsys):
 def test_coboundary_check(capsys):
     code, report = run_json(capsys, "coboundary-check", "--n", "1", "--samples", "5")
     assert code == 0 and report["pass"]
+
+
+def test_coboundary_check_uses_q(monkeypatch, capsys):
+    seen = []
+    original = cocycle.twisted_coboundary_check
+
+    def spy(*args, algebra=None, **kwargs):
+        seen.append(algebra)
+        return original(*args, algebra=algebra, **kwargs)
+
+    monkeypatch.setattr(cocycle, "twisted_coboundary_check", spy)
+    code, report = run_json(capsys, "coboundary-check", "--n", "1", "--samples", "5",
+                            "--q", "3/4")
+    assert code == 0 and report["pass"] and report["config"]["q"] == "3/4"
+    assert [algebra.q for algebra in seen] == [Fraction(3, 4)]
+
+
+@pytest.mark.parametrize("precision, tol", [
+    ("30", "1e-20"), ("40", "1e-26"), ("60", "1e-40"), ("100", "1e-40")])
+def test_verify_relations_default_tol_follows_precision(capsys, precision, tol):
+    # 1e-40 lies below the rounding floor at 30 and 40 digits; there it
+    # would fail correct modules.
+    code, report = run_json(capsys, "verify-relations", "--ell", "2", "--n", "1,1",
+                            "--precision", precision)
+    assert code == 0 and report["pass"]
+    assert report["config"]["tol"] == tol
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-40"])
+def test_verify_relations_rejects_bad_tolerance(capsys, tol):
+    # inf would pass every relation and nan fail them all.
+    code, report = run_json(capsys, "verify-relations", "--ell", "2", "--n", "1,1",
+                            "--tol=" + tol)
+    assert code == 1 and not report["pass"]
+    assert report["results"] == [
+        {"error": "relation tolerance must be finite and non-negative, got %s" % tol}]
+
+
+def test_ring_dims_of_many_generators(capsys):
+    code, report = run_json(capsys, "ring-dims", "--ell", "1200", "--Nmax", "0")
+    assert code == 0 and report["pass"]
+    assert report["results"] == [{"N": 0, "graded_dim": 1, "kernel_count": 1, "ok": True}]
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -219,3 +263,52 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "N,graded_dim,kernel_count,ok"
     assert lines[1] == "0,1,1,yes"
+
+
+# Byte pins of the report contract: the first 16 hex digits of the sha256 of
+# stdout, and the exit code, for every subcommand in each format, one error
+# report, and --q before and after the subcommand.
+BYTE_PINS = [
+    ("irrep --ell 2 --n 1,1 --format json", 0, "86835222cc2ede1e"),
+    ("irrep --ell 2 --n 1,1 --format table", 0, "7d244139430a1800"),
+    ("irrep --ell 2 --n 1,1 --format csv", 0, "c4e83f467849a18b"),
+    ("verify-relations --ell 2 --n 1,1 --format json", 0, "aec6c655284efe76"),
+    ("verify-relations --ell 2 --n 1,1 --format table", 0, "289d693bf3c3a5e9"),
+    ("verify-relations --ell 2 --n 1,1 --format csv", 0, "a2e831d1a658a29e"),
+    ("ln-kernel --ell 2 --N 1 --n1max 3 --format json", 0, "fb4706f9bf0c96b7"),
+    ("ln-kernel --ell 2 --N 1 --n1max 3 --format table", 0, "6239e39bc2ea047d"),
+    ("ln-kernel --ell 2 --N 1 --n1max 3 --format csv", 0, "74f59a2b4add9dfc"),
+    ("ring-dims --ell 2 --Nmax 4 --format json", 0, "50569232503db9a4"),
+    ("ring-dims --ell 2 --Nmax 4 --format table", 0, "3222ca4f352f8939"),
+    ("ring-dims --ell 2 --Nmax 4 --format csv", 0, "85f034bb00b6e576"),
+    ("factorize --Z 1,2,1 --N 2 --format json", 0, "d054e6b6a37346b1"),
+    ("factorize --Z 1,2,1 --N 2 --format table", 0, "0b67d44f6fe4b6f8"),
+    ("factorize --Z 1,2,1 --N 2 --format csv", 0, "2f88ef5f3b222aab"),
+    ("euler-cp1 --N -1 2 --lmax 6 --format json", 0, "125b39f226857480"),
+    ("euler-cp1 --N -1 2 --lmax 6 --format table", 0, "bcfeb3bcd95f6386"),
+    ("euler-cp1 --N -1 2 --lmax 6 --format csv", 0, "edc977df8356998d"),
+    ("cp2-identity --nmax 3 --format json", 0, "2cb400735270e4d2"),
+    ("cp2-identity --nmax 3 --format table", 0, "7a724f209627af41"),
+    ("cp2-identity --nmax 3 --format csv", 0, "21d7756ce64b388a"),
+    ("shuffle-certificate --ell 2 --format json", 0, "ec59fc8ed2d5b93b"),
+    ("shuffle-certificate --ell 2 --format table", 0, "4a07a047f9fb8a28"),
+    ("shuffle-certificate --ell 2 --format csv", 0, "9668c6b9f914ae62"),
+    ("coboundary-check --n 1 --samples 5 --format json", 0, "2358c7cb19ddca42"),
+    ("coboundary-check --n 1 --samples 5 --format table", 0, "4c927c04db16f7d7"),
+    ("coboundary-check --n 1 --samples 5 --format csv", 0, "be461fc8ffd13cac"),
+    ("ring-dims --ell 2 --Nmax -3", 1, "6ce297e226e55f55"),
+    ("--q 9/10 cp2-identity --nmax 1 --format json", 0, "33cbc9a8fcbf97ef"),
+    ("cp2-identity --nmax 1 --q 9/10 --format json", 0, "33cbc9a8fcbf97ef"),
+]
+
+
+def test_pins_cover_every_subcommand_in_every_format():
+    pinned = {(argv.split()[0], argv.split()[-1]) for argv, _code, _digest in BYTE_PINS}
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert pinned >= {(name, fmt) for name in commands for fmt in ("json", "table", "csv")}
+
+
+@pytest.mark.parametrize("argv, code, digest", BYTE_PINS)
+def test_output_bytes_are_pinned(capsys, argv, code, digest):
+    got_code, out = run(capsys, *argv.split())
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)

@@ -104,6 +104,21 @@ def test_graded_dim_examples():
     assert graded_dim(3, 2) == ker_el_combinatorial(2, 2)
 
 
+def test_monomials_are_every_exponent_tuple_in_lexicographic_order():
+    # Oracle: the product of exponent ranges, which runs lexicographically,
+    # filtered to the degree.
+    for g in range(1, 6):
+        for d in range(0, 7):
+            expected = [m for m in itertools.product(range(d + 1), repeat=g) if sum(m) == d]
+            assert list(monomials(g, d)) == expected
+
+
+def test_monomials_of_many_generators():
+    # A recursion per generator would pass the recursion limit here.
+    assert list(monomials(1200, 0)) == [(0,) * 1200]
+    assert graded_dim(1200, 1) == 1200
+
+
 def test_graded_dim_matches_kernel_count():
     for ell in (1, 2, 3, 4):
         for N in range(0, 11):

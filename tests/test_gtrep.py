@@ -58,6 +58,12 @@ def test_enumeration_matches_weyl_formula(weight):
     assert len(enumerate_tableaux(weight)) == weyl_dim(weight)
 
 
+def test_enumeration_of_many_rows():
+    # A recursion per row would pass the recursion limit here.
+    [t] = enumerate_tableaux((0,) * 1100)
+    assert t.ell == 1100 and set(t.flat()) == {0}
+
+
 def test_ordering_is_lexicographic_on_flat():
     ts = enumerate_tableaux((1, 1))
     flats = [t.flat() for t in ts]
