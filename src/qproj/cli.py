@@ -91,8 +91,8 @@ def cmd_irrep(args):
 
 
 def cmd_verify_relations(args):
+    tol, _value = gtrep._relation_tol(args.tol, args.precision)  # before the build
     mod = _build_module(args)
-    tol = gtrep.default_relation_tol(args.precision) if args.tol is None else args.tol
     report = gtrep.verify_relations(mod, tol)
     results = [{"relation": c.name, "residual": mp.nstr(c.residual, 8),
                 "entry": "-" if c.entry is None else "%d,%d" % c.entry,

@@ -75,11 +75,17 @@ class DimensionCapError(ValueError):
     """A requested module exceeds the configured dimension cap."""
 
 
-def default_relation_tol(precision: int) -> str:
-    """The relation tolerance used when none is given: 1e-40, raised to
-    1e-(2*precision//3) below 60 digits so it stays above the rounding floor
-    of the working precision."""
-    return "1e-%d" % min(40, 2 * precision // 3)
+def _relation_tol(tol, precision):
+    """The relation tolerance as given and as an mpf at `precision`: None
+    means 1e-40, raised to 1e-(2*precision//3) below 60 digits to stay above
+    the rounding floor.  A NaN, infinite or negative one is a ValueError."""
+    given = "1e-%d" % min(40, 2 * precision // 3) if tol is None else tol
+    with mp.workdps(precision):
+        value = mp.mpf(given)
+    if not mp.isfinite(value) or value < 0:
+        raise ValueError("relation tolerance must be finite and non-negative, got %s"
+                         % (given,))
+    return given, value
 
 
 def validate_weight(weight) -> tuple:
@@ -159,17 +165,19 @@ class GTTableau:
         return total
 
     def _moved(self, i, k, step):
-        # Entry (i, k) moved by `step` in an interlacing tableau.  Only the
-        # row pairs (k+1, k) and (k, k-1) hold the entry, so only they can
-        # break; the top row k = l+1 has no row above it.
+        # Entry (i, k) moved by `step` in an interlacing tableau.  Only its
+        # bounds can break: m_{i,k+1}, m_{i-1,k-1} over a raise, m_{i+1,k+1},
+        # m_{i,k-1} under a lowering (none above row l+1 or below row 1).
         rows = self.rows
-        pos = self.size - k
-        old = rows[pos]
-        row = old[:i - 1] + (old[i - 1] + step,) + old[i:]
-        if pos and not _interlace(rows[pos - 1], row):
+        pos, p = self.size - k, i - 1
+        x = rows[pos][p] + step
+        if step > 0:
+            broken = pos and x > rows[pos - 1][p] or p and x > rows[pos + 1][p - 1]
+        else:
+            broken = pos and x < rows[pos - 1][p + 1] or p < k - 1 and x < rows[pos + 1][p]
+        if broken:
             return None
-        if k > 1 and not _interlace(row, rows[pos + 1]):
-            return None
+        row = rows[pos][:p] + (x,) + rows[pos][i:]
         t = GTTableau.__new__(GTTableau)
         t.rows = rows[:pos] + (row,) + rows[pos + 1:]
         return t
@@ -341,8 +349,7 @@ def exact_column(op, k, tableau, q) -> dict:
 
 def weyl_dim(weight) -> int:
     """Weyl dimension formula for su(l+1); independent of tableau counting."""
-    weight = validate_weight(weight)
-    lam = [sum(weight[i:]) for i in range(len(weight))] + [0]
+    lam = top_row(weight)
     n = len(lam)
     d = Fraction(1)
     for i in range(n):
@@ -457,73 +464,94 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
     Covered: K commutativity, the three E-K exchange cases, E-F brackets
     against (K^2 - K^-2)/(q - q^-1), E-E commutation at distance > 1, Serre
     relations at distance 1, and the transposed F counterparts of all of the
-    above.  Residuals are max-entry absolute values.  The tolerance defaults
-    to `default_relation_tol` of the module's precision; a NaN, infinite or
-    negative one is a ValueError.
+    above.  Residuals are max-entry absolute values, the first largest entry
+    in storage order.  The tolerance defaults to 1e-min(40, 2*precision//3);
+    a NaN, infinite or negative one is a ValueError.
+
+    Each residual is bit for bit that of the plain matrix algebra, with
+    fewer products.  M K_j - c K_j M (M = E_i, F_i or K_i) is evaluated entry
+    by entry from K_j's diagonal: an entry m at (r, s) gives m k_s - c (k_r m),
+    the roundings of `@`, `scaled` and `-` (c = 1 is exact), memoised by
+    value.  The bracket's K side is one diagonal, one value per weight
+    exponent.  The far and Serre checks of a pair i < j share M_i M_j and
+    M_j M_i; M_i M_i is formed once per i.
     """
-    precision = mod.precision
-    with mp.workdps(precision):
-        given = default_relation_tol(precision) if tol is None else tol
-        tol = mp.mpf(given)
-        if not mp.isfinite(tol) or tol < 0:
-            raise ValueError("relation tolerance must be finite and non-negative, got %s"
-                             % (given,))
+    _given, tol = _relation_tol(tol, mod.precision)
+    with mp.workdps(mod.precision):
         qv = mp.mpf(mod.q.numerator) / mp.mpf(mod.q.denominator)
         qs = mp.sqrt(qv)
-        powers = _Memo(lambda a: qs ** a)
-        ell = mod.ell
+        gens = range(1, mod.ell + 1)
         K, E, F = mod.K, mod.E, mod.F
+        diag = {j: [K[j].get(s, s)._mpf_ for s in range(mod.dim)] for j in gens}
         checks = []
 
-        def residual(name, M):
+        def residual(name, entries):
+            # The first strictly largest |value| over (position, mpf) entries.
             worst_val, worst_pos = mp.mpf(0), None
-            for pos, v in M.entries():
+            for pos, v in entries:
                 if abs(v) > worst_val:
                     worst_val, worst_pos = abs(v), pos
-            checks.append(RelationCheck(name, worst_val, worst_pos))
+            return RelationCheck(name, worst_val, worst_pos)
 
-        for i in range(1, ell + 1):
-            for j in range(i + 1, ell + 1):
-                residual("K%dK%d-K%dK%d" % (i, j, j, i), K[i] @ K[j] - K[j] @ K[i])
+        def exchange(M, j, c=1):
+            # The entries of M K_j - c K_j M, one by one, memoised by value.
+            k = diag[j]
 
-        # Each E relation and its F twin: the generator, the scalars of
-        # K_j X_i at i == j and at |i - j| == 1, and their names.
-        twins = (("E", E, 1 / qv, "q^-1", qs, "q^(1/2)"),
-                 ("F", F, qv, "q", 1 / qs, "q^(-1/2)"))
+            def cell(key):
+                m, kr, ks = map(mp.make_mpf, key)
+                return m * ks - c * (kr * m)
 
-        for i in range(1, ell + 1):
-            for j in range(1, ell + 1):
-                for X, M, same, same_name, near, near_name in twins:
-                    XiKj, KjXi = M[i] @ K[j], K[j] @ M[i]
-                    if abs(i - j) > 1:
-                        residual("%s%dK%d-K%d%s%d" % (X, i, j, j, X, i), XiKj - KjXi)
-                    else:
-                        c, c_name = (same, same_name) if i == j else (near, near_name)
-                        residual("%s%dK%d-%sK%d%s%d" % (X, i, j, c_name, j, X, i),
-                                 XiKj - KjXi.scaled(c))
+            values = _Memo(cell)
+            return (((r, s), values[m._mpf_, k[r], k[s]]) for (r, s), m in M.entries())
 
-        for i in range(1, ell + 1):
-            for j in range(1, ell + 1):
+        for i in gens:
+            for j in gens[i:]:
+                checks.append(residual("K%dK%d-K%dK%d" % (i, j, j, i), exchange(K[i], j)))
+
+        # Each E relation and its F twin: the generator, and the scalar c of
+        # K_j X_i, with its name, at |i - j| = 0 and 1 (c = 1 farther out).
+        twins = (("E", E, {0: (1 / qv, "q^-1"), 1: (qs, "q^(1/2)")}),
+                 ("F", F, {0: (qv, "q"), 1: (1 / qs, "q^(-1/2)")}))
+        for i in gens:
+            for j in gens:
+                for X, M, scalars in twins:
+                    c, c_name = scalars.get(abs(i - j), (1, ""))
+                    checks.append(residual("%s%dK%d-%sK%d%s%d" % (X, i, j, c_name, j, X, i),
+                                           exchange(M[i], j, c)))
+
+        # (K_i^2 - K_i^-2)/(q - q^-1) at the entries q^(a/2) of K_i, per a.
+        scale = 1 / (qv - 1 / qv)
+        sides = _Memo(lambda a: scale * (qs ** a * qs ** a - qs ** -a * qs ** -a))
+        for i in gens:
+            for j in gens:
                 bracket = E[i] @ F[j] - F[j] @ E[i]
                 if i == j:
-                    Kinv = SparseMatrix.diagonal([powers[-t.a(i)] for t in mod.basis])
-                    rhs = (K[i] @ K[i] - Kinv @ Kinv).scaled(1 / (qv - 1 / qv))
-                    residual("E%dF%d-F%dE%d-(K%d^2-K%d^-2)/(q-q^-1)" % (i, j, j, i, i, i),
-                             bracket - rhs)
+                    rhs = SparseMatrix.diagonal([sides[t.a(i)] for t in mod.basis])
+                    bracket = bracket - rhs
+                    name = "E%dF%d-F%dE%d-(K%d^2-K%d^-2)/(q-q^-1)" % (i, j, j, i, i, i)
                 else:
-                    residual("E%dF%d-F%dE%d" % (i, j, j, i), bracket)
+                    name = "E%dF%d-F%dE%d" % (i, j, j, i)
+                checks.append(residual(name, bracket.entries()))
 
         serre = qv + 1 / qv
-        for i in range(1, ell + 1):
-            for j in range(1, ell + 1):
-                for X, M, *_scalars in twins:
-                    if abs(i - j) > 1:
-                        residual("%s%d%s%d-%s%d%s%d" % (X, i, X, j, X, j, X, i),
-                                 M[i] @ M[j] - M[j] @ M[i])
-                    elif abs(i - j) == 1:
-                        residual("serre(%s%d,%s%d)" % (X, i, X, j),
-                                 M[i] @ M[i] @ M[j] - (M[i] @ M[j] @ M[i]).scaled(serre)
-                                 + M[j] @ M[i] @ M[i])
+        pairs = {}
+        for X, M, _scalars in twins:
+            squares = _Memo(lambda a, M=M: M[a] @ M[a])
+            for i in gens:
+                for j in gens[i:]:
+                    ij, ji = M[i] @ M[j], M[j] @ M[i]
+                    for a, b, ab, ba in ((i, j, ij, ji), (j, i, ji, ij)):
+                        if j - i > 1:
+                            name, R = "%s%d%s%d-%s%d%s%d" % (X, a, X, b, X, b, X, a), ab - ba
+                        else:
+                            name = "serre(%s%d,%s%d)" % (X, a, X, b)
+                            R = squares[a] @ M[b] - (ab @ M[a]).scaled(serre) + ba @ M[a]
+                            if a < b:  # the last use of M_a M_a
+                                del squares[a]
+                        pairs[a, b, X] = residual(name, R.entries())
+                        del R  # only the current pair's products stay alive
+                    del ij, ji, ab, ba
+        checks.extend(pairs[key] for key in sorted(pairs))  # in (i, j, E/F) order
 
     return RelationReport(checks, tol)
 

@@ -11,13 +11,19 @@ are stored, with no memo.
 
 `apply_e` is E_k on a tableau, entry by entry from the public, unmemoised
 `qproj.gtrep.raise_coeff`, so it shares no memo with the library's build.
+
+`ref_relation_checks` is the relation check written as matrix algebra: every
+product formed with `@`, the K matrices included, and every relation rebuilt
+from its own products.  `qproj.gtrep.verify_relations` evaluates the K checks
+entry by entry and shares the products of each generator pair; it must give
+the same names, residual bits and entries.
 """
 
 from collections import namedtuple
 
 from mpmath import mp
 
-from qproj.gtrep import raise_coeff
+from qproj.gtrep import RelationCheck, raise_coeff
 from qproj.linalg import SparseMatrix
 from qproj.qarith import check_precision
 
@@ -96,3 +102,62 @@ def ref_matmul(a, b):
 def ref_scaled(a, c):
     """The entries of a.scaled(c)."""
     return {k: p for k, v in a._d.items() if (p := c * v)}
+
+
+def ref_relation_checks(mod):
+    """The defining-relation checks of a built module as RelationCheck rows,
+    in the order and with the names of `verify_relations`."""
+    with mp.workdps(mod.precision):
+        qv = mp.mpf(mod.q.numerator) / mp.mpf(mod.q.denominator)
+        qs = mp.sqrt(qv)
+        ell = mod.ell
+        K, E, F = mod.K, mod.E, mod.F
+        checks = []
+
+        def residual(name, M):
+            worst_val, worst_pos = mp.mpf(0), None
+            for pos, v in M.entries():
+                if abs(v) > worst_val:
+                    worst_val, worst_pos = abs(v), pos
+            checks.append(RelationCheck(name, worst_val, worst_pos))
+
+        for i in range(1, ell + 1):
+            for j in range(i + 1, ell + 1):
+                residual("K%dK%d-K%dK%d" % (i, j, j, i), K[i] @ K[j] - K[j] @ K[i])
+
+        twins = (("E", E, 1 / qv, "q^-1", qs, "q^(1/2)"),
+                 ("F", F, qv, "q", 1 / qs, "q^(-1/2)"))
+        for i in range(1, ell + 1):
+            for j in range(1, ell + 1):
+                for X, M, same, same_name, near, near_name in twins:
+                    XiKj, KjXi = M[i] @ K[j], K[j] @ M[i]
+                    if abs(i - j) > 1:
+                        residual("%s%dK%d-K%d%s%d" % (X, i, j, j, X, i), XiKj - KjXi)
+                    else:
+                        c, c_name = (same, same_name) if i == j else (near, near_name)
+                        residual("%s%dK%d-%sK%d%s%d" % (X, i, j, c_name, j, X, i),
+                                 XiKj - KjXi.scaled(c))
+
+        for i in range(1, ell + 1):
+            for j in range(1, ell + 1):
+                bracket = E[i] @ F[j] - F[j] @ E[i]
+                if i == j:
+                    Kinv = SparseMatrix.diagonal([qs ** -t.a(i) for t in mod.basis])
+                    rhs = (K[i] @ K[i] - Kinv @ Kinv).scaled(1 / (qv - 1 / qv))
+                    residual("E%dF%d-F%dE%d-(K%d^2-K%d^-2)/(q-q^-1)" % (i, j, j, i, i, i),
+                             bracket - rhs)
+                else:
+                    residual("E%dF%d-F%dE%d" % (i, j, j, i), bracket)
+
+        serre = qv + 1 / qv
+        for i in range(1, ell + 1):
+            for j in range(1, ell + 1):
+                for X, M, *_scalars in twins:
+                    if abs(i - j) > 1:
+                        residual("%s%d%s%d-%s%d%s%d" % (X, i, X, j, X, j, X, i),
+                                 M[i] @ M[j] - M[j] @ M[i])
+                    elif abs(i - j) == 1:
+                        residual("serre(%s%d,%s%d)" % (X, i, X, j),
+                                 M[i] @ M[i] @ M[j] - (M[i] @ M[j] @ M[i]).scaled(serre)
+                                 + M[j] @ M[i] @ M[i])
+    return checks

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qproj import cocycle
+from qproj import cocycle, gtrep
 from qproj.cli import build_parser, main
 
 
@@ -140,6 +140,19 @@ def test_verify_relations_rejects_bad_tolerance(capsys, tol):
     assert code == 1 and not report["pass"]
     assert report["results"] == [
         {"error": "relation tolerance must be finite and non-negative, got %s" % tol}]
+
+
+def test_bad_tolerance_is_reported_before_the_build(capsys, monkeypatch):
+    # (3,3) has dimension 64, above the cap 5: the tolerance error still wins,
+    # and no module is built.
+    def build(*args):
+        raise AssertionError("built a module for a bad tolerance")
+
+    monkeypatch.setattr(gtrep, "build_irrep", build)
+    code, report = run_json(capsys, "verify-relations", "--ell", "2", "--n", "3,3",
+                            "--dim-cap", "5", "--tol", "nan")
+    assert code == 1 and report["results"] == [
+        {"error": "relation tolerance must be finite and non-negative, got nan"}]
 
 
 def test_ring_dims_of_many_generators(capsys):

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from oracles import ref_relation_checks
 from qproj.gtrep import (
     DimensionCapError,
     GTTableau,
+    _interlace,
     build_irrep,
     enumerate_tableaux,
     exact_column,
@@ -19,6 +21,7 @@ from qproj.gtrep import (
     verify_relations,
     weyl_dim,
 )
+from qproj.linalg import SparseMatrix
 
 Q = Fraction(1, 2)
 PREC = 60
@@ -419,6 +422,10 @@ RELATIONS_SHA256 = {
         "3adaff194c91ef95ef9775b451698693e0f31702ad71fb9a6b6912c1c3c5840c",
     ((1, 0, 0, 0, 1), Q, 60):
         "9d933ba1daab3c471aca272e3f11c05d5cd910f60d8fced2a7b6c6c71bdcd729",
+    ((2, 2), Fraction(9, 10), 45):
+        "1a059d65d5303b15ed21edc294c740e92c76d7af08757e3da16be7489eab09da",
+    ((1, 1), Fraction(1, 3), 30):
+        "3210f8986b89c0f898c38ddea5bb4fceb3ed590b72f47e3fbea7175d540ca7a0",
 }
 
 
@@ -430,6 +437,50 @@ def test_relation_residuals_are_pinned(weight, q, precision):
     text = "".join("%s %s %s\n" % (c.name, mp.nstr(c.residual, 8), c.entry)
                    for c in report.checks)
     assert hashlib.sha256(text.encode()).hexdigest() == RELATIONS_SHA256[(weight, q, precision)]
+
+
+RELATION_ORACLE_CASES = [
+    ((1,), Fraction(1, 3), 30),
+    ((0, 0), Q, 60),
+    ((2, 1), Fraction(9, 10), 100),
+    ((3, 3), Fraction(1, 3), 60),
+    ((1, 0, 1), Fraction(9, 10), 30),
+    ((0, 0, 0), Fraction(1, 3), 100),
+    ((1, 0, 0, 1), Fraction(9, 10), 100),
+    ((1, 0, 0, 0, 1), Fraction(1, 3), 30),
+    ((0, 1, 0, 0, 0), Q, 60),
+]
+
+
+@pytest.mark.parametrize("weight,q,precision", RELATION_ORACLE_CASES,
+                         ids=["%s-q%s-p%d" % (",".join(map(str, w)), q, p)
+                              for w, q, p in RELATION_ORACLE_CASES])
+def test_relations_match_the_product_oracle(weight, q, precision):
+    # The K checks entry by entry and the shared pair products must give
+    # the matrix-algebra check's names, residual bits and entries exactly.
+    mod = build_irrep(weight, q, precision)
+    got = [(c.name, c.residual._mpf_, c.entry) for c in verify_relations(mod).checks]
+    want = [(c.name, c.residual._mpf_, c.entry) for c in ref_relation_checks(mod)]
+    assert got == want
+
+
+@pytest.mark.parametrize("weight,products", [((1, 1, 1, 1), 100), ((2, 1, 2), 60),
+                                             ((3, 3), 28)])
+def test_relations_form_no_product_with_a_diagonal(monkeypatch, weight, products):
+    # No product has a diagonal operand, and each generator product is formed
+    # once per pair: the brackets, then per twin two products for each pair
+    # and six more for each neighbouring pair, and one square per generator.
+    mod = build_irrep(weight, Q, PREC)
+    calls = []
+    matmul = SparseMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(any(m.nnz and all(r == s for r, s in m._d) for m in (a, b)))
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    verify_relations(mod)
+    assert len(calls) == products and not any(calls)
 
 
 @pytest.mark.parametrize("weight,q", [((1, 1, 1, 1), Q), ((1, 2, 1), Fraction(9, 10))],
@@ -533,8 +584,8 @@ def _moved_by_rebuild(t, i, k, step):
 
 @pytest.mark.parametrize("weight", [(1, 1, 1, 1), (2, 1, 2), (3, 3), (1, 0, 0, 1)])
 def test_raised_and_lowered_match_a_full_rebuild(weight):
-    # raised/lowered check only the row pairs (k+1, k) and (k, k-1); every
-    # entry, the top row k = l+1 included, must agree with the full check.
+    # raised/lowered check only the moved entry's bounds in rows k+1 and k-1;
+    # every entry, the top row k = l+1 included, must agree with the full check.
     moves = 0
     for t in enumerate_tableaux(weight):
         for k in range(1, t.size + 1):
@@ -545,4 +596,30 @@ def test_raised_and_lowered_match_a_full_rebuild(weight):
                     if got is not None:
                         assert got.rows == want.rows and got.interlaces()
                         moves += 1
+    assert moves
+
+
+def _moved_by_row_pairs(t, i, k, step):
+    # Interlacing of the two whole row pairs that hold entry (i, k).
+    rows = [list(r) for r in t.rows]
+    pos = t.size - k
+    rows[pos][i - 1] += step
+    if pos and not _interlace(rows[pos - 1], rows[pos]):
+        return None
+    if k > 1 and not _interlace(rows[pos], rows[pos + 1]):
+        return None
+    return GTTableau(rows)
+
+
+@pytest.mark.parametrize("weight", [(3,), (2, 1), (0, 3), (1, 2, 1), (3, 0, 2),
+                                    (2, 0, 1, 1), (1, 1, 1, 1)])
+def test_moves_check_only_the_moved_entry(weight):
+    # The bounds of the moved entry decide exactly what the two row pairs do.
+    moves = 0
+    for t in enumerate_tableaux(weight):
+        for k in range(1, t.size + 1):
+            for i in range(1, k + 1):
+                for step, got in ((1, t.raised(i, k)), (-1, t.lowered(i, k))):
+                    assert got == _moved_by_row_pairs(t, i, k, step)
+                    moves += got is not None
     assert moves
