@@ -8,14 +8,14 @@ degree N to the l-block of degree N-2 diagonally in m, with coefficient
 
     c_l = sqrt([l - N/2 + 1][l + N/2]),
 
-so everything is block scalar.  Kernel and cokernel are computed blockwise,
-exactly: a block c_l I has full rank precisely when its radicand
-[l - N/2 + 1][l + N/2], kept as an exact Laurent polynomial, is nonzero.  The
-only targets that can fail to be covered are target blocks with no source
-block at all (l below |N|/2), which are identified structurally, so no
-truncation-edge artifacts arise.  The
-resulting Euler characteristic is -N + 1, the quantum switch of the sign of N
-relative to the classical count.
+so everything is block scalar.  The radicand is that of F_1 on the V(2l)
+tableau ((2l, 0), (m,)), m = l + N/2: a_1(m - 1) b_1(m) of `gtrep._amplitude`
+with the q-integers `q_int`, an exact Laurent polynomial.  Kernel and cokernel
+are computed blockwise: a block c_l I has full rank precisely when it is
+nonzero.  The only targets that can fail to be covered are target blocks with
+no source block at all (l below |N|/2), which are identified structurally, so
+no truncation-edge artifacts arise.  The resulting Euler characteristic is
+-N + 1, the quantum switch of the sign of N relative to the classical count.
 
 For the plane: only the two scalar consequences of the explicit degree-2
 operator computation are verified, as q-number radical identities
@@ -36,6 +36,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
+from .gtrep import _amplitude
 from .linalg import _Memo
 from .qarith import DEFAULT_PRECISION, QLaurent, check_precision, parse_q, q_int
 
@@ -50,8 +51,8 @@ __all__ = [
 ]
 
 
-# `radicand` is the exact [l - N/2 + 1][l + N/2] (zero for a source-free
-# block); the block's coefficient c_l is its square root.
+# `radicand` is the exact [l - N/2 + 1][l + N/2], read from the GT amplitudes
+# of F_1 (zero for a source-free block); the coefficient c_l is its root.
 Cp1Block = namedtuple("Cp1Block", "twol dim_source dim_target radicand")
 
 EulerResult = namedtuple("EulerResult", "N l_max dim_ker dim_coker chi stable blocks")
@@ -70,15 +71,17 @@ def cp1_dolbeault_matrix(N: int, l_max, q) -> TruncatedComplex:
         raise ValueError("l_max must be at least |N|/2")
     twol_cap = int(2 * l_max)
     src_min, tgt_min = abs(N), abs(N - 2)
+    qn = _Memo(q_int)
     blocks = []
     for twol in range(min(src_min, tgt_min), twol_cap + 1):
         in_source = twol >= src_min and (twol - src_min) % 2 == 0
         in_target = twol >= tgt_min and (twol - tgt_min) % 2 == 0
         if not in_source and not in_target:
             continue
-        # c_l = sqrt([l - N/2 + 1][l + N/2]); both arguments are integers.
-        radicand = (q_int((twol - N) // 2 + 1) * q_int((twol + N) // 2)
-                    if in_source else QLaurent.zero())
+        m = (twol + N) // 2  # F_1 on ((2l, 0), (m,)) lowers m, unless m = 0
+        radicand = (_amplitude("E", 1, (m - 1,), (twol, 0), qn)
+                    * _amplitude("F", 1, (m,), (), qn) if in_source and m
+                    else QLaurent.zero())
         blocks.append(Cp1Block(
             twol,
             dim_source=twol + 1 if in_source else 0,

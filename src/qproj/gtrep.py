@@ -38,8 +38,8 @@ one tableau), and built modules are immutable, so they are safe to share.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
-from fractions import Fraction
+import math
+from collections import Counter, namedtuple
 
 from mpmath import mp
 
@@ -159,10 +159,8 @@ class GTTableau:
         """The K_k weight exponent a_k."""
         if not 1 <= k <= self.ell:
             raise ValueError("k must lie in 1..%d, got %d" % (self.ell, k))
-        total = 2 * sum(self.row(k)) - sum(self.row(k + 1))
-        if k >= 2:
-            total -= sum(self.row(k - 1))
-        return total
+        upper, row, lower = _window(self, k)
+        return 2 * sum(row) - sum(upper) - sum(lower)
 
     def _moved(self, i, k, step):
         # Entry (i, k) moved by `step` in an interlacing tableau.  Only its
@@ -184,12 +182,14 @@ class GTTableau:
 
     def raised(self, i, k):
         """Entry (i, k) of this interlacing tableau increased by one, or None
-        if interlacing breaks."""
+        if interlacing breaks; ValueError outside 1 <= i <= k <= l+1."""
+        self.entry(i, k)  # the range check
         return self._moved(i, k, 1)
 
     def lowered(self, i, k):
         """Entry (i, k) of this interlacing tableau decreased by one, or None
-        if interlacing breaks."""
+        if interlacing breaks; ValueError outside 1 <= i <= k <= l+1."""
+        self.entry(i, k)  # the range check
         return self._moved(i, k, -1)
 
     def __eq__(self, other):
@@ -255,15 +255,16 @@ def _window(tableau, k):
     return tableau.row(k + 1), tableau.row(k), tableau.row(k - 1) if k > 1 else ()
 
 
-def _amplitude(op, j, row, other, qn) -> Fraction:
+def _amplitude(op, j, row, other, qn):
     """a_j (op "E", `other` row k+1) or b_j (op "F", `other` row k-1) of
     entry j of row k = `row`, exactly; see `exact_column`.
 
     Only differences of entries enter, so rows shifted by one constant give
-    the same value.  `qn` is the `_q_numbers` memo of the q at hand.
+    the same value.  `qn` maps z to [z]: `_q_numbers(qf)` gives a Fraction,
+    `_Memo(q_int)` a QLaurent (in `dolbeault`, at k = 1: nothing is divided).
     """
     ljk = row[j - 1] - j
-    c = Fraction(-1) if op == "E" else Fraction(1)
+    c = -qn[1] if op == "E" else qn[1]
     for i, m in enumerate(other, 1):
         c *= qn[m - i - ljk]
     for i, m in enumerate(row, 1):
@@ -291,7 +292,7 @@ def _e_column(k, tableau, values):
     # `values` is `_raise_value` memoised by its (k, j, window) arguments.
     window = _window(tableau, k)
     for j in range(1, k + 1):
-        target = tableau.raised(j, k)
+        target = tableau._moved(j, k, 1)
         if target is not None:
             # Shifted by m_{j,k}, the window still fixes A^j_k (`_amplitude`).
             shift = window[1][j - 1]
@@ -313,7 +314,7 @@ def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
     precision = check_precision(precision)
     if not 1 <= j <= k <= tableau.ell:
         raise ValueError("need 1 <= j <= k <= %d, got j=%d k=%d" % (tableau.ell, j, k))
-    if tableau.raised(j, k) is None:
+    if tableau._moved(j, k, 1) is None:
         return mp.mpf(0)
     return _raise_value(k, j, _window(tableau, k), _q_numbers(qf), precision)
 
@@ -335,10 +336,10 @@ def exact_column(op, k, tableau, q) -> dict:
         raise ValueError("k must lie in 1..%d, got %d" % (tableau.ell, k))
     qn = _q_numbers(parse_q(q))
     upper, row, lower = _window(tableau, k)
-    move, other = (tableau.raised, upper) if op == "E" else (tableau.lowered, lower)
+    step, other = (1, upper) if op == "E" else (-1, lower)
     out = {}
     for j in range(1, k + 1):
-        target = move(j, k)
+        target = tableau._moved(j, k, step)
         if target is None:
             continue
         c = _amplitude(op, j, row, other, qn)
@@ -348,15 +349,16 @@ def exact_column(op, k, tableau, q) -> dict:
 
 
 def weyl_dim(weight) -> int:
-    """Weyl dimension formula for su(l+1); independent of tableau counting."""
+    """Weyl dimension formula for su(l+1); independent of tableau counting.
+    The factors common to prod (m_i - m_j + j - i) and prod (j - i), i < j,
+    cancel by multiplicity; the rest are two integer products, divided once."""
     lam = top_row(weight)
-    n = len(lam)
-    d = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    assert d.denominator == 1
-    return int(d)
+    pairs = list(itertools.combinations(range(len(lam)), 2))
+    num = Counter(lam[i] - lam[j] + j - i for i, j in pairs)
+    den = Counter(j - i for i, j in pairs)
+    d, r = divmod(math.prod((num - den).elements()), math.prod((den - num).elements()))
+    assert not r
+    return d
 
 
 class IrrepModule:
@@ -566,7 +568,7 @@ def export_matrix(mod: IrrepModule, op: str, k: int) -> str:
         raise ValueError("op must be one of K, E, F, got %r" % (op,))
     if not 1 <= k <= mod.ell:
         raise ValueError("k must lie in 1..%d, got %d" % (mod.ell, k))
-    M = {"K": mod.K, "E": mod.E, "F": mod.F}[op][k]
+    M = getattr(mod, op)[k]
     header = "# irrep ℓ=%d n=%s op=%s%d q=%d/%d precision=%d" % (
         mod.ell, ",".join(map(str, mod.weight)), op, k,
         mod.q.numerator, mod.q.denominator, mod.precision)

@@ -12,8 +12,8 @@ arithmetic by operand value for the length of that one call.  The results
 stay bit for bit those of the plain loop, for two reasons: the mpf functions
 are pure in (operands, precision, rounding), and mpf_add(fzero, p) is p for a
 p already rounded at that precision and rounding.  `_Memo` is the library's
-one per-call memo: the GT build, the relation check and the cp2 identities
-use it too.
+one per-call memo: the GT build, the relation check, the qP^1 complex (its
+q-integers) and the cp2 identities use it too.
 """
 
 from __future__ import annotations

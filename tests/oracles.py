@@ -17,6 +17,11 @@ product formed with `@`, the K matrices included, and every relation rebuilt
 from its own products.  `qproj.gtrep.verify_relations` evaluates the K checks
 entry by entry and shares the products of each generator pair; it must give
 the same names, residual bits and entries.
+
+`cp1_radicand` is the closed form c_l^2 = [l - N/2 + 1][l + N/2] of the
+qP^1 complex, written out with `q_int`.  `qproj.dolbeault` reads the same
+radicand from the GT amplitudes of F_1 instead, so every block is held
+against this second transcription.
 """
 
 from collections import namedtuple
@@ -25,7 +30,7 @@ from mpmath import mp
 
 from qproj.gtrep import RelationCheck, raise_coeff
 from qproj.linalg import SparseMatrix
-from qproj.qarith import check_precision
+from qproj.qarith import QLaurent, check_precision, q_int
 
 RankResult = namedtuple("RankResult", "rank ill_conditioned threshold sigmas")
 
@@ -161,3 +166,12 @@ def ref_relation_checks(mod):
                                  M[i] @ M[i] @ M[j] - (M[i] @ M[j] @ M[i]).scaled(serre)
                                  + M[j] @ M[i] @ M[i])
     return checks
+
+
+def cp1_radicand(N, twol):
+    """c_l^2 = [l - N/2 + 1][l + N/2] of block 2l of the degree-N complex
+    on qP^1, an exact Laurent polynomial; zero for a block with no source
+    (2l below |N| or of the other parity)."""
+    if twol < abs(N) or (twol - N) % 2:
+        return QLaurent.zero()
+    return q_int((twol - N) // 2 + 1) * q_int((twol + N) // 2)

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from oracles import cp1_radicand
 from qproj.bundles import ker_el_combinatorial
 from qproj.dolbeault import (
     cp1_dolbeault_matrix,
     cp1_euler_characteristic,
     cp2_coefficient_identity,
 )
-from qproj.qarith import q_int
+from qproj.qarith import QLaurent, q_int
 
 Q = Fraction(1, 2)
 PREC = 60
@@ -41,6 +42,20 @@ def test_coefficient_kernel_block_negative_degree():
     cx = cp1_dolbeault_matrix(-2, 5, Q)
     assert not block(cx, 2).radicand     # l = 1 = -N/2 kills [l + N/2]
     assert block(cx, 4).radicand
+
+
+def test_every_block_is_the_closed_form():
+    # dolbeault reads c_l^2 from the GT amplitudes of F_1; it must be the
+    # closed form, as an exact Laurent polynomial, block by block.
+    blocks = sources = 0
+    for q in (Q, Fraction(9, 10), Fraction(1, 3)):
+        for N in range(-8, 9):
+            for b in cp1_dolbeault_matrix(N, 14, q).blocks:
+                assert isinstance(b.radicand, QLaurent)
+                assert b.radicand == cp1_radicand(N, b.twol), (q, N, b.twol)
+                blocks += 1
+                sources += bool(b.dim_source)
+    assert (blocks, sources) == (666, 645)
 
 
 def test_half_integer_blocks_for_odd_degree():

@@ -61,6 +61,15 @@ def test_enumeration_matches_weyl_formula(weight):
     assert len(enumerate_tableaux(weight)) == weyl_dim(weight)
 
 
+def test_weyl_dim_at_ell_1100():
+    # About 600,000 factor pairs, every one of them cancelled or multiplied
+    # as an integer.
+    zeros = (0,) * 1099
+    assert weyl_dim(zeros + (0,)) == 1
+    assert weyl_dim((1,) + zeros) == weyl_dim(zeros + (1,)) == 1101
+    assert weyl_dim((2,) + zeros) == 1101 * 1102 // 2 == 606651
+
+
 def test_enumeration_of_many_rows():
     # A recursion per row would pass the recursion limit here.
     [t] = enumerate_tableaux((0,) * 1100)
@@ -103,6 +112,16 @@ def test_row_and_entry_ranges():
         t.entry(0, 3)
     with pytest.raises(ValueError, match=r"entry i of row 2 must lie in 1\.\.2, got 3"):
         t.entry(3, 2)
+
+
+@pytest.mark.parametrize("move,i,k", [("raised", 1, 4), ("raised", 3, 2), ("raised", 2, 1),
+                                      ("raised", 0, 2), ("lowered", 0, 2), ("lowered", 1, 4)])
+def test_moves_outside_the_tableau_are_value_errors(move, i, k):
+    # Not a malformed tableau, a bare IndexError, or a None that would read
+    # as broken interlacing.
+    t = GTTableau(((2, 1, 0), (2, 0), (1,)))
+    with pytest.raises(ValueError, match="must lie in 1"):
+        getattr(t, move)(i, k)
 
 
 # -- weight exponents ----------------------------------------------------------
@@ -539,13 +558,17 @@ def _exact_radicand(k, j, t, q):
 @pytest.mark.parametrize("weight", [(1, 1), (2, 1), (1, 1, 1), (2, 1, 2), (1, 0, 1), (3, 3)])
 def test_exact_amplitudes_multiply_to_raise_radicand(weight, q):
     # a_j(m) b_j(m^{+j}) = (A^j_k)^2 exactly, and raise_coeff is its root.
+    # Every amplitude is a Fraction, the bare seed b_1 = [1] of F_1 too.
     checked = 0
     for t in enumerate_tableaux(weight):
         for k in range(1, len(weight) + 1):
-            up = exact_column("E", k, t, q)
+            up, down = exact_column("E", k, t, q), exact_column("F", k, t, q)
+            assert all(type(c) is Fraction for c in [*up.values(), *down.values()])
+            if k == 1:
+                assert set(down.values()) <= {1}
             raised = [t.raised(j, k) for j in range(1, k + 1)]
             assert set(up) == {s for s in raised if s is not None}
-            assert set(exact_column("F", k, t, q)) == {
+            assert set(down) == {
                 s for s in (t.lowered(j, k) for j in range(1, k + 1)) if s is not None}
             for j, target in enumerate(raised, start=1):
                 if target is None:
