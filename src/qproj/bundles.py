@@ -37,8 +37,8 @@ from .linalg import exact_rank
 from .qarith import parse_q
 from .gtrep import (
     DEFAULT_DIM_CAP,
-    DimensionCapError,
     GTTableau,
+    _capped_weyl_dim,
     _check_dim_cap,
     _tableaux,
     exact_column,
@@ -127,10 +127,7 @@ def ln_conditions_filter(ell: int, N: int, weight, q,
     weight = tuple(int(n) for n in weight)
     if len(weight) != ell:
         raise ValueError("weight %r does not match ell=%d" % (weight, ell))
-    if weyl_dim(weight) > dim_cap:
-        raise DimensionCapError(
-            "block weight %s has dimension %d above the cap %d"
-            % (weight, weyl_dim(weight), dim_cap))
+    _capped_weyl_dim(weight, dim_cap, "block weight")
     selected = [
         t for t in _candidates(ell, N, weight)
         if all(t.a(i) == 0 for i in range(1, ell))

@@ -90,10 +90,9 @@ def cp1_dolbeault_matrix(N: int, l_max, q) -> TruncatedComplex:
     return TruncatedComplex(N, l_max, qf, blocks)
 
 
-def _euler_once(N, l_max, qf):
-    cx = cp1_dolbeault_matrix(N, l_max, qf)
+def _euler_counts(blocks):
     ker = coker = 0
-    for b in cx.blocks:
+    for b in blocks:
         rank = b.dim_source if b.radicand else 0
         ker += b.dim_source - rank
         if b.dim_target:
@@ -102,20 +101,24 @@ def _euler_once(N, l_max, qf):
         elif rank:
             raise ArithmeticError(
                 "block 2l=%d maps outside the target bundle" % b.twol)
-    return ker, coker, ker - coker, cx.blocks
+    return ker, coker, ker - coker
 
 
 def cp1_euler_characteristic(N: int, l_max, q) -> EulerResult:
     """Kernel, cokernel and Euler characteristic of the truncated complex.
 
-    Stability is checked by recomputing at l_max - 1; a change in the
-    characteristic flips `stable` off instead of being silently accepted.
+    Stability is checked by recomputing at l_max - 1, from the blocks with
+    2l <= 2(l_max - 1) of the same build (the complex at l_max - 1 is exactly
+    those); a change in the characteristic flips `stable` off instead of
+    being silently accepted.
     """
     qf = parse_q(q)
     if Fraction(l_max) < Fraction(abs(N), 2) + 2:
         raise ValueError("l_max must leave a stability margin of at least 2")
-    ker, coker, chi, blocks = _euler_once(N, l_max, qf)
-    _k2, _c2, chi_prev, _b2 = _euler_once(N, Fraction(l_max) - 1, qf)
+    blocks = cp1_dolbeault_matrix(N, l_max, qf).blocks
+    ker, coker, chi = _euler_counts(blocks)
+    cap = int(2 * (Fraction(l_max) - 1))
+    chi_prev = _euler_counts([b for b in blocks if b.twol <= cap])[2]
     return EulerResult(N, l_max, ker, coker, chi, chi == chi_prev, blocks)
 
 

@@ -352,12 +352,29 @@ def weyl_dim(weight) -> int:
     """Weyl dimension formula for su(l+1); independent of tableau counting.
     The factors common to prod (m_i - m_j + j - i) and prod (j - i), i < j,
     cancel by multiplicity; the rest are two integer products, divided once."""
+    return _capped_weyl_dim(weight, None)
+
+
+def _capped_weyl_dim(weight, dim_cap, what="weight"):
+    """weyl_dim(weight), or a DimensionCapError above dim_cap (None: no cap).
+    A float sum of logarithms, less a margin far above its rounding error,
+    bounds log2 of the dimension from below; a weight that bound puts above
+    the cap is rejected before any exact product is formed."""
     lam = top_row(weight)
     pairs = list(itertools.combinations(range(len(lam)), 2))
-    num = Counter(lam[i] - lam[j] + j - i for i, j in pairs)
-    den = Counter(j - i for i, j in pairs)
-    d, r = divmod(math.prod((num - den).elements()), math.prod((den - num).elements()))
+    exps = Counter(lam[i] - lam[j] + j - i for i, j in pairs)
+    exps.subtract(Counter(j - i for i, j in pairs))  # below zero: in the divisor
+    if dim_cap is not None:
+        logs = [c * math.log2(f) for f, c in exps.items()]
+        low = math.floor(math.fsum(logs) - 1 - 1e-9 * math.fsum(map(abs, logs)))
+        if low > math.log2(dim_cap):  # so 2^low > dim_cap
+            raise DimensionCapError("%s %s has dimension at least 2^%d, above the cap %d"
+                                    % (what, weight, low, dim_cap))
+    d, r = divmod(math.prod((+exps).elements()), math.prod((-exps).elements()))
     assert not r
+    if dim_cap is not None and d > dim_cap:
+        raise DimensionCapError("%s %s has dimension %d, above the cap %d"
+                                % (what, weight, d, dim_cap))
     return d
 
 
@@ -398,11 +415,7 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
     weight = validate_weight(weight)
     qf = parse_q(q)
     precision = check_precision(precision)
-    expected = weyl_dim(weight)
-    if expected > dim_cap:
-        raise DimensionCapError(
-            "weight %s has dimension %d, above the cap %d" % (weight, expected, dim_cap)
-        )
+    expected = _capped_weyl_dim(weight, dim_cap)
     basis = enumerate_tableaux(weight)
     assert len(basis) == expected, "tableau count disagrees with the Weyl formula"
     ell = len(weight)
@@ -474,9 +487,11 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
     fewer products.  M K_j - c K_j M (M = E_i, F_i or K_i) is evaluated entry
     by entry from K_j's diagonal: an entry m at (r, s) gives m k_s - c (k_r m),
     the roundings of `@`, `scaled` and `-` (c = 1 is exact), memoised by
-    value.  The bracket's K side is one diagonal, one value per weight
-    exponent.  The far and Serre checks of a pair i < j share M_i M_j and
-    M_j M_i; M_i M_i is formed once per i.
+    value (`SparseMatrix._diagonal_exchange`; the m k products are shared by
+    the exchanges and dropped before the brackets).  Every other residual is
+    the `SparseMatrix._max_abs` scan of its matrix.  The bracket's K side is
+    one diagonal, one value per weight exponent.  The far and Serre checks of
+    a pair i < j share M_i M_j and M_j M_i; M_i M_i is formed once per i.
     """
     _given, tol = _relation_tol(tol, mod.precision)
     with mp.workdps(mod.precision):
@@ -486,29 +501,11 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
         K, E, F = mod.K, mod.E, mod.F
         diag = {j: [K[j].get(s, s)._mpf_ for s in range(mod.dim)] for j in gens}
         checks = []
-
-        def residual(name, entries):
-            # The first strictly largest |value| over (position, mpf) entries.
-            worst_val, worst_pos = mp.mpf(0), None
-            for pos, v in entries:
-                if abs(v) > worst_val:
-                    worst_val, worst_pos = abs(v), pos
-            return RelationCheck(name, worst_val, worst_pos)
-
-        def exchange(M, j, c=1):
-            # The entries of M K_j - c K_j M, one by one, memoised by value.
-            k = diag[j]
-
-            def cell(key):
-                m, kr, ks = map(mp.make_mpf, key)
-                return m * ks - c * (kr * m)
-
-            values = _Memo(cell)
-            return (((r, s), values[m._mpf_, k[r], k[s]]) for (r, s), m in M.entries())
-
+        products = {}  # m k by raw pair, shared by the exchanges below
         for i in gens:
             for j in gens[i:]:
-                checks.append(residual("K%dK%d-K%dK%d" % (i, j, j, i), exchange(K[i], j)))
+                checks.append(RelationCheck("K%dK%d-K%dK%d" % (i, j, j, i),
+                                            *K[i]._diagonal_exchange(diag[j], None, products)))
 
         # Each E relation and its F twin: the generator, and the scalar c of
         # K_j X_i, with its name, at |i - j| = 0 and 1 (c = 1 farther out).
@@ -517,9 +514,11 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
         for i in gens:
             for j in gens:
                 for X, M, scalars in twins:
-                    c, c_name = scalars.get(abs(i - j), (1, ""))
-                    checks.append(residual("%s%dK%d-%sK%d%s%d" % (X, i, j, c_name, j, X, i),
-                                           exchange(M[i], j, c)))
+                    c, c_name = scalars.get(abs(i - j), (None, ""))
+                    checks.append(RelationCheck(
+                        "%s%dK%d-%sK%d%s%d" % (X, i, j, c_name, j, X, i),
+                        *M[i]._diagonal_exchange(diag[j], c and c._mpf_, products)))
+        del products
 
         # (K_i^2 - K_i^-2)/(q - q^-1) at the entries q^(a/2) of K_i, per a.
         scale = 1 / (qv - 1 / qv)
@@ -533,7 +532,7 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
                     name = "E%dF%d-F%dE%d-(K%d^2-K%d^-2)/(q-q^-1)" % (i, j, j, i, i, i)
                 else:
                     name = "E%dF%d-F%dE%d" % (i, j, j, i)
-                checks.append(residual(name, bracket.entries()))
+                checks.append(RelationCheck(name, *bracket._max_abs()))
 
         serre = qv + 1 / qv
         pairs = {}
@@ -550,7 +549,7 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
                             R = squares[a] @ M[b] - (ab @ M[a]).scaled(serre) + ba @ M[a]
                             if a < b:  # the last use of M_a M_a
                                 del squares[a]
-                        pairs[a, b, X] = residual(name, R.entries())
+                        pairs[a, b, X] = RelationCheck(name, *R._max_abs())
                         del R  # only the current pair's products stay alive
                     del ij, ji, ab, ba
         checks.extend(pairs[key] for key in sorted(pairs))  # in (i, j, E/F) order

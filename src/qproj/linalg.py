@@ -11,9 +11,16 @@ The GT matrices hold few distinct values (the E matrices of (1,1,1,1) hold
 arithmetic by operand value for the length of that one call.  The results
 stay bit for bit those of the plain loop, for two reasons: the mpf functions
 are pure in (operands, precision, rounding), and mpf_add(fzero, p) is p for a
-p already rounded at that precision and rounding.  `_Memo` is the library's
-one per-call memo: the GT build, the relation check, the qP^1 complex (its
-q-integers) and the cp2 identities use it too.
+p already rounded at that precision and rounding.  The inner loops of ``@``,
+``+`` and ``-`` memoise in plain dicts (one product dict per left-hand value
+in ``@``); `_Memo` is the library's one memo class, which the GT build, the
+relation check, the qP^1 complex (its q-integers) and the cp2 identities use.
+
+The scans of `gtrep.verify_relations` run here too, on raw mpmath.libmp
+tuples: `_max_abs` finds a matrix's first largest |v| with |v| taken once per
+distinct value, and `_diagonal_exchange` evaluates M K - c K M from the
+diagonal of K once per distinct (m, k_r, k_s).  Both give the residual and
+the entry of the plain scan `abs(v) > worst` over the mpf entries.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_neg
+from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_neg, mpf_sub
 
 __all__ = ["SparseMatrix", "exact_rank"]
 
@@ -38,6 +45,17 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.f(key)
         return value
+
+
+def _first_largest(found):
+    # {key: (|v|, first position)} in first-occurrence order -> the first
+    # position of a strictly largest |v|.  The first key to reach the maximum
+    # holds its earliest position, so this is the plain scan's answer.
+    worst, at = fzero, None
+    for a, pos in found.values():
+        if mpf_gt(a, worst):
+            worst, at = a, pos
+    return mp.make_mpf(worst), at
 
 
 class SparseMatrix:
@@ -106,18 +124,16 @@ class SparseMatrix:
         # working precision first), keeping the insertion order of the dict.
         self._check_shape(other)
         prec, rnd = mp._prec_rounding
-
-        def add(pair):
-            # The stored sum as an mpf, or None where it is zero.
-            old, v = pair
-            nv = mpf_add(old, mpf_neg(v, prec, rnd) if negate else v, prec, rnd)
-            return None if nv == fzero else mp.make_mpf(nv)
-
-        sums = _Memo(add)
+        sums = {}  # (old, v) -> the stored sum as an mpf, or None where it is zero
         d = dict(self._d)
         for k, v in other._d.items():
             old = d.get(k)
-            nv = sums[fzero if old is None else old._mpf_, v._mpf_]
+            pair = fzero if old is None else old._mpf_, v._mpf_
+            nv = sums.get(pair, sums)
+            if nv is sums:  # a first meeting; a stored None is a zero sum
+                b = mpf_neg(pair[1], prec, rnd) if negate else pair[1]
+                nv = mpf_add(pair[0], b, prec, rnd)
+                nv = sums[pair] = None if nv == fzero else mp.make_mpf(nv)
             if nv is not None:
                 d[k] = nv
             elif old is not None:
@@ -140,20 +156,80 @@ class SparseMatrix:
         rows_of_b = {}
         for (k, j), v in other._d.items():
             rows_of_b.setdefault(k, []).append((j, v._mpf_))
-        products = _Memo(lambda ab: mpf_mul(ab[0], ab[1], prec, rnd))
-        sums = _Memo(lambda st: mpf_add(st[0], st[1], prec, rnd))
+        by_a = {}  # a -> {b: a*b}, one product dict per left-hand value
+        sums = {}
         acc = {}
         for (i, k), va in self._d.items():
+            row = rows_of_b.get(k)
+            if row is None:
+                continue
             a = va._mpf_
-            for j, b in rows_of_b.get(k, ()):
-                p = products[a, b]
-                key = (i, j)
+            products = by_a.get(a)
+            if products is None:
+                products = by_a[a] = {}
+            for j, b in row:
+                p = products.get(b)
+                if p is None:
+                    p = products[b] = mpf_mul(a, b, prec, rnd)
+                key = i, j
                 old = acc.get(key)
-                # mpf_add(fzero, p) is p: p is already rounded at prec, rnd.
-                acc[key] = p if old is None else sums[old, p]
-        make = _Memo(mp.make_mpf)
-        return SparseMatrix._trusted(
-            self.nrows, other.ncols, {k: make[v] for k, v in acc.items() if v != fzero})
+                if old is None:
+                    # mpf_add(fzero, p) is p: p is already rounded at prec, rnd.
+                    acc[key] = p
+                else:
+                    s = sums.get((old, p))
+                    if s is None:
+                        s = sums[old, p] = mpf_add(old, p, prec, rnd)
+                    acc[key] = s
+        del rows_of_b, by_a, sums  # the memos go before the result is built
+        made = {}
+        d = {}
+        for key, v in acc.items():
+            if v != fzero:
+                m = made.get(v)
+                if m is None:
+                    m = made[v] = mp.make_mpf(v)
+                d[key] = m
+        return SparseMatrix._trusted(self.nrows, other.ncols, d)
+
+    def _max_abs(self):
+        """(|v|, position) of the first strictly largest |v| in storage order,
+        or (0, None) when there is none: the scan `abs(v) > worst` over the mpf
+        entries, bit for bit, with |v| found once per distinct value."""
+        prec, rnd = mp._prec_rounding
+        found = {}
+        for pos, v in self._d.items():
+            m = v._mpf_
+            if m not in found:
+                found[m] = mpf_abs(m, prec, rnd), pos
+        return _first_largest(found)
+
+    def _diagonal_exchange(self, k, c, products):
+        """`_max_abs` of M K - c K M for this M and K = diag(k), with k and c
+        raw tuples, evaluated entry by entry: m at (r, s) gives
+        m k_s - c (k_r m) with the roundings of `@`, `scaled` and `-` (c = None
+        is 1, whose product is exact).
+        `products` memoises m k by raw pair across calls at one precision;
+        k_r m is m k_r, since mpf_mul is commutative bit for bit."""
+        prec, rnd = mp._prec_rounding
+
+        def times(m, x):
+            p = products.get((m, x))
+            if p is None:
+                p = products[m, x] = mpf_mul(m, x, prec, rnd)
+            return p
+
+        found = {}
+        for pos, v in self._d.items():
+            m = v._mpf_
+            r, s = pos
+            key = m, k[r], k[s]
+            if key not in found:
+                mr = times(m, k[r])
+                if c is not None:
+                    mr = mpf_mul(c, mr, prec, rnd)
+                found[key] = mpf_abs(mpf_sub(times(m, k[s]), mr, prec, rnd), prec, rnd), pos
+        return _first_largest(found)
 
     def _check_shape(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

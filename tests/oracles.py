@@ -9,6 +9,10 @@ the sparse arithmetic of `qproj.linalg.SparseMatrix` must reproduce bit for
 bit: every entry is rounded by the mpf operators, in the order the entries
 are stored, with no memo.
 
+`ref_max_abs` and `ref_diagonal_exchange` are the per-entry mpf loops that
+`SparseMatrix._max_abs` and `SparseMatrix._diagonal_exchange` run once per
+distinct value on raw tuples; the residual and its entry must agree.
+
 `apply_e` is E_k on a tableau, entry by entry from the public, unmemoised
 `qproj.gtrep.raise_coeff`, so it shares no memo with the library's build.
 
@@ -107,6 +111,23 @@ def ref_matmul(a, b):
 def ref_scaled(a, c):
     """The entries of a.scaled(c)."""
     return {k: p for k, v in a._d.items() if (p := c * v)}
+
+
+def ref_max_abs(entries):
+    """The first strictly largest |v| over (position, mpf) entries and its
+    position, (0, None) when there is none: the per-entry scan that
+    `SparseMatrix._max_abs` must reproduce."""
+    worst_val, worst_pos = mp.mpf(0), None
+    for pos, v in entries:
+        if abs(v) > worst_val:
+            worst_val, worst_pos = abs(v), pos
+    return worst_val, worst_pos
+
+
+def ref_diagonal_exchange(m, k, c=1):
+    """The (position, value) entries of M K - c K M, K = diag(k) for a list k
+    of mpf, one mpf expression per entry: m k_s - c (k_r m)."""
+    return [((r, s), v * k[s] - c * (k[r] * v)) for (r, s), v in m.entries()]
 
 
 def ref_relation_checks(mod):

@@ -98,6 +98,20 @@ def test_euler_formula_and_stability(N):
         assert res.stable
 
 
+@pytest.mark.parametrize("N", [-3, 0, 1, 4])
+def test_stability_reads_the_complex_one_spin_lower(N):
+    # The complex at l_max - 1 is the blocks 2l <= 2(l_max - 1) of the one at
+    # l_max, and its characteristic is dim source - dim target (each block is
+    # zero or of full rank).
+    for l_max in (Fraction(abs(N), 2) + 2, Fraction(abs(N) + 5, 2), 7):
+        res = cp1_euler_characteristic(N, l_max, Q)
+        assert res.blocks == cp1_dolbeault_matrix(N, l_max, Q).blocks
+        lower = cp1_dolbeault_matrix(N, l_max - 1, Q).blocks
+        assert lower == [b for b in res.blocks if b.twol <= 2 * (l_max - 1)]
+        chi_lower = sum(b.dim_source - b.dim_target for b in lower)
+        assert res.stable == (chi_lower == res.chi)
+
+
 def test_kernel_matches_bundle_count_with_degree_switch():
     # The complex kernel at degree N equals the section count at degree -N.
     for N in range(-4, 5):

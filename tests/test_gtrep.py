@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from oracles import ref_relation_checks
+from qproj.bundles import ln_conditions_filter
 from qproj.gtrep import (
     DimensionCapError,
     GTTableau,
@@ -317,6 +320,28 @@ def test_f_is_transpose_of_e():
 def test_dimension_cap():
     with pytest.raises(DimensionCapError):
         build_irrep((3, 3, 3), Q, PREC, dim_cap=10)
+
+
+def test_dimension_cap_is_exact_near_the_cap():
+    # dim (1, 1) = 8: near the cap the exact dimension decides.
+    assert build_irrep((1, 1), Q, PREC, dim_cap=8).dim == 8
+    with pytest.raises(DimensionCapError, match=r"weight \(1, 1\) has dimension 8, above the cap 7$"):
+        build_irrep((1, 1), Q, PREC, dim_cap=7)
+
+
+def test_a_dimension_far_above_the_cap_fails_fast():
+    # dim (1,...,1) at ell = 1100 has 605,551 bits; its exact product takes
+    # tens of seconds, the logarithmic bound a fraction of one.
+    weight = (1,) * 1100
+    calls = [lambda: build_irrep(weight, Q, PREC, dim_cap=5000),
+             lambda: ln_conditions_filter(1100, 0, weight, Q, dim_cap=5000)]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapError) as info:
+            call()
+        assert time.perf_counter() - start < 10
+        bits = re.search(r"has dimension at least 2\^(\d+), above the cap 5000$", str(info.value))
+        assert bits and 605_500 <= int(bits.group(1)) <= 605_550
 
 
 # -- relations --------------------------------------------------------------------

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from oracles import numeric_rank, ref_add, ref_matmul, ref_scaled, ref_sub
+from oracles import (
+    numeric_rank,
+    ref_add,
+    ref_diagonal_exchange,
+    ref_matmul,
+    ref_max_abs,
+    ref_scaled,
+    ref_sub,
+)
 from qproj.linalg import SparseMatrix, exact_rank
 
 PREC = 60
@@ -201,3 +209,58 @@ def test_memoised_kernels_are_the_mpf_loops_bit_for_bit(data, digits, n):
             assert _raw(got._d) == _raw(want)
         if digits == PREC:
             assert (a - a).nnz == 0
+
+
+# -- relation scans ----------------------------------------------------------------
+
+def _same_scan(got, want):
+    # the same residual bits and the same entry
+    assert (got[0]._mpf_, got[1]) == (want[0]._mpf_, want[1])
+
+
+@pytest.mark.parametrize("order", [(1, -1), (-1, 1)])
+def test_max_abs_ties_go_to_the_first_entry_in_storage_order(order):
+    with mp.workdps(PREC):
+        v = mp.mpf(3) / 7
+        # storage order (2, 0), (0, 1), (1, 2), (0, 0): +v and -v tie.
+        m = SparseMatrix(3, 3, {(2, 0): v / 2, (0, 1): order[0] * v,
+                                (1, 2): order[1] * v, (0, 0): -v / 3})
+        got = m._max_abs()
+        assert got[1] == (0, 1) and got[0] == v
+        _same_scan(got, ref_max_abs(m.entries()))
+
+
+def test_all_zero_scans_give_zero_and_no_entry():
+    with mp.workdps(PREC):
+        empty = SparseMatrix(3, 3)
+        _same_scan(empty._max_abs(), (mp.mpf(0), None))
+        # a diagonal commutes with a diagonal: every entry of M K - K M is 0
+        k = [mp.mpf(2) / 3, mp.sqrt(2), mp.mpf(5)]
+        m = SparseMatrix.diagonal([mp.mpf(1) / 7, -mp.pi, mp.mpf(3)])
+        got = m._diagonal_exchange([x._mpf_ for x in k], None, {})
+        assert got[0]._mpf_ == mp.mpf(0)._mpf_ and got[1] is None
+        _same_scan(got, ref_max_abs(ref_diagonal_exchange(m, k)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), digits=st.sampled_from([PREC, 100]), n=st.integers(1, 6))
+def test_relation_scans_are_the_mpf_loops_bit_for_bit(data, digits, n):
+    # Operands made at `digits`, scans at 60: with 100-digit operands every
+    # |v| and every exchange product is rounded, as the mpf operators round.
+    pool = _pool(digits)
+    a, b = _pool_matrix(data, n, pool), _pool_matrix(data, n, pool)
+    k = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n), label="k")
+    c = data.draw(st.sampled_from(pool), label="c")
+    with mp.workdps(PREC):
+        for m in (a, b, a @ b, a - b, a - a):
+            _same_scan(m._max_abs(), ref_max_abs(m.entries()))
+        raw_k = [x._mpf_ for x in k]
+        products = {}  # shared by every exchange, as in the relation check
+        for m in (a, b, a @ b):
+            _same_scan(m._diagonal_exchange(raw_k, c._mpf_, products),
+                       ref_max_abs(ref_diagonal_exchange(m, k, c)))
+            # c = None is c = 1: the int 1 of the mpf loop, or an mpf 1
+            want = ref_max_abs(ref_diagonal_exchange(m, k))
+            _same_scan(m._diagonal_exchange(raw_k, None, products), want)
+            _same_scan(m._diagonal_exchange(raw_k, mp.mpf(1)._mpf_, {}), want)
+            _same_scan(m._diagonal_exchange(raw_k, None, {}), want)

@@ -253,6 +253,27 @@ def test_eval_is_a_homomorphism(p1, p2):
         assert abs(lhs - rhs) <= scale * mp.mpf(10) ** (5 - PREC)
 
 
+def _double_loop(p1, p2):
+    # The product's terms as the plain double loop collects them, in order.
+    c = {}
+    for e1, v1 in p1.coeffs().items():
+        for e2, v2 in p2.coeffs().items():
+            nv = c.get(e1 + e2, 0) + v1 * v2
+            if nv:
+                c[e1 + e2] = nv
+            else:
+                c.pop(e1 + e2, None)
+    return list(c.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=small_laurents, e=st.integers(-6, 6), v=st.integers(-9, 9).filter(bool))
+def test_one_term_products_keep_the_double_loop_terms_and_order(p, e, v):
+    one = QLaurent({e: v})
+    for a, b in ((p, one), (one, p), (one, one), (p, p)):
+        assert list((a * b).coeffs().items()) == _double_loop(a, b)
+
+
 # -- exact division ----------------------------------------------------------
 
 def test_exact_division_roundtrip():
