@@ -40,8 +40,9 @@ from .gtrep import (
     GTTableau,
     _capped_weyl_dim,
     _check_dim_cap,
+    _exact_column,
+    _q_numbers,
     _tableaux,
-    exact_column,
     top_row,
     weyl_dim,
 )
@@ -114,6 +115,8 @@ def ln_conditions_filter(ell: int, N: int, weight, q,
     the stacked E_i, F_i columns (i < l) on that set is then computed by
     exact rank and must be spanned by single tableaux, which are returned
     in lexicographic order.  Nothing here assumes the closed-form shape.
+    Every column reads one exact q-number table, so each [z] is computed
+    once per call.
 
     With s_j the sum of row j (s_0 = 0), a_k = 2 s_k - s_(k-1) - s_(k+1), so
     the K conditions a_i = 0 (i < l) and sum_k k a_k = N l hold exactly
@@ -133,7 +136,8 @@ def ln_conditions_filter(ell: int, N: int, weight, q,
         if all(t.a(i) == 0 for i in range(1, ell))
         and sum(k * t.a(k) for k in range(1, ell + 1)) == N * ell
     ]
-    columns = [_condition_column(ell, t, qf) for t in selected]
+    qn = _q_numbers(qf)
+    columns = [_condition_column(ell, t, qn) for t in selected]
     zero_cols = [t for t, column in zip(selected, columns) if not column]
     kernel_dim = len(selected) - exact_rank(columns)
     if kernel_dim != len(zero_cols):
@@ -151,11 +155,12 @@ def _candidates(ell, N, weight) -> list:
     return [] if rest else _tableaux(top, s1)
 
 
-def _condition_column(ell, t, qf) -> dict:
-    """The stacked E_i and F_i columns (i < l) of one tableau, exactly."""
+def _condition_column(ell, t, qn) -> dict:
+    """The stacked E_i and F_i columns (i < l) of one tableau, exactly, with
+    [z] read from the q-number table `qn`."""
     return {(op, i, target): c
             for i in range(1, ell) for op in ("E", "F")
-            for target, c in exact_column(op, i, t, qf).items()}
+            for target, c in _exact_column(op, i, t, qn).items()}
 
 
 LineBundleBlock = namedtuple(
@@ -196,16 +201,17 @@ def ker_el_numeric(ell: int, N: int, n1_max: int, q,
 
     For each block, the E_l columns over the constrained tableaux are ranked
     exactly; the kernel on the constrained leg then multiplies the free-leg
-    dimension.
+    dimension.  The E_l columns of every block read one exact q-number table.
     """
     if n1_max < 0:
         raise ValueError("n1_max must be non-negative")
     _check_dim_cap(dim_cap)
     qf = parse_q(q)
+    qn = _q_numbers(qf)
     records = []
     for n1 in range(n1_max + 1):
         block = build_block(ell, N, n1, qf, dim_cap)
-        columns = [exact_column("E", ell, t, qf) for t in block.section_basis]
+        columns = [_exact_column("E", ell, t, qn) for t in block.section_basis]
         leg_kernel = len(columns) - exact_rank(columns)
         records.append(BlockKernel(
             ell, N, n1,

@@ -38,7 +38,8 @@ from mpmath import mp
 
 from .gtrep import _amplitude
 from .linalg import _Memo
-from .qarith import DEFAULT_PRECISION, QLaurent, check_precision, parse_q, q_int
+from .qarith import (
+    DEFAULT_PRECISION, QLaurent, _evaluator, check_precision, parse_q, q_int)
 
 __all__ = [
     "Cp1Block",
@@ -140,8 +141,9 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
     max(1, |cancelled term|) (x for the mixed identity, the right-hand side
     2y for the scalar one), because the q-integers grow like q^-n; the
     tolerance is 10^(-precision/2).  Each [z] is evaluated once per q and
-    reused by every row that needs it.  An empty grid raises ValueError, since
-    it would pass with nothing checked.
+    reused by every row that needs it, and each q-power term c q^e of the
+    [z] is computed once per q and reused by every [z] that has it.  An
+    empty grid raises ValueError, since it would pass with nothing checked.
     """
     precision = check_precision(precision)
     n_values, q_list = list(n_values), list(q_list)
@@ -153,7 +155,8 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
         tol = mp.mpf(10) ** (-(precision // 2))
     for q in q_list:
         qf = parse_q(q)
-        e = _Memo(lambda z: q_int(z).eval(qf, precision))
+        ev = _evaluator(qf, precision)
+        e = _Memo(lambda z: ev(q_int(z)))
         for n in n_values:
             n = int(n)
             if n < 0:

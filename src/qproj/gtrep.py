@@ -334,7 +334,11 @@ def exact_column(op, k, tableau, q) -> dict:
         raise ValueError("op must be E or F, got %r" % (op,))
     if not 1 <= k <= tableau.ell:
         raise ValueError("k must lie in 1..%d, got %d" % (tableau.ell, k))
-    qn = _q_numbers(parse_q(q))
+    return _exact_column(op, k, tableau, _q_numbers(parse_q(q)))
+
+
+def _exact_column(op, k, tableau, qn):
+    # `exact_column` with op and k checked and [z] read from the table `qn`.
     upper, row, lower = _window(tableau, k)
     step, other = (1, upper) if op == "E" else (-1, lower)
     out = {}

@@ -13,8 +13,11 @@ stay bit for bit those of the plain loop, for two reasons: the mpf functions
 are pure in (operands, precision, rounding), and mpf_add(fzero, p) is p for a
 p already rounded at that precision and rounding.  The inner loops of ``@``,
 ``+`` and ``-`` memoise in plain dicts (one product dict per left-hand value
-in ``@``); `_Memo` is the library's one memo class, which the GT build, the
-relation check, the qP^1 complex (its q-integers) and the cp2 identities use.
+in ``@``); `_Memo` is the library's one memo class, which the exact q-number
+tables of `gtrep` (one per GT build, per `exact_column` call, and per call of
+`bundles.ln_conditions_filter` and `bundles.ker_el_numeric`), the GT build,
+the relation check, the qP^1 complex (its q-integers), the cp2 identities
+(each [z] per q) and `qarith`'s evaluator (each q-power term c q^e) use.
 
 The scans of `gtrep.verify_relations` run here too, on raw mpmath.libmp
 tuples: `_max_abs` finds a matrix's first largest |v| with |v| taken once per
@@ -89,7 +92,8 @@ class SparseMatrix:
     def diagonal(cls, values):
         values = list(values)
         n = len(values)
-        return cls(n, n, {(i, i): v for i, v in enumerate(values) if v})
+        return cls._trusted(
+            n, n, {(i, i): v for i, v in enumerate(values) if v._mpf_ != fzero})
 
     def get(self, i, j):
         return self._d.get((i, j), mp.mpf(0))
@@ -115,9 +119,8 @@ class SparseMatrix:
 
     def scaled(self, c):
         scale = _Memo(lambda v: c * mp.make_mpf(v))
-        return SparseMatrix(
-            self.nrows, self.ncols, {k: scale[v._mpf_] for k, v in self._d.items()}
-        )
+        return SparseMatrix._trusted(self.nrows, self.ncols, {
+            k: p for k, v in self._d.items() if (p := scale[v._mpf_])._mpf_ != fzero})
 
     def _combine(self, other, negate):
         # self + other (or self - other, negating each entry of other at the

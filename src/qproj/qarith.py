@@ -19,6 +19,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
+from .linalg import _Memo
+
 MIN_PRECISION = 30
 DEFAULT_PRECISION = 60
 DEFAULT_Q = Fraction(1, 2)
@@ -292,15 +294,30 @@ class QLaurent:
         Guard digits are used internally so that the returned value differs
         from the true one by at most 10^(1-precision) * (1 + |true value|).
         """
-        qf = parse_q(q)
-        precision = check_precision(precision)
+        return _evaluator(q, precision)(self)
+
+
+def _evaluator(q, precision):
+    """The function that evaluates a QLaurent at q to `precision` digits:
+    its terms c q^e summed in ascending exponent order at precision + 10
+    digits, then rounded.  Each distinct term (c, e) is computed once for
+    the evaluator's life; a term is pure in (c, e) at that precision, so
+    every value is the plain term-by-term sum bit for bit."""
+    qf = parse_q(q)
+    precision = check_precision(precision)
+    with mp.workdps(precision + 10):
+        qv = mp.mpf(qf.numerator) / mp.mpf(qf.denominator)
+    terms = _Memo(lambda term: term[0] * qv**term[1])
+
+    def evaluate(p):
         with mp.workdps(precision + 10):
-            qv = mp.mpf(qf.numerator) / mp.mpf(qf.denominator)
             total = mp.mpf(0)
-            for e in sorted(self._c):
-                total += self._c[e] * qv**e
+            for e in sorted(p._c):
+                total += terms[p._c[e], e]
         with mp.workdps(precision):
             return +total
+
+    return evaluate
 
 
 def q_int(z: int) -> QLaurent:
@@ -314,7 +331,9 @@ def q_int(z: int) -> QLaurent:
         return QLaurent.zero()
     if z < 0:
         return -q_int(-z)
-    return QLaurent({e: 1 for e in range(1 - z, z, 2)})
+    out = QLaurent.__new__(QLaurent)
+    out._c = {e: 1 for e in range(1 - z, z, 2)}
+    return out
 
 
 def q_factorial(n: int) -> QLaurent:

@@ -22,6 +22,10 @@ from its own products.  `qproj.gtrep.verify_relations` evaluates the K checks
 entry by entry and shares the products of each generator pair; it must give
 the same names, residual bits and entries.
 
+`ref_eval` is the term-by-term evaluation of a QLaurent, every power q^e
+taken afresh, that `QLaurent.eval` must reproduce bit for bit from its
+memoised terms.
+
 `cp1_radicand` is the closed form c_l^2 = [l - N/2 + 1][l + N/2] of the
 qP^1 complex, written out with `q_int`.  `qproj.dolbeault` reads the same
 radicand from the GT amplitudes of F_1 instead, so every block is held
@@ -34,7 +38,7 @@ from mpmath import mp
 
 from qproj.gtrep import RelationCheck, raise_coeff
 from qproj.linalg import SparseMatrix
-from qproj.qarith import QLaurent, check_precision, q_int
+from qproj.qarith import QLaurent, check_precision, parse_q, q_int
 
 RankResult = namedtuple("RankResult", "rank ill_conditioned threshold sigmas")
 
@@ -196,3 +200,19 @@ def cp1_radicand(N, twol):
     if twol < abs(N) or (twol - N) % 2:
         return QLaurent.zero()
     return q_int((twol - N) // 2 + 1) * q_int((twol + N) // 2)
+
+
+def ref_eval(p, q, precision):
+    """p at a rational q as an mpf at `precision` digits: the terms c q^e
+    summed in ascending exponent order at precision + 10 digits, then
+    rounded."""
+    qf = parse_q(q)
+    precision = check_precision(precision)
+    coeffs = p.coeffs()
+    with mp.workdps(precision + 10):
+        qv = mp.mpf(qf.numerator) / mp.mpf(qf.denominator)
+        total = mp.mpf(0)
+        for e in sorted(coeffs):
+            total += coeffs[e] * qv**e
+    with mp.workdps(precision):
+        return +total

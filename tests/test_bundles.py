@@ -1,12 +1,13 @@
 """Line bundle blocks: constraint filter, shapes, kernel dimensions."""
 
+import collections
 import math
 from fractions import Fraction
 
 import pytest
 
 from oracles import apply_e, numeric_rank
-from qproj import bundles
+from qproj import bundles, gtrep
 from qproj.bundles import (
     block_weight,
     build_block,
@@ -24,7 +25,7 @@ from qproj.gtrep import (
     top_row,
     weyl_dim,
 )
-from qproj.linalg import SparseMatrix, exact_rank
+from qproj.linalg import SparseMatrix, _Memo, exact_rank
 
 Q = Fraction(1, 2)
 
@@ -190,6 +191,53 @@ def test_kernel_block_tables_are_pinned(ell, N, n1_max):
     assert total == (ker_el_combinatorial(ell, N) if N >= 0 else 0)
 
 
+class _CountingTable(_Memo):
+    """A q-number table that counts its lookups and its computed [z]."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.lookups = 0
+        self.computed = collections.Counter()
+
+    def __getitem__(self, z):
+        self.lookups += 1
+        return super().__getitem__(z)
+
+    def __missing__(self, z):
+        self.computed[z] += 1
+        return super().__missing__(z)
+
+
+def _count_q_number_tables(monkeypatch):
+    made = []
+    original = gtrep._q_numbers
+
+    def counting(qf):
+        made.append(_CountingTable(original(qf).f))
+        return made[-1]
+
+    monkeypatch.setattr(bundles, "_q_numbers", counting)
+    monkeypatch.setattr(gtrep, "_q_numbers", counting)
+    return made
+
+
+def test_filter_computes_each_q_number_once(monkeypatch):
+    made = _count_q_number_tables(monkeypatch)
+    assert ln_conditions_filter(3, 3, block_weight(3, 3, 2), Q)
+    (table,) = made
+    assert set(table.computed.values()) == {1}
+    assert table.lookups > 2 * len(table.computed)  # shared by the amplitudes
+
+
+def test_kernel_computes_each_q_number_once_per_table(monkeypatch):
+    made = _count_q_number_tables(monkeypatch)
+    records = ker_el_numeric(3, 6, 6, Q)
+    # one table per block filter, one for the E_l columns of all blocks
+    assert len(made) == len(records) + 1 == 8
+    assert all(set(t.computed.values()) <= {1} for t in made)
+    assert made[-1].lookups > 2 * len(made[-1].computed)
+
+
 def test_top_antiholomorphic_form_constraint_is_degree_ell_plus_one():
     # The scaling constraint q^(l(l+1)/2) of the top anti-holomorphic form
     # is the bundle condition at degree N = l + 1: the selected tableaux
@@ -264,7 +312,7 @@ def test_exact_ranks_match_numeric_oracle(ell, N, q):
             and sum(k * t.a(k) for k in range(1, ell + 1)) == N * ell
         ]
         assert exact_rank(
-            [bundles._condition_column(ell, t, q) for t in candidates]
+            [bundles._condition_column(ell, t, gtrep._q_numbers(q)) for t in candidates]
         ) == _oracle_rank([_orthonormal_condition_column(ell, t, q) for t in candidates])
         assert exact_rank(
             [exact_column("E", ell, t, q) for t in candidates]

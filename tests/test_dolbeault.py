@@ -180,6 +180,31 @@ def test_cp2_rows_are_pinned(nmax, q, precision):
     assert hashlib.sha256(text.encode()).hexdigest() == CP2_SHA256[(nmax, q, precision)]
 
 
+# sha256 of the rows "n q residual_mixed residual_scalar ok" of n = 0..130
+# over four q at each precision, each residual as the four integers of its
+# raw mpf tuple (sign, mantissa, exponent, bit count): every bit is pinned.
+CP2_RAW_SHA256 = {
+    30: "43190e928ec4e854243a0033ae582951b5603e7e0dc954e87fc3677384dc28c2",
+    60: "7cfa32730a4444e9746b5558ad89b3d2c685286e6d31c04914cb423f6a7ce361",
+    100: "65aba45e41e0520d8ecd64d26b41d1179014b36e3d611c36dc8e00fbf36bde99",
+}
+
+
+def _raw(x):
+    return "%d %d %d %d" % tuple(int(part) for part in x._mpf_)
+
+
+@pytest.mark.parametrize("precision", list(CP2_RAW_SHA256))
+def test_cp2_residual_bits_are_pinned(precision):
+    qs = [Q, Fraction(3, 4), Fraction(9, 10), Fraction(1, 3)]
+    rep = cp2_coefficient_identity(range(131), qs, precision)
+    text = "".join("%d %s %s %s %s\n" % (r.n, r.q, _raw(r.residual_mixed),
+                                          _raw(r.residual_scalar), r.ok)
+                   for r in rep.rows)
+    assert len(rep.rows) == 4 * 131
+    assert hashlib.sha256(text.encode()).hexdigest() == CP2_RAW_SHA256[precision]
+
+
 def test_cp2_rows_do_not_depend_on_the_other_q():
     # Each q of a grid gets the rows it gets alone.
     qs = [Q, Fraction(3, 4)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from oracles import ref_eval
 from qproj.qarith import (
     ExactnessError,
     QLaurent,
@@ -251,6 +252,18 @@ def test_eval_is_a_homomorphism(p1, p2):
         rhs = p1.eval(Q, PREC) * p2.eval(Q, PREC)
         scale = 1 + abs(lhs)
         assert abs(lhs - rhs) <= scale * mp.mpf(10) ** (5 - PREC)
+
+
+rational_qs = st.integers(2, 60).flatmap(
+    lambda r: st.integers(1, r - 1).map(lambda p: Fraction(p, r)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.dictionaries(st.integers(-40, 40), st.integers(-10**6, 10**6), max_size=12)
+       .map(QLaurent), q=rational_qs, precision=st.integers(30, 120))
+def test_eval_is_the_term_by_term_sum_bit_for_bit(p, q, precision):
+    got = p.eval(q, precision)
+    assert got._mpf_ == ref_eval(p, q, precision)._mpf_
 
 
 def _double_loop(p1, p2):
