@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from mpmath import mp
 
@@ -28,10 +27,6 @@ from .qarith import DEFAULT_PRECISION, DEFAULT_Q, check_precision, parse_q
 def _fmt(value):
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, Fraction):
-        return "%d/%d" % (value.numerator, value.denominator)
-    if isinstance(value, mp.mpf):
-        return mp.nstr(value, 8)
     return str(value)
 
 

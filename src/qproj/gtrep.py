@@ -488,12 +488,13 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
     a NaN, infinite or negative one is a ValueError.
 
     Each residual is bit for bit that of the plain matrix algebra, with
-    fewer products.  M K_j - c K_j M (M = E_i, F_i or K_i) is evaluated entry
-    by entry from K_j's diagonal: an entry m at (r, s) gives m k_s - c (k_r m),
-    the roundings of `@`, `scaled` and `-` (c = 1 is exact), memoised by
-    value (`SparseMatrix._diagonal_exchange`; the m k products are shared by
-    the exchanges and dropped before the brackets).  Every other residual is
-    the `SparseMatrix._max_abs` scan of its matrix.  The bracket's K side is
+    fewer products.  M K_j - c K_j M (M = E_i, F_i or K_i) is
+    `M._diagonal_exchange(K_j, c, products)`, which reads K_j's diagonal and
+    evaluates each entry m at (r, s) as m k_s - c (k_r m), with the roundings
+    of `@`, `scaled` and `-` (c = None is 1, exact), once per value; the m k
+    products are shared by the exchanges and dropped before the brackets.
+    Every other residual is the `SparseMatrix._max_abs` scan of its matrix.
+    Only `linalg` reads the stored entries.  The bracket's K side is
     one diagonal, one value per weight exponent.  The far and Serre checks of
     a pair i < j share M_i M_j and M_j M_i; M_i M_i is formed once per i.
     """
@@ -503,13 +504,12 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
         qs = mp.sqrt(qv)
         gens = range(1, mod.ell + 1)
         K, E, F = mod.K, mod.E, mod.F
-        diag = {j: [K[j].get(s, s)._mpf_ for s in range(mod.dim)] for j in gens}
         checks = []
         products = {}  # m k by raw pair, shared by the exchanges below
         for i in gens:
             for j in gens[i:]:
                 checks.append(RelationCheck("K%dK%d-K%dK%d" % (i, j, j, i),
-                                            *K[i]._diagonal_exchange(diag[j], None, products)))
+                                            *K[i]._diagonal_exchange(K[j], None, products)))
 
         # Each E relation and its F twin: the generator, and the scalar c of
         # K_j X_i, with its name, at |i - j| = 0 and 1 (c = 1 farther out).
@@ -521,7 +521,7 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
                     c, c_name = scalars.get(abs(i - j), (None, ""))
                     checks.append(RelationCheck(
                         "%s%dK%d-%sK%d%s%d" % (X, i, j, c_name, j, X, i),
-                        *M[i]._diagonal_exchange(diag[j], c and c._mpf_, products)))
+                        *M[i]._diagonal_exchange(K[j], c, products)))
         del products
 
         # (K_i^2 - K_i^-2)/(q - q^-1) at the entries q^(a/2) of K_i, per a.
@@ -576,6 +576,6 @@ def export_matrix(mod: IrrepModule, op: str, k: int) -> str:
         mod.ell, ",".join(map(str, mod.weight)), op, k,
         mod.q.numerator, mod.q.denominator, mod.precision)
     lines = [header]
-    for (i, j) in sorted(M._d):
-        lines.append("%d %d %s" % (i, j, mp.nstr(M._d[(i, j)], mod.precision)))
+    for (i, j), v in sorted(M.entries()):
+        lines.append("%d %d %s" % (i, j, mp.nstr(v, mod.precision)))
     return "\n".join(lines) + "\n"

@@ -1,29 +1,25 @@
 """Sparse matrices over arbitrary-precision floats, and the exact rank.
 
-Plumbing shared by the representation modules.  Matrices are immutable-ish
-dicts keyed by (row, col); all scalar entries are mpmath floats created under
-an explicit working precision.  Every rank decision in the library runs on
-exact rationals through `exact_rank`, on sparse {key: Fraction} rows, so the
-exact GT columns are ranked as they come, with no dense copy.
+Plumbing shared by the representation modules.  A `SparseMatrix` takes and
+gives mpf values but stores each nonzero entry as its raw mpmath.libmp tuple,
+in a dict keyed by (row, col); that stored form is this module's own, and no
+other module reads it.  Every rank decision in the library runs on exact
+rationals through `exact_rank`, on sparse {key: Fraction} rows, so the exact
+GT columns are ranked as they come, with no dense copy.
 
 The GT matrices hold few distinct values (the E matrices of (1,1,1,1) hold
-3,684 nonzeros but 103 values), so each sparse operation memoises its mpf
+3,684 nonzeros but 103 values), so each sparse operation memoises its
 arithmetic by operand value for the length of that one call.  The results
-stay bit for bit those of the plain loop, for two reasons: the mpf functions
-are pure in (operands, precision, rounding), and mpf_add(fzero, p) is p for a
-p already rounded at that precision and rounding.  The inner loops of ``@``,
-``+`` and ``-`` memoise in plain dicts (one product dict per left-hand value
-in ``@``); `_Memo` is the library's one memo class, which the exact q-number
-tables of `gtrep` (one per GT build, per `exact_column` call, and per call of
-`bundles.ln_conditions_filter` and `bundles.ker_el_numeric`), the GT build,
-the relation check, the qP^1 complex (its q-integers), the cp2 identities
-(each [z] per q) and `qarith`'s evaluator (each q-power term c q^e) use.
+stay bit for bit those of the plain mpf loop, for two reasons: the libmp
+functions are pure in (operands, precision, rounding), and mpf_add(fzero, p)
+is p for a p already rounded at that precision and rounding.  `_Memo` is the
+library's one memo class.
 
-The scans of `gtrep.verify_relations` run here too, on raw mpmath.libmp
-tuples: `_max_abs` finds a matrix's first largest |v| with |v| taken once per
-distinct value, and `_diagonal_exchange` evaluates M K - c K M from the
-diagonal of K once per distinct (m, k_r, k_s).  Both give the residual and
-the entry of the plain scan `abs(v) > worst` over the mpf entries.
+The scans of `gtrep.verify_relations` run here too: `_max_abs` finds a
+matrix's first largest |v| with |v| taken once per distinct value, and
+`_diagonal_exchange` evaluates M K - c K M from the diagonal of K once per
+distinct (m, k_r, k_s).  Both give the residual and the entry of the plain
+scan `abs(v) > worst` over the mpf entries.
 """
 
 from __future__ import annotations
@@ -64,42 +60,43 @@ def _first_largest(found):
 class SparseMatrix:
     """A (nrows x ncols) sparse matrix over mpf entries.
 
-    ``+``, ``-`` and ``@`` work on the raw mpmath.libmp tuples with the same
-    calls, precision, rounding and order as the mpf operators would, so their
-    results are the mpf ones bit for bit.  Within one call of ``@``, ``+``,
-    ``-`` or `scaled`, each distinct operand pair is multiplied, added or
-    scaled once: a memo by value cannot change a pure function's result.  The
-    first product in a cell of ``@`` is stored as it is, since adding it to
-    zero returns it unchanged.
+    ``_d`` maps (row, col) to the raw mpmath.libmp tuple of each nonzero
+    entry; the constructor, `diagonal`, `get` and `entries` convert at the
+    boundary (v._mpf_ in, mp.make_mpf out), so no bit changes either way.
+    ``+``, ``-``, ``@`` and `scaled` make the libmp calls of the mpf
+    operators, with the same precision, rounding and order, so their results
+    are the mpf ones bit for bit.  Within one call, each distinct operand pair
+    is multiplied, added or scaled once: a memo by value cannot change a pure
+    function's result.  The first product in a cell of ``@`` is stored as it
+    is, since adding it to zero returns it unchanged.
     """
 
     __slots__ = ("nrows", "ncols", "_d")
 
     def __init__(self, nrows, ncols, entries=None):
+        """`entries` is a {(i, j): mpf} dict; zero entries are dropped."""
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         d = {}
-        if entries:
-            items = entries.items() if hasattr(entries, "items") else entries
-            for (i, j), v in items:
-                if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-                    raise IndexError("entry (%d, %d) outside %dx%d" % (i, j, nrows, ncols))
-                if v:
-                    d[(i, j)] = v
+        for (i, j), v in (entries or {}).items():
+            if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+                raise IndexError("entry (%d, %d) outside %dx%d" % (i, j, nrows, ncols))
+            if v._mpf_ != fzero:
+                d[(i, j)] = v._mpf_
         self._d = d
 
     @classmethod
     def diagonal(cls, values):
-        values = list(values)
+        values = [v._mpf_ for v in values]
         n = len(values)
-        return cls._trusted(
-            n, n, {(i, i): v for i, v in enumerate(values) if v._mpf_ != fzero})
+        return cls._trusted(n, n, {(i, i): v for i, v in enumerate(values) if v != fzero})
 
     def get(self, i, j):
-        return self._d.get((i, j), mp.mpf(0))
+        return mp.make_mpf(self._d.get((i, j), fzero))
 
     def entries(self):
-        return self._d.items()
+        """((i, j), mpf) for each nonzero entry, in storage order."""
+        return ((k, mp.make_mpf(v)) for k, v in self._d.items())
 
     @property
     def nnz(self):
@@ -107,7 +104,7 @@ class SparseMatrix:
 
     @classmethod
     def _trusted(cls, nrows, ncols, d):
-        # Wrap a dict of in-bounds nonzero entries without re-validating it.
+        # Wrap a dict of in-bounds nonzero raw entries without re-validating it.
         m = cls.__new__(cls)
         m.nrows, m.ncols, m._d = nrows, ncols, d
         return m
@@ -118,28 +115,29 @@ class SparseMatrix:
         )
 
     def scaled(self, c):
-        scale = _Memo(lambda v: c * mp.make_mpf(v))
+        """c * self for an mpf c, each entry rounded as c * v rounds."""
+        prec, rnd = mp._prec_rounding
+        c = c._mpf_
+        scale = _Memo(lambda v: mpf_mul(c, v, prec, rnd))
         return SparseMatrix._trusted(self.nrows, self.ncols, {
-            k: p for k, v in self._d.items() if (p := scale[v._mpf_])._mpf_ != fzero})
+            k: p for k, v in self._d.items() if (p := scale[v]) != fzero})
 
     def _combine(self, other, negate):
         # self + other (or self - other, negating each entry of other at the
         # working precision first), keeping the insertion order of the dict.
         self._check_shape(other)
         prec, rnd = mp._prec_rounding
-        sums = {}  # (old, v) -> the stored sum as an mpf, or None where it is zero
+        sums = {}  # (old, v) -> their sum
         d = dict(self._d)
         for k, v in other._d.items():
-            old = d.get(k)
-            pair = fzero if old is None else old._mpf_, v._mpf_
-            nv = sums.get(pair, sums)
-            if nv is sums:  # a first meeting; a stored None is a zero sum
-                b = mpf_neg(pair[1], prec, rnd) if negate else pair[1]
-                nv = mpf_add(pair[0], b, prec, rnd)
-                nv = sums[pair] = None if nv == fzero else mp.make_mpf(nv)
-            if nv is not None:
+            old = d.get(k, fzero)
+            nv = sums.get((old, v))
+            if nv is None:
+                b = mpf_neg(v, prec, rnd) if negate else v
+                nv = sums[old, v] = mpf_add(old, b, prec, rnd)
+            if nv != fzero:
                 d[k] = nv
-            elif old is not None:
+            elif old != fzero:
                 del d[k]
         return SparseMatrix._trusted(self.nrows, self.ncols, d)
 
@@ -157,16 +155,15 @@ class SparseMatrix:
             )
         prec, rnd = mp._prec_rounding
         rows_of_b = {}
-        for (k, j), v in other._d.items():
-            rows_of_b.setdefault(k, []).append((j, v._mpf_))
+        for (k, j), b in other._d.items():
+            rows_of_b.setdefault(k, []).append((j, b))
         by_a = {}  # a -> {b: a*b}, one product dict per left-hand value
         sums = {}
         acc = {}
-        for (i, k), va in self._d.items():
+        for (i, k), a in self._d.items():
             row = rows_of_b.get(k)
             if row is None:
                 continue
-            a = va._mpf_
             products = by_a.get(a)
             if products is None:
                 products = by_a[a] = {}
@@ -185,15 +182,8 @@ class SparseMatrix:
                         s = sums[old, p] = mpf_add(old, p, prec, rnd)
                     acc[key] = s
         del rows_of_b, by_a, sums  # the memos go before the result is built
-        made = {}
-        d = {}
-        for key, v in acc.items():
-            if v != fzero:
-                m = made.get(v)
-                if m is None:
-                    m = made[v] = mp.make_mpf(v)
-                d[key] = m
-        return SparseMatrix._trusted(self.nrows, other.ncols, d)
+        return SparseMatrix._trusted(
+            self.nrows, other.ncols, {key: v for key, v in acc.items() if v != fzero})
 
     def _max_abs(self):
         """(|v|, position) of the first strictly largest |v| in storage order,
@@ -201,20 +191,22 @@ class SparseMatrix:
         entries, bit for bit, with |v| found once per distinct value."""
         prec, rnd = mp._prec_rounding
         found = {}
-        for pos, v in self._d.items():
-            m = v._mpf_
+        for pos, m in self._d.items():
             if m not in found:
                 found[m] = mpf_abs(m, prec, rnd), pos
         return _first_largest(found)
 
-    def _diagonal_exchange(self, k, c, products):
-        """`_max_abs` of M K - c K M for this M and K = diag(k), with k and c
-        raw tuples, evaluated entry by entry: m at (r, s) gives
+    def _diagonal_exchange(self, K, c, products):
+        """`_max_abs` of M K - c K M for this M and a diagonal K, with c an
+        mpf or None, evaluated entry by entry: m at (r, s) gives
         m k_s - c (k_r m) with the roundings of `@`, `scaled` and `-` (c = None
         is 1, whose product is exact).
         `products` memoises m k by raw pair across calls at one precision;
         k_r m is m k_r, since mpf_mul is commutative bit for bit."""
         prec, rnd = mp._prec_rounding
+        k = [K._d.get((s, s), fzero) for s in range(K.nrows)]
+        if c is not None:
+            c = c._mpf_
 
         def times(m, x):
             p = products.get((m, x))
@@ -223,8 +215,7 @@ class SparseMatrix:
             return p
 
         found = {}
-        for pos, v in self._d.items():
-            m = v._mpf_
+        for pos, m in self._d.items():
             r, s = pos
             key = m, k[r], k[s]
             if key not in found:

@@ -96,8 +96,7 @@ class QLaurent:
     def __init__(self, coeffs=None):
         c = {}
         if coeffs:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for e, v in items:
+            for e, v in coeffs.items():
                 if not isinstance(v, int):
                     raise TypeError("coefficients must be exact integers, got %r" % (v,))
                 e = int(e)

@@ -11,7 +11,8 @@ are stored, with no memo.
 
 `ref_max_abs` and `ref_diagonal_exchange` are the per-entry mpf loops that
 `SparseMatrix._max_abs` and `SparseMatrix._diagonal_exchange` run once per
-distinct value on raw tuples; the residual and its entry must agree.
+distinct value on raw tuples; the residual and its entry must agree.  Every
+oracle reads a matrix through its public `entries()`, as mpf values.
 
 `apply_e` is E_k on a tableau, entry by entry from the public, unmemoised
 `qproj.gtrep.raise_coeff`, so it shares no memo with the library's build.
@@ -88,8 +89,8 @@ def apply_e(k, tableau, q, precision):
 def ref_add(a, b, negate=False):
     """The entries of a + b, as a dict in storage order; with `negate`, of
     a - b, each entry of b negated at the working precision, then added."""
-    d = dict(a._d)
-    for k, v in b._d.items():
+    d = dict(a.entries())
+    for k, v in b.entries():
         nv = d.get(k, mp.mpf(0)) + (-v if negate else v)
         if nv:
             d[k] = nv
@@ -105,8 +106,8 @@ def ref_sub(a, b):
 def ref_matmul(a, b):
     """The entries of a @ b: each product rounded, then added to its cell."""
     acc = {}
-    for (i, k), va in a._d.items():
-        for (k2, j), vb in b._d.items():
+    for (i, k), va in a.entries():
+        for (k2, j), vb in b.entries():
             if k2 == k:
                 acc[(i, j)] = acc.get((i, j), mp.mpf(0)) + va * vb
     return {key: v for key, v in acc.items() if v}
@@ -114,7 +115,7 @@ def ref_matmul(a, b):
 
 def ref_scaled(a, c):
     """The entries of a.scaled(c)."""
-    return {k: p for k, v in a._d.items() if (p := c * v)}
+    return {k: p for k, v in a.entries() if (p := c * v)}
 
 
 def ref_max_abs(entries):

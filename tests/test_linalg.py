@@ -144,6 +144,7 @@ def _random_sparse(rng, n, nnz, digits):
 
 
 def _raw(d):
+    # an oracle's {key: mpf} dict as the (key, raw tuple) pairs `_d` stores
     return [(k, v._mpf_) for k, v in d.items()]
 
 
@@ -166,7 +167,7 @@ def test_sparse_arithmetic_is_the_mpf_loop_bit_for_bit(digits):
                  (c @ e, ref_matmul(c, e))]
         for got, want in cases:
             assert got.nnz == len(want)
-            assert _raw(got._d) == _raw(want)
+            assert list(got._d.items()) == _raw(want)
         assert (0, 0) not in (c @ e)._d and (c @ e).nnz == 3
         if digits == PREC:
             assert (a - a).nnz == 0
@@ -206,7 +207,7 @@ def test_memoised_kernels_are_the_mpf_loops_bit_for_bit(data, digits, n):
                  (a.scaled(c), ref_scaled(a, c)), (ab.scaled(c), ref_scaled(ab, c))]
         for got, want in cases:
             # the same keys in the same order, the same raw tuple in each
-            assert _raw(got._d) == _raw(want)
+            assert list(got._d.items()) == _raw(want)
         if digits == PREC:
             assert (a - a).nnz == 0
 
@@ -237,7 +238,7 @@ def test_all_zero_scans_give_zero_and_no_entry():
         # a diagonal commutes with a diagonal: every entry of M K - K M is 0
         k = [mp.mpf(2) / 3, mp.sqrt(2), mp.mpf(5)]
         m = SparseMatrix.diagonal([mp.mpf(1) / 7, -mp.pi, mp.mpf(3)])
-        got = m._diagonal_exchange([x._mpf_ for x in k], None, {})
+        got = m._diagonal_exchange(SparseMatrix.diagonal(k), None, {})
         assert got[0]._mpf_ == mp.mpf(0)._mpf_ and got[1] is None
         _same_scan(got, ref_max_abs(ref_diagonal_exchange(m, k)))
 
@@ -254,13 +255,13 @@ def test_relation_scans_are_the_mpf_loops_bit_for_bit(data, digits, n):
     with mp.workdps(PREC):
         for m in (a, b, a @ b, a - b, a - a):
             _same_scan(m._max_abs(), ref_max_abs(m.entries()))
-        raw_k = [x._mpf_ for x in k]
+        K = SparseMatrix.diagonal(k)
         products = {}  # shared by every exchange, as in the relation check
         for m in (a, b, a @ b):
-            _same_scan(m._diagonal_exchange(raw_k, c._mpf_, products),
+            _same_scan(m._diagonal_exchange(K, c, products),
                        ref_max_abs(ref_diagonal_exchange(m, k, c)))
             # c = None is c = 1: the int 1 of the mpf loop, or an mpf 1
             want = ref_max_abs(ref_diagonal_exchange(m, k))
-            _same_scan(m._diagonal_exchange(raw_k, None, products), want)
-            _same_scan(m._diagonal_exchange(raw_k, mp.mpf(1)._mpf_, {}), want)
-            _same_scan(m._diagonal_exchange(raw_k, None, {}), want)
+            _same_scan(m._diagonal_exchange(K, None, products), want)
+            _same_scan(m._diagonal_exchange(K, mp.mpf(1), {}), want)
+            _same_scan(m._diagonal_exchange(K, None, {}), want)
