@@ -23,8 +23,8 @@ q = Fraction(1, 2)
 print("Blocks of the degree-1 bundle over the quantum projective plane:")
 for n1 in range(3):
     w = block_weight(2, 1, n1)
-    got = ln_conditions_filter(2, 1, w, q)
-    shape = closed_form_section_tableaux(2, 1, w)
+    got = ln_conditions_filter(1, w, q)
+    shape = closed_form_section_tableaux(1, w)
     print("  n1=%d weight=%s constrained tableaux=%d matches closed form: %s"
           % (n1, w, len(got), got == shape))
 

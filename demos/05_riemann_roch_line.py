@@ -15,10 +15,11 @@ from qproj.dolbeault import cp1_euler_characteristic, cp2_coefficient_identity
 
 q = Fraction(1, 2)
 
-print("Euler characteristic of the degree-N bundle on the quantum line:")
+print("Euler characteristic of the degree-N bundle on the quantum line,")
+print("the same for every q in (0, 1):")
 print("  N    ker  coker  chi   stable")
 for N in range(-4, 5):
-    r = cp1_euler_characteristic(N, 8, q)
+    r = cp1_euler_characteristic(N, 8)
     print("  %+d    %-4d %-6d %+d    %s" % (N, r.dim_ker, r.dim_coker, r.chi, r.stable))
 print("  (chi = -N + 1 throughout)")
 

@@ -35,7 +35,7 @@ print("   membership still certified via a spanning tree: %s with %d pairs"
       % (cert.ok, len(cert.pairs)))
 
 print("\nTwisted coboundary checks on the toy q-commuting algebra (exact):")
-rep = twisted_coboundary_check(2, samples=25, seed=0)
+rep = twisted_coboundary_check(2, seed=0)
 print("   b_sigma^2 = 0 for every cochain, at %d tuples" % rep.tuples_checked)
 print("   lambda_sigma-invariance kept by b_sigma for every invariant cochain,"
       " at %d tuples" % rep.invariance_tuples)

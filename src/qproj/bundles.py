@@ -77,20 +77,18 @@ def block_weight(ell: int, N: int, n1: int) -> tuple:
     return (n1 - N,) + (0,) * (ell - 2) + (n1,)
 
 
-def closed_form_section_tableaux(ell: int, N: int, weight) -> list:
+def closed_form_section_tableaux(N: int, weight) -> list:
     """Closed-form candidates for the constrained tableaux of a block.
 
     The constrained tableau has every row below the top constant equal to m
-    and top row (m_{1,l+1}, m, ..., m, 2m - m_{1,l+1} - N).  For a fixed
-    (normalized) weight this pins everything down; the list is empty when the
-    weight is incompatible, and has one member otherwise.  This is the
-    independent cross-check route against `ln_conditions_filter`.
+    and top row (m_{1,l+1}, m, ..., m, 2m - m_{1,l+1} - N), l = len(weight).
+    For a fixed (normalized) weight this pins everything down; the list is
+    empty when the weight is incompatible, and has one member otherwise.  This
+    is the independent cross-check route against `ln_conditions_filter`.
     """
     top = top_row(weight)
     size = len(top)
-    if size - 1 != ell:
-        raise ValueError("weight has %d parts, expected %d" % (size - 1, ell))
-    if ell == 1:
+    if size == 2:  # l = 1
         twice_m = top[0] + N
         if twice_m % 2 or not 0 <= twice_m // 2 <= top[0]:
             return []
@@ -107,13 +105,12 @@ def closed_form_section_tableaux(ell: int, N: int, weight) -> list:
     return [t] if t.interlaces() else []
 
 
-def ln_conditions_filter(ell: int, N: int, weight, q,
-                         dim_cap: int = DEFAULT_DIM_CAP) -> list:
+def ln_conditions_filter(N: int, weight, q, dim_cap: int = DEFAULT_DIM_CAP) -> list:
     """Tableaux of one block satisfying all bundle conditions, via matrices.
 
     The diagonal (K) conditions select a candidate set; the joint kernel of
-    the stacked E_i, F_i columns (i < l) on that set is then computed by
-    exact rank and must be spanned by single tableaux, which are returned
+    the stacked E_i, F_i columns (i < l = len(weight)) on that set is then
+    computed by exact rank and must be spanned by single tableaux, returned
     in lexicographic order.  Nothing here assumes the closed-form shape.
     Every column reads one exact q-number table, so each [z] is computed
     once per call.
@@ -128,16 +125,15 @@ def ln_conditions_filter(ell: int, N: int, weight, q,
     _check_dim_cap(dim_cap)
     qf = parse_q(q)
     weight = tuple(int(n) for n in weight)
-    if len(weight) != ell:
-        raise ValueError("weight %r does not match ell=%d" % (weight, ell))
     _capped_weyl_dim(weight, dim_cap, "block weight")
+    ell = len(weight)
     selected = [
-        t for t in _candidates(ell, N, weight)
+        t for t in _candidates(N, weight)
         if all(t.a(i) == 0 for i in range(1, ell))
         and sum(k * t.a(k) for k in range(1, ell + 1)) == N * ell
     ]
     qn = _q_numbers(qf)
-    columns = [_condition_column(ell, t, qn) for t in selected]
+    columns = [_condition_column(t, qn) for t in selected]
     zero_cols = [t for t, column in zip(selected, columns) if not column]
     kernel_dim = len(selected) - exact_rank(columns)
     if kernel_dim != len(zero_cols):
@@ -147,19 +143,19 @@ def ln_conditions_filter(ell: int, N: int, weight, q,
     return sorted(zero_cols, key=GTTableau.flat)
 
 
-def _candidates(ell, N, weight) -> list:
+def _candidates(N, weight) -> list:
     """The tableaux of `weight` on the row-sum progression of the K
     conditions (see `ln_conditions_filter`)."""
     top = top_row(weight)
-    s1, rest = divmod(N + sum(top), ell + 1)
+    s1, rest = divmod(N + sum(top), len(top))
     return [] if rest else _tableaux(top, s1)
 
 
-def _condition_column(ell, t, qn) -> dict:
+def _condition_column(t, qn) -> dict:
     """The stacked E_i and F_i columns (i < l) of one tableau, exactly, with
     [z] read from the q-number table `qn`."""
     return {(op, i, target): c
-            for i in range(1, ell) for op in ("E", "F")
+            for i in range(1, t.ell) for op in ("E", "F")
             for target, c in _exact_column(op, i, t, qn).items()}
 
 
@@ -174,7 +170,7 @@ def build_block(ell: int, N: int, n1: int, q,
     """Constrained tableaux and free-leg dimension of one bundle block."""
     _check_dim_cap(dim_cap)
     weight = block_weight(ell, N, n1)
-    section = ln_conditions_filter(ell, N, weight, q, dim_cap)
+    section = ln_conditions_filter(N, weight, q, dim_cap)
     return LineBundleBlock(ell, N, n1, weight, section, weyl_dim(weight))
 
 

@@ -417,8 +417,9 @@ def b_sigma(algebra, sigma_eigs, phi, n: int):
     return out
 
 
-def lambda_sigma(algebra, sigma_eigs, phi, n: int):
-    """Twisted cyclic rotation of an n-cochain, as a callable."""
+def lambda_sigma(sigma_eigs, phi, n: int):
+    """Twisted cyclic rotation of an n-cochain, as a callable; it reads only
+    the sigma-eigenvalues, not the algebra's product."""
     lookup = _lookup(phi)
 
     def out(tup):
@@ -453,17 +454,15 @@ def _invariance_defect(algebra, sigma_eigs, tup, n):
     return {t: c for t, c in combo.items() if c}
 
 
-CoboundaryReport = namedtuple(
-    "CoboundaryReport",
-    "n cochains tuples_checked invariant_cochains invariance_tuples ok")
+CoboundaryReport = namedtuple("CoboundaryReport", "n tuples_checked invariance_tuples ok")
 
 # All tuples of a length are checked when there are at most this many,
 # otherwise _TUPLE_BUDGET // 5 random ones.
 _TUPLE_BUDGET = 2000
 
 
-def twisted_coboundary_check(n: int, samples: int = 50, seed: int = 0,
-                             algebra=None, sigma_factors=(Fraction(2, 3), Fraction(3, 2))
+def twisted_coboundary_check(n: int, seed: int = 0, algebra=None,
+                             sigma_factors=(Fraction(2, 3), Fraction(3, 2))
                              ) -> CoboundaryReport:
     """Exact checks of the twisted coboundary on the toy algebra.
 
@@ -474,14 +473,11 @@ def twisted_coboundary_check(n: int, samples: int = 50, seed: int = 0,
     sigma-invariant (full-turn-fixed) n-cochain phi, at the checked
     (n+2)-tuples.  The checked tuples of a length are all of them when there
     are at most 2000, otherwise 400 random ones drawn from `seed`; the RNG
-    draws nothing else.  No cochain is sampled: `samples` is echoed as
-    `cochains`, and max(3, samples // 10) as `invariant_cochains`.  All
-    arithmetic is exact; any nonzero coefficient fails the report.
+    draws nothing else, and no cochain is sampled.  All arithmetic is exact;
+    any nonzero coefficient fails the report.
     """
     if n < 0 or n > 4:
         raise ValueError("cochain degree n must lie in 0..4")
-    if samples < 1:
-        raise ValueError("need at least one sampled cochain, got samples=%d" % samples)
     algebra = default_toy_algebra() if algebra is None else algebra
     sigma = algebra.scaling_automorphism(sigma_factors)
     rng = random.Random(seed)
@@ -497,5 +493,4 @@ def twisted_coboundary_check(n: int, samples: int = 50, seed: int = 0,
     inv_tuples = evaluation_tuples(n + 2)
     ok = not any(_double_coboundary(algebra, sigma, t, n) for t in bsq_tuples)
     ok = ok and not any(_invariance_defect(algebra, sigma, t, n) for t in inv_tuples)
-    return CoboundaryReport(n, samples, len(bsq_tuples), max(3, samples // 10),
-                            len(inv_tuples), ok)
+    return CoboundaryReport(n, len(bsq_tuples), len(inv_tuples), ok)

@@ -14,8 +14,10 @@ with the q-integers `q_int`, an exact Laurent polynomial.  Kernel and cokernel
 are computed blockwise: a block c_l I has full rank precisely when it is
 nonzero.  The only targets that can fail to be covered are target blocks with
 no source block at all (l below |N|/2), which are identified structurally, so
-no truncation-edge artifacts arise.  The resulting Euler characteristic is
--N + 1, the quantum switch of the sign of N relative to the classical count.
+no truncation-edge artifacts arise.  No [z], z != 0, vanishes on (0, 1), so
+no rank depends on q, and the complex is built without one.  The resulting
+Euler characteristic is -N + 1, the quantum switch of the sign of N relative
+to the classical count.
 
 For the plane: only the two scalar consequences of the explicit degree-2
 operator computation are verified, as q-number radical identities
@@ -61,12 +63,11 @@ EulerResult = namedtuple("EulerResult", "N l_max dim_ker dim_coker chi stable bl
 
 # The truncated two-term complex L_N -> L_{N-2} on the projective line, held
 # as its exact blocks.
-TruncatedComplex = namedtuple("TruncatedComplex", "N l_max q blocks")
+TruncatedComplex = namedtuple("TruncatedComplex", "N l_max blocks")
 
 
-def cp1_dolbeault_matrix(N: int, l_max, q) -> TruncatedComplex:
+def cp1_dolbeault_matrix(N: int, l_max) -> TruncatedComplex:
     """Build the truncated degree-N complex up to spin l_max."""
-    qf = parse_q(q)
     l_max = Fraction(l_max)
     if l_max < Fraction(abs(N), 2):
         raise ValueError("l_max must be at least |N|/2")
@@ -88,7 +89,7 @@ def cp1_dolbeault_matrix(N: int, l_max, q) -> TruncatedComplex:
             dim_source=twol + 1 if in_source else 0,
             dim_target=twol + 1 if in_target else 0,
             radicand=radicand))
-    return TruncatedComplex(N, l_max, qf, blocks)
+    return TruncatedComplex(N, l_max, blocks)
 
 
 def _euler_counts(blocks):
@@ -105,7 +106,7 @@ def _euler_counts(blocks):
     return ker, coker, ker - coker
 
 
-def cp1_euler_characteristic(N: int, l_max, q) -> EulerResult:
+def cp1_euler_characteristic(N: int, l_max) -> EulerResult:
     """Kernel, cokernel and Euler characteristic of the truncated complex.
 
     Stability is checked by recomputing at l_max - 1, from the blocks with
@@ -113,10 +114,9 @@ def cp1_euler_characteristic(N: int, l_max, q) -> EulerResult:
     those); a change in the characteristic flips `stable` off instead of
     being silently accepted.
     """
-    qf = parse_q(q)
     if Fraction(l_max) < Fraction(abs(N), 2) + 2:
         raise ValueError("l_max must leave a stability margin of at least 2")
-    blocks = cp1_dolbeault_matrix(N, l_max, qf).blocks
+    blocks = cp1_dolbeault_matrix(N, l_max).blocks
     ker, coker, chi = _euler_counts(blocks)
     cap = int(2 * (Fraction(l_max) - 1))
     chi_prev = _euler_counts([b for b in blocks if b.twol <= cap])[2]

@@ -8,7 +8,7 @@ by :class:`QLaurent`; no rounding ever happens on this tier.
 
 Square roots force a second, numeric tier: evaluating a QLaurent at a fixed
 rational 0 < q < 1 produces an arbitrary-precision mpmath float computed
-under an explicit working precision (at least 30 decimal digits, default 60).
+under an explicit working precision (30 to 4000 decimal digits, default 60).
 These "q-scalars" are ordinary ``mpmath.mpf`` values; every function that
 creates them takes the precision explicitly so results are reproducible.
 """
@@ -22,6 +22,7 @@ from mpmath import mp
 from .linalg import _Memo
 
 MIN_PRECISION = 30
+MAX_PRECISION = 4000  # mp.nstr near 10^-4300 hits CPython's int-to-str limit
 DEFAULT_PRECISION = 60
 DEFAULT_Q = Fraction(1, 2)
 
@@ -37,6 +38,7 @@ __all__ = [
     "ExactnessError",
     "NegativeRadicandError",
     "MIN_PRECISION",
+    "MAX_PRECISION",
     "DEFAULT_PRECISION",
     "DEFAULT_Q",
 ]
@@ -57,17 +59,16 @@ class NegativeRadicandError(ArithmeticError):
 def parse_q(q) -> Fraction:
     """Normalize a deformation parameter to an exact Fraction in (0, 1).
 
-    Accepts a Fraction, a "p/r" string, or a (p, r) tuple.  Floats are
-    rejected: the parameter enters exact arithmetic and must be exact.
+    Accepts a Fraction or a "p/r" string.  Floats are rejected: the
+    parameter enters exact arithmetic and must be exact.
     """
     if isinstance(q, str):
-        q = Fraction(q)
-    elif isinstance(q, tuple):
-        q = Fraction(*q)
+        try:
+            q = Fraction(q)
+        except ZeroDivisionError:
+            raise ValueError("q has a zero denominator: %r" % q) from None
     elif not isinstance(q, Fraction):
-        raise TypeError(
-            "q must be a Fraction, a 'p/r' string or a (p, r) tuple, got %r" % (q,)
-        )
+        raise TypeError("q must be a Fraction or a 'p/r' string, got %r" % (q,))
     if not 0 < q < 1:
         raise ValueError("q must lie strictly between 0 and 1, got %s" % q)
     return q
@@ -80,6 +81,9 @@ def check_precision(precision) -> int:
             "working precision must be at least %d digits, got %d"
             % (MIN_PRECISION, precision)
         )
+    if precision > MAX_PRECISION:
+        raise ValueError("working precision must be at most %d digits, got %d"
+                         % (MAX_PRECISION, precision))
     return precision
 
 

@@ -51,13 +51,13 @@ def test_block_weight_validation():
 # -- the constraint filter ---------------------------------------------------------
 
 def test_filter_trivial_bundle_constant_section():
-    got = ln_conditions_filter(2, 0, (0, 0), Q)
+    got = ln_conditions_filter(0, (0, 0), Q)
     assert len(got) == 1
     assert got[0].rows == ((0, 0, 0), (0, 0), (0,))
 
 
 def test_filter_degree_one_shape():
-    got = ln_conditions_filter(2, 1, (0, 1), Q)
+    got = ln_conditions_filter(1, (0, 1), Q)
     assert len(got) == 1
     t = got[0]
     # constant lower triangle, top row (m_{1,3}, m, 2m - m_{1,3} - N)
@@ -67,8 +67,8 @@ def test_filter_degree_one_shape():
 def test_filter_equals_shape_enumeration_degree_two():
     weight = block_weight(2, 2, 1)
     assert weight == (1, 3)
-    filtered = ln_conditions_filter(2, 2, weight, Q)
-    shaped = closed_form_section_tableaux(2, 2, weight)
+    filtered = ln_conditions_filter(2, weight, Q)
+    shaped = closed_form_section_tableaux(2, weight)
     assert filtered == shaped and len(filtered) == 1
 
 
@@ -77,8 +77,8 @@ def test_filter_equals_shape_enumeration_degree_two():
 def test_filter_equals_shape_enumeration_sweep(ell, N):
     for n1 in range(3):
         weight = block_weight(ell, N, n1)
-        filtered = ln_conditions_filter(ell, N, weight, Q)
-        shaped = closed_form_section_tableaux(ell, N, weight)
+        filtered = ln_conditions_filter(N, weight, Q)
+        shaped = closed_form_section_tableaux(N, weight)
         assert filtered == shaped
         assert len(filtered) == 1  # one constrained tableau per block
 
@@ -102,20 +102,20 @@ def test_pruned_descent_is_the_k_filtered_enumeration(ell):
             for w in (weight, weight[:-1] + (weight[-1] + 1,)):
                 indivisible += (N + sum(top_row(w))) % (ell + 1) != 0
                 full = [t for t in enumerate_tableaux(w) if _k_conditions_hold(ell, N, t)]
-                assert bundles._candidates(ell, N, w) == full, (N, w)
+                assert bundles._candidates(N, w) == full, (N, w)
     assert indivisible == 11 * (3 if ell == 4 else 6)
 
 
 def test_filter_off_block_weight_is_empty():
     # A weight outside the block family carries no constrained tableau.
-    assert ln_conditions_filter(2, 1, (1, 1), Q) == []
+    assert ln_conditions_filter(1, (1, 1), Q) == []
 
 
 def test_non_positive_dim_cap_is_rejected():
     weight = block_weight(2, 1, 0)
     for cap in (0, -1):
         message = "dim_cap must be at least 1, got %d" % cap
-        for call in (lambda: ln_conditions_filter(2, 1, weight, Q, dim_cap=cap),
+        for call in (lambda: ln_conditions_filter(1, weight, Q, dim_cap=cap),
                      lambda: build_block(2, 1, 0, Q, dim_cap=cap),
                      lambda: ker_el_numeric(2, 1, 0, Q, dim_cap=cap),
                      lambda: build_irrep(weight, Q, dim_cap=cap)):
@@ -223,7 +223,7 @@ def _count_q_number_tables(monkeypatch):
 
 def test_filter_computes_each_q_number_once(monkeypatch):
     made = _count_q_number_tables(monkeypatch)
-    assert ln_conditions_filter(3, 3, block_weight(3, 3, 2), Q)
+    assert ln_conditions_filter(3, block_weight(3, 3, 2), Q)
     (table,) = made
     assert set(table.computed.values()) == {1}
     assert table.lookups > 2 * len(table.computed)  # shared by the amplitudes
@@ -246,7 +246,7 @@ def test_top_antiholomorphic_form_constraint_is_degree_ell_plus_one():
         N = ell + 1
         for n1 in (0, 1):
             weight = block_weight(ell, N, n1)
-            for t in ln_conditions_filter(ell, N, weight, Q):
+            for t in ln_conditions_filter(N, weight, Q):
                 assert sum(k * t.a(k) for k in range(1, ell + 1)) == ell * (ell + 1)
 
 
@@ -262,9 +262,9 @@ def test_block_record_shape():
 def test_block_cap_raises_in_filter_and_block():
     weight = block_weight(2, 1, 2)
     cap = weyl_dim(weight)
-    assert ln_conditions_filter(2, 1, weight, Q, dim_cap=cap)
+    assert ln_conditions_filter(1, weight, Q, dim_cap=cap)
     with pytest.raises(DimensionCapError):
-        ln_conditions_filter(2, 1, weight, Q, dim_cap=cap - 1)
+        ln_conditions_filter(1, weight, Q, dim_cap=cap - 1)
     with pytest.raises(DimensionCapError):
         build_block(2, 1, 2, Q, dim_cap=cap - 1)
     with pytest.raises(DimensionCapError):
@@ -312,7 +312,7 @@ def test_exact_ranks_match_numeric_oracle(ell, N, q):
             and sum(k * t.a(k) for k in range(1, ell + 1)) == N * ell
         ]
         assert exact_rank(
-            [bundles._condition_column(ell, t, gtrep._q_numbers(q)) for t in candidates]
+            [bundles._condition_column(t, gtrep._q_numbers(q)) for t in candidates]
         ) == _oracle_rank([_orthonormal_condition_column(ell, t, q) for t in candidates])
         assert exact_rank(
             [exact_column("E", ell, t, q) for t in candidates]

@@ -215,6 +215,60 @@ def test_coboundary_check_rejects_no_samples(capsys):
         {"error": "need at least one sampled cochain, got samples=-5"}]
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_samples_below_one_rejected(capsys, samples):
+    # The CLI checks --samples after the cochain degree.
+    code, report = run_json(capsys, "coboundary-check", "--n", "0",
+                            "--samples", str(samples))
+    assert code == 1 and report["results"] == [
+        {"error": "need at least one sampled cochain, got samples=%d" % samples}]
+    code, report = run_json(capsys, "coboundary-check", "--n", "5",
+                            "--samples", str(samples))
+    assert code == 1 and report["results"] == [
+        {"error": "cochain degree n must lie in 0..4"}]
+
+
+@pytest.mark.parametrize("samples", [1, 5, 29, 30, 50])
+def test_invariant_cochains_echoes_samples(capsys, samples):
+    # --samples only sets the two echoed columns: every one of the 6^4
+    # tuples of length 4 is checked whatever its value.
+    code, report = run_json(capsys, "coboundary-check", "--n", "1",
+                            "--samples", str(samples))
+    assert code == 0 and report["config"]["samples"] == samples
+    assert report["results"] == [{"n": 1, "cochains": samples, "tuples_checked": 6**4,
+                                  "invariant_cochains": max(3, samples // 10),
+                                  "ok": True}]
+
+
+@pytest.mark.parametrize("ell", ["0", "-1"])
+def test_ring_dims_rejects_ell_below_one(capsys, ell):
+    # One message for every ell < 1, checked before either count.
+    code, report = run_json(capsys, "ring-dims", "--ell", ell, "--Nmax", "2")
+    assert code == 1 and not report["pass"]
+    assert report["results"] == [{"error": "--ell must be at least 1, got %s" % ell}]
+
+
+@pytest.mark.parametrize("argv", [
+    ("cp2-identity", "--nmax", "0"),
+    ("irrep", "--ell", "1", "--n", "1"),
+    ("euler-cp1", "--N", "0"),
+])
+def test_precision_above_the_ceiling_is_rejected(capsys, argv):
+    # Every subcommand checks the ceiling before it computes anything.
+    code, report = run_json(capsys, *argv, "--precision", "4001")
+    assert code == 1 and report["config"] == {}
+    assert report["results"] == [
+        {"error": "working precision must be at most 4000 digits, got 4001"}]
+    code, report = run_json(capsys, *argv, "--precision", "4000")
+    assert code == 0 and report["config"]["precision"] == 4000
+
+
+def test_q_with_a_zero_denominator_is_reported(capsys):
+    code, report = run_json(capsys, "euler-cp1", "--N", "0", "--q", "1/0")
+    assert code == 1 and not report["pass"]
+    assert report["results"] == [{"error": "q has a zero denominator: '1/0'"}]
+
+
 def test_irrep_export(tmp_path, capsys):
     out = tmp_path / "mats"
     code, report = run_json(capsys, "irrep", "--ell", "1", "--n", "2",

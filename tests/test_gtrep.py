@@ -334,7 +334,7 @@ def test_a_dimension_far_above_the_cap_fails_fast():
     # tens of seconds, the logarithmic bound a fraction of one.
     weight = (1,) * 1100
     calls = [lambda: build_irrep(weight, Q, PREC, dim_cap=5000),
-             lambda: ln_conditions_filter(1100, 0, weight, Q, dim_cap=5000)]
+             lambda: ln_conditions_filter(0, weight, Q, dim_cap=5000)]
     for call in calls:
         start = time.perf_counter()
         with pytest.raises(DimensionCapError) as info:

@@ -3,9 +3,10 @@
 Each `src/qproj` module is parsed with `ast`.  A name a module imports must be
 read somewhere in that module; the package `__init__` imports only to
 re-export, so it is exempt.  A private function or method (one leading
-underscore, not a dunder) must be referenced somewhere in `src/qproj`.  The
-library keeps one per-call memo, `linalg._Memo`: no other class defines
-`__missing__` or subclasses `dict`.
+underscore, not a dunder) must be referenced somewhere in `src/qproj`, and
+every parameter of every function and lambda must be read in its body
+(`self` and `cls` exempt).  The library keeps one per-call memo,
+`linalg._Memo`: no other class defines `__missing__` or subclasses `dict`.
 """
 
 import ast
@@ -65,3 +66,30 @@ def test_memo_is_the_only_dict_subclass():
                         or any(isinstance(f, ast.FunctionDef) and f.name == "__missing__"
                                for f in node.body)))
     assert memos == ["linalg.py: _Memo"]
+
+
+def _unread_parameters(tree):
+    """(function name, parameter) for each parameter its body never reads;
+    `self` and `cls` are exempt."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        for param in params:
+            if param not in read and param not in ("self", "cls"):
+                yield name, param
+
+
+def test_every_parameter_is_read():
+    # A parameter that no body reads changes no result, so it only doubles
+    # the configurations a caller can pass.
+    unread = sorted("%s: %s(%s)" % (module, name, param)
+                    for module, tree in TREES.items()
+                    for name, param in _unread_parameters(tree))
+    assert unread == []

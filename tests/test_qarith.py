@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from oracles import ref_eval
+from qproj import dolbeault, gtrep, qarith
 from qproj.qarith import (
     ExactnessError,
     QLaurent,
+    check_precision,
+    guarded_sqrt,
     parse_q,
     q_binomial,
     q_factorial,
@@ -239,6 +242,34 @@ def test_eval_rejects_bad_q():
 def test_eval_precision_floor():
     with pytest.raises(ValueError):
         q_int(2).eval(Q, 10)
+
+
+def test_precision_ceiling_holds_at_every_entry_point():
+    assert check_precision(qarith.MAX_PRECISION) == qarith.MAX_PRECISION == 4000
+    message = "at most 4000 digits, got 4001"
+    for call in (lambda: check_precision(4001),
+                 lambda: q_int(2).eval(Q, 4001),
+                 lambda: guarded_sqrt(2, 4001),
+                 lambda: gtrep.raise_coeff(1, 1, gtrep.GTTableau(((1, 0), (0,))), Q, 4001),
+                 lambda: gtrep.build_irrep((1,), Q, 4001),
+                 lambda: dolbeault.cp2_coefficient_identity([0], [Q], 4001)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0"])
+def test_zero_denominator_is_a_value_error_quoting_the_input(text):
+    with pytest.raises(ValueError) as info:
+        parse_q(text)
+    assert str(info.value) == "q has a zero denominator: %r" % text
+    assert not isinstance(info.value, ZeroDivisionError)
+
+
+def test_q_formats_are_a_fraction_or_a_string():
+    assert parse_q("3/4") == parse_q(Fraction(3, 4)) == Fraction(3, 4)
+    for q in ((3, 4), 0.75, 3):
+        with pytest.raises(TypeError, match="a Fraction or a 'p/r' string"):
+            parse_q(q)
 
 
 small_laurents = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5).map(QLaurent)
