@@ -253,7 +253,7 @@ def build_parser():
     p.add_argument("--N", type=int, required=True, help="degree of the left factor")
     p = command("euler-cp1", cmd_euler_cp1, "Euler characteristic on the quantum line")
     p.add_argument("--N", type=int, nargs="+", required=True)
-    p.add_argument("--lmax", type=int, default=8)
+    p.add_argument("--lmax", type=int, default=8, help="largest spin (at most 128)")
     p = command("cp2-identity", cmd_cp2_identity, "degree-2 coefficient identities")
     p.add_argument("--nmax", type=int, default=20)
     command("shuffle-certificate", cmd_shuffle_certificate, "two-chain cocycle certificate",

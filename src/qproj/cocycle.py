@@ -15,15 +15,17 @@ pairs form a spanning tree of the patterns, read off two chains
 partitioning all patterns, plus one bridge pi_r ~ pi'_kappa.  The
 coefficients are read off the tree by peeling leaves, with no linear solve:
 the pair (a, b) carries m times the number of patterns beyond it, signed by
-which end those patterns hang from.  The chains are found by one exhaustive
+which end those patterns hang from.  The chains are found by one budgeted
 depth-first search over the sequence chain1 + chain2 with lexicographic
 tie-breaking and the bridge fixed at kappa = 2 (kappa = 1 when r = 1),
 because that placement makes the solved coefficients match the closed form
 x_i = -(2r-i)m with a single sign absorption at x_{r+1}.  The bridge is
 tested as soon as position kappa of chain2 is filled, so no subtree that
-cannot hold it is entered.  The search recurses once per placed pattern, so
-from l = 7 (2r = 3432) it can pass Python's recursion limit; it then raises
-ChainSearchError, as it does when the search space is exhausted.
+cannot hold it is entered.  The search runs on an explicit stack and ends by
+one rule, a budget of placed patterns (`_NODE_BUDGET`); at odd l >= 5 it
+raises ChainSearchError when the budget runs out (a Hamilton
+path of the flip graph exists exactly at odd l, by Eades, Hickey and Read,
+JACM 31 (1984), so it is this kappa = 2 search that fails there).
 
 The flip graph is bipartite (an adjacent transposition moves one '1' by one
 position) and a path alternates parity classes, so two r-vertex chains can
@@ -53,7 +55,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -127,18 +128,25 @@ class ChainSearchError(RuntimeError):
 Chains = namedtuple("Chains", "chain1 chain2 bridge")
 
 
+# The chain search gives up after placing this many patterns.  l = 1, 2, 3
+# need 1, 5 and 46; at l = 5 none of 200,000 placements completes a partition.
+_NODE_BUDGET = 2000
+
+
 def build_chains(ell: int) -> Chains:
     """Partition all patterns into two adjacent-transposition chains.
 
     chain1 starts at '0'^l '1'^l, chain2 at '1'^l '0'^l, each of length
     r = binom(2l, l)/2; `bridge` is the 1-based position kappa in chain2
-    adjacent to the end of chain1, always 2 (1 when r = 1).  One exhaustive
-    depth-first search over chain1 + chain2, lexicographic tie-breaking, the
-    bridge tested as soon as its position is filled.
+    adjacent to the end of chain1, always 2 (1 when r = 1).  One depth-first
+    search over chain1 + chain2 on an explicit stack of neighbour iterators,
+    lexicographic tie-breaking, the bridge tested as soon as its position is
+    filled.
 
     Raises ChainSearchError when the partition provably cannot exist (parity
-    certificate, any even l >= 4), or when the search is exhausted or passes
-    Python's recursion limit (it nests one call per placed pattern).
+    certificate, any even l >= 4), or when the search space or the budget of
+    placed patterns runs out first (odd l >= 5); the message names l, r and
+    the patterns placed.
     """
     patterns = enumerate_shuffles(ell)
     r = len(patterns) // 2
@@ -157,36 +165,30 @@ def build_chains(ell: int) -> Chains:
     start2 = "1" * ell + "0" * ell
     nbr = {p: tuple(flip_neighbors(p)) for p in patterns}
 
-    def search(seq, used):
-        # One depth-first search over chain1 + chain2: positions 1..r are
-        # chain1, r+1..2r chain2, which restarts at start2.  The bridge is
-        # tested as soon as its chain2 position is filled.
-        depth = len(seq)
-        if depth == r + kappa and seq[-1] not in nbr[seq[r - 1]]:
-            return None
-        if depth == 2 * r:
-            return Chains(tuple(seq[:r]), tuple(seq[r:]), kappa)
-        for p in (start2,) if depth == r else nbr[seq[-1]]:
-            if p not in used and (p != start2 or depth == r):
-                used.add(p)
-                seq.append(p)
-                res = search(seq, used)
-                if res:
-                    return res
-                seq.pop()
-                used.remove(p)
-        return None
+    def moves(seq):
+        # Positions 1..r are chain1, r+1..2r chain2, which restarts at start2.
+        return iter((start2,) if len(seq) == r else nbr[seq[-1]])
 
-    try:
-        res = search([start1], {start1})
-    except RecursionError:
-        raise ChainSearchError(
-            "chain search for ell=%d needs up to 2r=%d nested calls and passed "
-            "the recursion limit %d" % (ell, 2 * r, sys.getrecursionlimit())) from None
-    if res:
-        return res
+    seq, used, nodes = [start1], {start1}, 0
+    stack = [moves(seq)]
+    while stack and nodes < _NODE_BUDGET:
+        p = next(stack[-1], None)
+        if p is None:
+            stack.pop()
+            used.remove(seq.pop())
+        elif p not in used and (p != start2 or len(seq) == r):
+            nodes += 1
+            seq.append(p)
+            if len(seq) == r + kappa and p not in nbr[seq[r - 1]]:
+                seq.pop()
+            elif len(seq) == 2 * r:
+                return Chains(tuple(seq[:r]), tuple(seq[r:]), kappa)
+            else:
+                used.add(p)
+                stack.append(moves(seq))
     raise ChainSearchError(
-        "chain search exhausted for ell=%d without finding a partition" % ell)
+        "chain search for ell=%d (r=%d) found no partition in %d nodes (budget %d)"
+        % (ell, r, nodes, _NODE_BUDGET))
 
 
 def chain_edges(chains: Chains) -> list:

@@ -44,6 +44,7 @@ from .qarith import (
     DEFAULT_PRECISION, QLaurent, _evaluator, check_precision, parse_q, q_int)
 
 __all__ = [
+    "MAX_LMAX",
     "Cp1Block",
     "TruncatedComplex",
     "cp1_dolbeault_matrix",
@@ -53,6 +54,10 @@ __all__ = [
     "Cp2Report",
 ]
 
+
+# The largest l_max of the qP^1 complex: its radicands are full Laurent
+# products, so a build is cubic in l_max.
+MAX_LMAX = 128
 
 # `radicand` is the exact [l - N/2 + 1][l + N/2], read from the GT amplitudes
 # of F_1 (zero for a source-free block); the coefficient c_l is its root.
@@ -67,10 +72,12 @@ TruncatedComplex = namedtuple("TruncatedComplex", "N l_max blocks")
 
 
 def cp1_dolbeault_matrix(N: int, l_max) -> TruncatedComplex:
-    """Build the truncated degree-N complex up to spin l_max."""
+    """Build the truncated degree-N complex up to spin l_max <= MAX_LMAX."""
     l_max = Fraction(l_max)
     if l_max < Fraction(abs(N), 2):
         raise ValueError("l_max must be at least |N|/2")
+    if l_max > MAX_LMAX:
+        raise ValueError("l_max must be at most %d, got %s" % (MAX_LMAX, l_max))
     twol_cap = int(2 * l_max)
     src_min, tgt_min = abs(N), abs(N - 2)
     qn = _Memo(q_int)

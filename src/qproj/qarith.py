@@ -212,24 +212,15 @@ class QLaurent:
             return out
         if not isinstance(other, QLaurent):
             return NotImplemented
-        a, b = self._c, other._c
-        if len(a) == 1:  # a one-term factor shifts and scales the other's terms
-            a, b = b, a
-        if len(b) == 1:
-            # The dict the double loop would build, in its order: with one
-            # term (e2, v2) no two exponents e1 + e2 collide.
-            (e2, v2), = b.items()
-            c = {e1 + e2: v1 * v2 for e1, v1 in a.items()}
-        else:
-            c = {}
-            for e1, v1 in a.items():
-                for e2, v2 in b.items():
-                    e = e1 + e2
-                    nv = c.get(e, 0) + v1 * v2
-                    if nv:
-                        c[e] = nv
-                    elif e in c:
-                        del c[e]
+        c = {}
+        for e1, v1 in self._c.items():
+            for e2, v2 in other._c.items():
+                e = e1 + e2
+                nv = c.get(e, 0) + v1 * v2
+                if nv:
+                    c[e] = nv
+                elif e in c:
+                    del c[e]
         out = QLaurent.__new__(QLaurent)
         out._c = c
         return out
@@ -330,12 +321,9 @@ def q_int(z: int) -> QLaurent:
     [-z] = -[z].
     """
     z = int(z)
-    if z == 0:
-        return QLaurent.zero()
-    if z < 0:
-        return -q_int(-z)
+    sign, n = (1, z) if z >= 0 else (-1, -z)
     out = QLaurent.__new__(QLaurent)
-    out._c = {e: 1 for e in range(1 - z, z, 2)}
+    out._c = dict.fromkeys(range(1 - n, n, 2), sign)
     return out
 
 

@@ -83,6 +83,25 @@ def test_filter_equals_shape_enumeration_sweep(ell, N):
         assert len(filtered) == 1  # one constrained tableau per block
 
 
+@pytest.mark.parametrize("N, weight", [
+    (0, (3,)),        # l = 1: 2m = 3 is odd
+    (5, (1,)),        # l = 1: m = 3 lies above the top row's 1
+    (0, (1, 1, 1)),   # l = 3: the top row (3, 2, 1, 0) has no constant middle
+    (1, (1, 1)),      # l = 2: m = 1 needs the last top entry 2 - 2 - 1, not 0
+])
+def test_filter_and_shape_agree_where_a_weight_has_no_section(N, weight):
+    # Not a block weight, so neither route may find a section tableau.
+    assert closed_form_section_tableaux(N, weight) == []
+    assert ln_conditions_filter(N, weight, Q) == []
+
+
+def test_kernel_counts_reject_bad_inputs():
+    with pytest.raises(ValueError, match="ell must be at least 1"):
+        ker_el_combinatorial(0, 1)
+    with pytest.raises(ValueError, match="n1_max must be non-negative"):
+        ker_el_numeric(2, 1, -1, Q)
+
+
 def _k_conditions_hold(ell, N, t):
     return (all(t.a(i) == 0 for i in range(1, ell))
             and sum(k * t.a(k) for k in range(1, ell + 1)) == N * ell)

@@ -2,12 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qproj import cocycle, gtrep
 from qproj.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -91,14 +97,32 @@ def test_shuffle_certificate_ell4_fails_with_membership(capsys):
 
 
 def test_shuffle_certificate_ell7_falls_back_to_the_tree(capsys):
-    # The chain search passes the recursion limit; the report still comes,
+    # The chain search runs out of its node budget; the report still comes,
     # certified through the spanning tree, and exits 1.
     code, report = run_json(capsys, "shuffle-certificate", "--ell", "7")
     assert code == 1 and not report["pass"]
     row = report["results"][0]
-    assert "recursion limit" in row["chain_error"]
+    assert "ell=7 (r=1716) found no partition in 2000 nodes" in row["chain_error"]
     assert row["membership"] is True and row["via_chains"] is False
     assert row["pairs"] == 3431
+
+
+def test_shuffle_certificate_ell5_ends_and_falls_back_to_the_tree():
+    # In a child process with a timeout, so that a chain search that never
+    # ends fails here instead of hanging the suite.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qproj.cli", "shuffle-certificate", "--ell", "5",
+         "--format", "json"], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["pass"] is False
+    row = report["results"][0]
+    assert "ell=5 (r=126) found no partition in 2000 nodes" in row["chain_error"]
+    assert row["membership"] is True and row["via_chains"] is False
+    assert row["pairs"] == 251
 
 
 def test_coboundary_check(capsys):
@@ -261,6 +285,12 @@ def test_precision_above_the_ceiling_is_rejected(capsys, argv):
         {"error": "working precision must be at most 4000 digits, got 4001"}]
     code, report = run_json(capsys, *argv, "--precision", "4000")
     assert code == 0 and report["config"]["precision"] == 4000
+
+
+def test_euler_cp1_rejects_lmax_above_the_ceiling(capsys):
+    code, report = run_json(capsys, "euler-cp1", "--N", "0", "--lmax", "129")
+    assert code == 1 and report["config"] == {}
+    assert report["results"] == [{"error": "l_max must be at most 128, got 129"}]
 
 
 def test_q_with_a_zero_denominator_is_reported(capsys):

@@ -1,8 +1,12 @@
 """Shuffle chains, the telescoping solve, membership, twisted coboundary."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,8 @@ from qproj.cocycle import (
     verify_membership,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 # -- enumeration --------------------------------------------------------------
 
@@ -35,6 +41,8 @@ def test_shuffle_counts():
     assert enumerate_shuffles(1) == ["01", "10"]
     assert len(enumerate_shuffles(2)) == 6
     assert len(enumerate_shuffles(3)) == 20
+    with pytest.raises(ValueError, match="ell must be at least 1"):
+        enumerate_shuffles(0)
 
 
 def test_shuffles_are_sorted_and_balanced():
@@ -105,10 +113,28 @@ def test_chains_impossible_at_ell4_with_parity_certificate():
 
 
 def test_chain_search_past_the_recursion_limit_is_a_typed_error():
-    # At ell = 7 (r = 1716) the search nests one call per placed pattern,
-    # up to 2r = 3432, past the recursion limit; it must end typed.
-    with pytest.raises(ChainSearchError, match=r"ell=7 .*2r=3432 .*recursion limit"):
+    # At ell = 7 (r = 1716) a recursive search would nest up to 2r = 3432
+    # calls, past the recursion limit; the budgeted stack ends it typed.
+    with pytest.raises(ChainSearchError, match=r"ell=7 \(r=1716\) .* in 2000 nodes"):
         build_chains(7)
+
+
+@pytest.mark.parametrize("ell, r", [(5, 126), (7, 1716)])
+def test_chain_search_ends_by_its_node_budget(ell, r):
+    # In a child process with a timeout, so that a search that never ends
+    # fails here instead of hanging the suite.
+    code = ("from qproj.cocycle import ChainSearchError, build_chains\n"
+            "try:\n    build_chains(%d)\n"
+            "except ChainSearchError as exc:\n    print(exc)\n" % ell)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "chain search for ell=%d (r=%d) found no partition in 2000 nodes "
+        "(budget 2000)\n" % (ell, r))
 
 
 # -- the exact solve ----------------------------------------------------------------

@@ -181,6 +181,23 @@ def test_factorize_rejects_bad_partition():
         tensor_factorize((1, 1, 1), 2, partition=(1, 1, 1))   # wrong sum
     with pytest.raises(ValueError):
         tensor_factorize((2, 1, 1), 1, partition=(0, 0, 1))   # beyond k
+    with pytest.raises(ValueError, match="partition length must match"):
+        tensor_factorize((1, 1, 1), 2, partition=(1, 1))
+
+
+def test_factorize_rejects_negative_exponents():
+    with pytest.raises(ValueError, match=r"exponents must be non-negative: \(1, -1\)"):
+        tensor_factorize((1, -1), 0)
+    with pytest.raises(ValueError, match="different lengths"):
+        factorization_exponent((1, 2), (1,))
+
+
+def test_monomials_reject_bad_sizes():
+    # A generator: the checks run at the first step.
+    with pytest.raises(ValueError, match="at least one generator"):
+        next(monomials(0, 1))
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        next(monomials(2, -1))
 
 
 def test_factorize_exhaustive_small_degrees():
@@ -235,6 +252,19 @@ def test_scaling_automorphism_eigenvalues():
     assert eigs[alg.index[(1, 0)]] == Fraction(2, 3)
     assert eigs[alg.index[(1, 1)]] == 1
     assert eigs[alg.index[(2, 0)]] == Fraction(4, 9)
+    with pytest.raises(ValueError, match="one scale per generator"):
+        alg.scaling_automorphism((Fraction(2, 3),))
+
+
+@pytest.mark.parametrize("gens, max_degree, q, message", [
+    (0, 2, Fraction(1, 2), "at least one generator"),
+    (2, -1, Fraction(1, 2), "max_degree >= 0"),
+    (2, 2, 0, "q must be a positive rational"),
+    (2, 2, Fraction(-1, 2), "q must be a positive rational"),
+])
+def test_truncated_algebra_rejects_bad_inputs(gens, max_degree, q, message):
+    with pytest.raises(ValueError, match=message):
+        TruncatedPolynomialAlgebra(gens, max_degree, q)
 
 
 @pytest.mark.parametrize("gens, max_degree, q", [(2, 2, Fraction(1, 2)),

@@ -8,6 +8,7 @@ from mpmath import mp
 
 from oracles import cp1_radicand
 from qproj.bundles import ker_el_combinatorial
+from qproj import dolbeault
 from qproj.dolbeault import (
     cp1_dolbeault_matrix,
     cp1_euler_characteristic,
@@ -67,6 +68,18 @@ def test_lmax_preconditions():
         cp1_dolbeault_matrix(4, 1)
     with pytest.raises(ValueError):
         cp1_euler_characteristic(4, 3)
+
+
+def test_lmax_ceiling():
+    # Each radicand is a full Laurent product, so a build is cubic in l_max;
+    # the ceiling keeps one build well under a second.
+    assert dolbeault.MAX_LMAX == 128
+    assert cp1_euler_characteristic(2, 128).chi == -1
+    for l_max in (129, Fraction(257, 2)):
+        with pytest.raises(ValueError, match="l_max must be at most 128, got %s" % l_max):
+            cp1_dolbeault_matrix(0, l_max)
+        with pytest.raises(ValueError, match="l_max must be at most 128, got %s" % l_max):
+            cp1_euler_characteristic(0, l_max)
 
 
 # -- Euler characteristic ----------------------------------------------------------

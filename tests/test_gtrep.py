@@ -21,6 +21,7 @@ from qproj.gtrep import (
     exact_column,
     export_matrix,
     raise_coeff,
+    validate_weight,
     verify_relations,
     weyl_dim,
 )
@@ -125,6 +126,29 @@ def test_moves_outside_the_tableau_are_value_errors(move, i, k):
     t = GTTableau(((2, 1, 0), (2, 0), (1,)))
     with pytest.raises(ValueError, match="must lie in 1"):
         getattr(t, move)(i, k)
+
+
+@pytest.mark.parametrize("weight, message", [
+    ((), "needs at least one component"),
+    ((1, -1, 2), r"must be non-negative: \(1, -1, 2\)"),
+])
+def test_bad_highest_weights_are_rejected(weight, message):
+    with pytest.raises(ValueError, match=message):
+        validate_weight(weight)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_weight_exponent_rejects_k_outside_1_to_ell(k):
+    t = GTTableau(((2, 1, 0), (2, 0), (1,)))
+    with pytest.raises(ValueError, match="k must lie in 1..2, got %d" % k):
+        t.a(k)
+
+
+@pytest.mark.parametrize("k, j", [(3, 1), (1, 2), (2, 0)])
+def test_raise_coeff_rejects_j_or_k_out_of_range(k, j):
+    t = GTTableau(((2, 1, 0), (2, 0), (1,)))
+    with pytest.raises(ValueError, match="need 1 <= j <= k <= 2, got j=%d k=%d" % (j, k)):
+        raise_coeff(k, j, t, Q)
 
 
 # -- weight exponents ----------------------------------------------------------

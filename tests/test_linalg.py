@@ -50,6 +50,10 @@ def test_shape_checks():
         a @ b
     with pytest.raises(IndexError):
         M(1, 1, {(1, 0): 1})
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a + b
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a - b
 
 
 def test_rank_full_and_deficient():
