@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -264,8 +265,12 @@ def build_parser():
     return parser
 
 
+# Built on the first `main` call, not at import; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv, argparse.Namespace(
+    args = _parser().parse_args(argv, argparse.Namespace(
         q=DEFAULT_Q, precision=DEFAULT_PRECISION, format="table"))
     try:
         args.q = parse_q(args.q)

@@ -38,16 +38,25 @@ span the full zero-coefficient-sum subspace, so `verify_membership` falls
 back to a spanning tree when the two-chain structure is impossible.
 
 Twisted Hochschild operators are exercised on a finite q-commuting toy
-algebra with a diagonal scaling automorphism, in exact rational arithmetic.
-b_sigma is linear, so b_sigma^2 = 0 is certified for every cochain at once:
-at each checked tuple the double coboundary is a fixed combination of
-cochain values, and it must vanish (the twisted calculus of Kustermans,
-Murphy and Tuset, J. Geom. Phys. 44 (2003)).  The lambda_sigma-invariance
-of b_sigma is certified the same way.  A full turn of lambda_sigma acts at
-each tuple as a scalar, the product of the sigma-eigenvalues of its entries,
-so the sigma-invariant cochains are spanned by the indicators of the tuples
-the turn fixes, and at each checked tuple the invariance defect is a fixed
-combination of their values that must vanish.
+algebra with a diagonal scaling automorphism, with no rounding.  b_sigma is
+linear, so b_sigma^2 = 0 is certified for every cochain at once: at each
+checked tuple the double coboundary is a fixed combination of cochain
+values, and it must vanish (the twisted calculus of Kustermans, Murphy and
+Tuset, J. Geom. Phys. 44 (2003)).  The lambda_sigma-invariance of b_sigma is
+certified the same way.  A full turn of lambda_sigma acts at each tuple as a
+scalar c, the product of the sigma-eigenvalues of its entries, so the
+sigma-invariant cochains are spanned by the indicators of the tuples the
+turn fixes, and at each checked tuple the invariance defect is (c - 1) times
+a fixed combination of their values that must vanish.
+
+The faces are evaluated in integers, from one table per call: with D the
+lcm of the denominators of every nonzero product coefficient and every wrap
+coefficient (a product coefficient of ab times sigma(a)), the table holds
+each of them times D.  The integer sum of each b_sigma^2 combination is D^2 times its exact value, and each
+invariance combination is (c - 1)/D times its integer face sum, with c != 1;
+so a combination vanishes exactly when its integer form does.  c = 1 is the
+integer test that the eigenvalues' numerators and denominators have equal
+products.
 """
 
 from __future__ import annotations
@@ -372,29 +381,83 @@ def _lookup(phi):
     return lambda t: snapshot.get(t, 0)
 
 
-def _faces(algebra, sigma_eigs, tup, n):
+_FaceTable = namedtuple("_FaceTable", "scale mul wrap num den")
+
+
+def _face_table(algebra, sigma_eigs) -> _FaceTable:
+    """The faces of b_sigma as integers, built once per call.  `scale` is the
+    lcm D of the denominators of every nonzero product coefficient c and wrap
+    coefficient c*sigma(a); `mul[a][b]` is (D*c, index of ab), `wrap[a][b]` is
+    (D*c*sigma(a), index of ab), (0, None) where the coefficient vanishes; and
+    num[i]/den[i] is the sigma-eigenvalue of basis element i in lowest terms.
+    """
+    dim = algebra.dim
+    mul = [[algebra.product(a, b) for b in range(dim)] for a in range(dim)]
+    wrap = [[(c * sigma_eigs[a], idx) for c, idx in row] for a, row in enumerate(mul)]
+    scale = math.lcm(*(Fraction(c).denominator for row in mul + wrap
+                       for c, idx in row if idx is not None and c))
+    mul, wrap = ([[(int(c * scale), idx) if idx is not None and c else (0, None)
+                   for c, idx in row] for row in rows] for rows in (mul, wrap))
+    eigs = [Fraction(s) for s in sigma_eigs]
+    return _FaceTable(scale, mul, wrap, [s.numerator for s in eigs],
+                      [s.denominator for s in eigs])
+
+
+def _faces(table, tup, n):
     """The faces of the twisted coboundary of an n-cochain at the
-    (n+2)-tuple `tup`, as (coefficient, (n+1)-tuple) pairs: (b_sigma phi)(tup)
-    is the sum of coefficient * phi((n+1)-tuple) over them."""
+    (n+2)-tuple `tup`, as (integer coefficient, (n+1)-tuple) pairs:
+    (b_sigma phi)(tup) is the sum of coefficient * phi((n+1)-tuple) over them,
+    divided by `table.scale`."""
+    mul = table.mul
     for i in range(n + 1):
-        c, idx = algebra.product(tup[i], tup[i + 1])
-        if idx is not None and c:
+        c, idx = mul[tup[i]][tup[i + 1]]
+        if c:
             yield (c if i % 2 == 0 else -c), tup[:i] + (idx,) + tup[i + 2:]
-    c, idx = algebra.product(tup[n + 1], tup[0])
-    if idx is not None and c:
-        c *= sigma_eigs[tup[n + 1]]
+    c, idx = table.wrap[tup[n + 1]][tup[0]]
+    if c:
         yield (-c if n % 2 == 0 else c), (idx,) + tup[1:n + 1]
 
 
-def _double_coboundary(algebra, sigma_eigs, tup, n):
+def _turn(table, tup):
+    """The scalar of a full turn of lambda_sigma (len(tup) rotations) at
+    `tup`, as (numerator, denominator): each rotation moves one entry to the
+    front times its sigma-eigenvalue, the signs give (-1)^(n(n+1)) = 1, so it
+    is the product of the eigenvalues of the entries."""
+    return (math.prod(map(table.num.__getitem__, tup)),
+            math.prod(map(table.den.__getitem__, tup)))
+
+
+def _double_coboundary(table, tup, n):
     """(b_sigma b_sigma phi)(tup) for every n-cochain phi at once: b_sigma is
     linear, so at the (n+3)-tuple `tup` it is the fixed combination
-    {(n+1)-tuple: coefficient} of values of phi returned here, zeros dropped."""
+    {(n+1)-tuple: coefficient} of values of phi returned here, zeros dropped.
+    It is summed in integers, D^2 times the exact value."""
     combo = {}
-    for c, mid in _faces(algebra, sigma_eigs, tup, n + 1):
-        for c2, inner in _faces(algebra, sigma_eigs, mid, n):
+    for c, mid in _faces(table, tup, n + 1):
+        for c2, inner in _faces(table, mid, n):
             combo[inner] = combo.get(inner, 0) + c * c2
-    return {t: c for t, c in combo.items() if c}
+    return {t: Fraction(c, table.scale**2) for t, c in combo.items() if c}
+
+
+def _invariance_defect(table, tup, n):
+    """(lambda_sigma^(n+2) b_sigma phi - b_sigma phi)(tup) for every
+    sigma-invariant n-cochain phi at once.  Those cochains are spanned by the
+    indicators of the (n+1)-tuples a full turn fixes, and at the
+    (n+2)-tuple `tup` the full turn is the scalar c, so the value is
+    (c - 1) * (b_sigma phi)(tup): the fixed combination
+    {fixed (n+1)-tuple: coefficient} returned here, zeros dropped.  The face
+    sums are integers, D / (c - 1) times the exact value."""
+    num, den = _turn(table, tup)
+    if num == den:
+        return {}
+    combo = {}
+    for c, face in _faces(table, tup, n):
+        fnum, fden = _turn(table, face)
+        if fnum == fden:
+            combo[face] = combo.get(face, 0) + c
+    combo = {t: c for t, c in combo.items() if c}
+    factor = (Fraction(num, den) - 1) / table.scale if combo else 0
+    return {t: factor * c for t, c in combo.items()}
 
 
 def b_sigma(algebra, sigma_eigs, phi, n: int):
@@ -403,57 +466,38 @@ def b_sigma(algebra, sigma_eigs, phi, n: int):
     phi maps (n+1)-tuples of basis indices to Fractions (dict or callable);
     the result evaluates on (n+2)-tuples.  The last face multiplies
     sigma(a_{n+1}) into a_0, picking up the diagonal eigenvalue.  A dict phi
-    is copied at this call, so later changes to it are not seen.
+    is copied at this call, so later changes to it are not seen.  A tuple of
+    another length raises ValueError.
     """
+    table = _face_table(algebra, sigma_eigs)
     lookup = _lookup(phi)
 
     def out(tup):
-        assert len(tup) == n + 2
+        if len(tup) != n + 2:
+            raise ValueError("b_sigma evaluates on %d-tuples, got a %d-tuple" % (n + 2, len(tup)))
         total = Fraction(0)
-        for c, face in _faces(algebra, sigma_eigs, tup, n):
+        for c, face in _faces(table, tup, n):
             v = lookup(face)
             if v:
                 total += c * v
-        return total
+        return total / table.scale
 
     return out
 
 
 def lambda_sigma(sigma_eigs, phi, n: int):
     """Twisted cyclic rotation of an n-cochain, as a callable; it reads only
-    the sigma-eigenvalues, not the algebra's product."""
+    the sigma-eigenvalues, not the algebra's product.  A tuple of another
+    length than n + 1 raises ValueError."""
     lookup = _lookup(phi)
 
     def out(tup):
-        assert len(tup) == n + 1
+        if len(tup) != n + 1:
+            raise ValueError("lambda_sigma evaluates on %d-tuples, got a %d-tuple"
+                             % (n + 1, len(tup)))
         return (-1) ** n * sigma_eigs[tup[n]] * lookup((tup[n],) + tup[:n])
 
     return out
-
-
-def _rotation_scalar(sigma_eigs, tup):
-    """The scalar by which a full turn of lambda_sigma (len(tup) = n + 1
-    rotations of an n-cochain) acts at `tup`: the turn maps every tuple back
-    to itself, each rotation moves one entry to the front and multiplies by
-    its sigma-eigenvalue, and the signs give (-1)^(n(n+1)) = 1, so the scalar
-    is the product of the sigma-eigenvalues of the entries."""
-    return math.prod(sigma_eigs[i] for i in tup)
-
-
-def _invariance_defect(algebra, sigma_eigs, tup, n):
-    """(lambda_sigma^(n+2) b_sigma phi - b_sigma phi)(tup) for every
-    sigma-invariant n-cochain phi at once.  Those cochains are spanned by the
-    indicators of the (n+1)-tuples a full turn fixes, and at the
-    (n+2)-tuple `tup` the full turn is the scalar c, so the value is
-    (c - 1) * (b_sigma phi)(tup): the fixed combination
-    {fixed (n+1)-tuple: coefficient} returned here, zeros dropped."""
-    scale = _rotation_scalar(sigma_eigs, tup) - 1
-    combo = {}
-    if scale:
-        for c, face in _faces(algebra, sigma_eigs, tup, n):
-            if _rotation_scalar(sigma_eigs, face) == 1:
-                combo[face] = combo.get(face, 0) + scale * c
-    return {t: c for t, c in combo.items() if c}
 
 
 CoboundaryReport = namedtuple("CoboundaryReport", "n tuples_checked invariance_tuples ok")
@@ -481,7 +525,7 @@ def twisted_coboundary_check(n: int, seed: int = 0, algebra=None,
     if n < 0 or n > 4:
         raise ValueError("cochain degree n must lie in 0..4")
     algebra = default_toy_algebra() if algebra is None else algebra
-    sigma = algebra.scaling_automorphism(sigma_factors)
+    table = _face_table(algebra, algebra.scaling_automorphism(sigma_factors))
     rng = random.Random(seed)
     dim = algebra.dim
 
@@ -493,6 +537,6 @@ def twisted_coboundary_check(n: int, seed: int = 0, algebra=None,
 
     bsq_tuples = evaluation_tuples(n + 3)
     inv_tuples = evaluation_tuples(n + 2)
-    ok = not any(_double_coboundary(algebra, sigma, t, n) for t in bsq_tuples)
-    ok = ok and not any(_invariance_defect(algebra, sigma, t, n) for t in inv_tuples)
+    ok = not any(_double_coboundary(table, t, n) for t in bsq_tuples)
+    ok = ok and not any(_invariance_defect(table, t, n) for t in inv_tuples)
     return CoboundaryReport(n, len(bsq_tuples), len(inv_tuples), ok)

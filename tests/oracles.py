@@ -31,8 +31,15 @@ memoised terms.
 qP^1 complex, written out with `q_int`.  `qproj.dolbeault` reads the same
 radicand from the GT amplitudes of F_1 instead, so every block is held
 against this second transcription.
+
+`ref_double_coboundary` and `ref_invariance_defect` are the twisted
+coboundary combinations evaluated face by face in `Fraction`s, straight from
+`algebra.product` and the sigma-eigenvalues, with the full-turn scalar a
+product of `Fraction`s.  `qproj.cocycle` sums the same faces in integers from
+one scaled face table per call; its combinations must equal these exactly.
 """
 
+import math
 from collections import namedtuple
 
 from mpmath import mp
@@ -217,3 +224,53 @@ def ref_eval(p, q, precision):
             total += coeffs[e] * qv**e
     with mp.workdps(precision):
         return +total
+
+
+def _ref_faces(algebra, sigma_eigs, tup, n):
+    """The faces of the twisted coboundary of an n-cochain at the
+    (n+2)-tuple `tup`, as (coefficient, (n+1)-tuple) pairs: (b_sigma phi)(tup)
+    is the sum of coefficient * phi((n+1)-tuple) over them."""
+    for i in range(n + 1):
+        c, idx = algebra.product(tup[i], tup[i + 1])
+        if idx is not None and c:
+            yield (c if i % 2 == 0 else -c), tup[:i] + (idx,) + tup[i + 2:]
+    c, idx = algebra.product(tup[n + 1], tup[0])
+    if idx is not None and c:
+        c *= sigma_eigs[tup[n + 1]]
+        yield (-c if n % 2 == 0 else c), (idx,) + tup[1:n + 1]
+
+
+def ref_double_coboundary(algebra, sigma_eigs, tup, n):
+    """(b_sigma b_sigma phi)(tup) for every n-cochain phi at once: b_sigma is
+    linear, so at the (n+3)-tuple `tup` it is the fixed combination
+    {(n+1)-tuple: coefficient} of values of phi returned here, zeros dropped."""
+    combo = {}
+    for c, mid in _ref_faces(algebra, sigma_eigs, tup, n + 1):
+        for c2, inner in _ref_faces(algebra, sigma_eigs, mid, n):
+            combo[inner] = combo.get(inner, 0) + c * c2
+    return {t: c for t, c in combo.items() if c}
+
+
+def _rotation_scalar(sigma_eigs, tup):
+    """The scalar by which a full turn of lambda_sigma (len(tup) = n + 1
+    rotations of an n-cochain) acts at `tup`: the turn maps every tuple back
+    to itself, each rotation moves one entry to the front and multiplies by
+    its sigma-eigenvalue, and the signs give (-1)^(n(n+1)) = 1, so the scalar
+    is the product of the sigma-eigenvalues of the entries."""
+    return math.prod(sigma_eigs[i] for i in tup)
+
+
+def ref_invariance_defect(algebra, sigma_eigs, tup, n):
+    """(lambda_sigma^(n+2) b_sigma phi - b_sigma phi)(tup) for every
+    sigma-invariant n-cochain phi at once.  Those cochains are spanned by the
+    indicators of the (n+1)-tuples a full turn fixes, and at the
+    (n+2)-tuple `tup` the full turn is the scalar c, so the value is
+    (c - 1) * (b_sigma phi)(tup): the fixed combination
+    {fixed (n+1)-tuple: coefficient} returned here, zeros dropped."""
+    scale = _rotation_scalar(sigma_eigs, tup) - 1
+    combo = {}
+    if scale:
+        for c, face in _ref_faces(algebra, sigma_eigs, tup, n):
+            if _rotation_scalar(sigma_eigs, face) == 1:
+                combo[face] = combo.get(face, 0) + scale * c
+    return {t: c for t, c in combo.items() if c}

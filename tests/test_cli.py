@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qproj import cocycle, gtrep
+from qproj import cli, cocycle, gtrep
 from qproj.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -409,3 +409,46 @@ def test_pins_cover_every_subcommand_in_every_format():
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     got_code, out = run(capsys, *argv.split())
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
+
+
+# Subcommands mixed; --q and --precision given, then omitted; an exit 1 and
+# an argparse usage error (exit 2) in between.
+_SEQUENCE = [
+    ["coboundary-check", "--n", "1", "--q", "3/4", "--precision", "40", "--format", "json"],
+    ["coboundary-check", "--n", "1", "--format", "json"],
+    ["--q", "9/10", "factorize", "--Z", "1,2,1", "--N", "2"],
+    ["coboundary-check", "--n", "x"],
+    ["factorize", "--Z", "1,2,1", "--N", "2"],
+    ["euler-cp1", "--N", "1", "2", "--lmax", "6", "--format", "csv", "--precision", "50"],
+    ["coboundary-check", "--n", "5", "--format", "json"],
+    ["ring-dims", "--ell", "2", "--Nmax", "3", "--q", "1/3"],
+    ["shuffle-certificate", "--ell", "2"],
+    ["ring-dims", "--ell", "2", "--Nmax", "3", "--format", "json"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys):
+    cli._parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in _SEQUENCE]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in _SEQUENCE:
+        cli._parser.cache_clear()  # a new parser for every call
+        fresh.append(_outcome(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _out, _err in shared] == [0, 0, 0, 2, 0, 0, 1, 0, 0, 0]
+    assert "invalid int value: 'x'" in shared[3][2]
+    # A flag given to one call does not stay for the next.
+    first, second = (json.loads(out)["config"] for _code, out, _err in shared[:2])
+    assert (first["q"], first["precision"]) == ("3/4", 40)
+    assert (second["q"], second["precision"]) == ("1/2", 60)
+    assert '"q": "1/2"' in shared[4][1] and '"q": "9/10"' in shared[2][1]

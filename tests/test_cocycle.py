@@ -10,12 +10,14 @@ from pathlib import Path
 
 import pytest
 
+from oracles import ref_double_coboundary, ref_invariance_defect
 from qproj.coordring import TruncatedPolynomialAlgebra
 from qproj.cocycle import (
     ChainSearchError,
     Chains,
     _certificate,
     _double_coboundary,
+    _face_table,
     _invariance_defect,
     b_sigma,
     build_chains,
@@ -371,8 +373,9 @@ def test_double_coboundary_combination_is_b_sigma_squared(n, algebra):
     nonzero = 0
     if len(tuples) > 1296:
         tuples = rng.sample(tuples, 300)
+    table = _face_table(algebra, sigma)
     for t in tuples:
-        combo = _double_coboundary(algebra, sigma, t, n)
+        combo = _double_coboundary(table, t, n)
         assert sum(c * phi[inner] for inner, c in combo.items()) == bb(t)
         nonzero += bb(t) != 0
     assert (nonzero > 0) == isinstance(algebra, _BrokenTwistAlgebra)
@@ -417,8 +420,9 @@ def test_invariance_defect_combination_is_the_rotated_coboundary(n, algebra):
     for _ in range(n + 2):
         rotated = lambda_sigma(sigma, rotated, n + 1)
     nonzero = 0
+    table = _face_table(algebra, sigma)
     for t in itertools.product(range(dim), repeat=n + 2):
-        combo = _invariance_defect(algebra, sigma, t, n)
+        combo = _invariance_defect(table, t, n)
         assert set(combo) <= set(phi)
         assert sum(c * phi[face] for face, c in combo.items()) == rotated(t) - psi(t)
         nonzero += bool(combo)
@@ -439,3 +443,110 @@ def test_invariance_half_alone_rejects_the_z1_squared_twist(monkeypatch, n):
 def test_true_twist_passes_at_every_seed(n):
     for seed in range(5):
         assert twisted_coboundary_check(n, seed=seed).ok
+
+
+# -- the integer face table against the Fraction reference -------------------------
+
+_TWISTS = {
+    "true": (default_toy_algebra(), (Fraction(2, 3), Fraction(3, 2))),
+    "broken": (_BrokenTwistAlgebra(2, 2, Fraction(1, 2)), (Fraction(2, 3), Fraction(3, 2))),
+    "z1-squared": (_Z1SquaredTwistAlgebra(2, 2, Fraction(1, 2)),
+                   (Fraction(2, 3), Fraction(3, 2))),
+    "q9/10": (TruncatedPolynomialAlgebra(2, 2, Fraction(9, 10)),
+              (Fraction(2, 3), Fraction(3, 2))),
+    "degree3": (TruncatedPolynomialAlgebra(2, 3, Fraction(1, 2)),
+                (Fraction(5, 7), Fraction(7, 5))),
+}
+
+
+def _check_tuples(dim, n):
+    """The (n+3)- and (n+2)-tuples `twisted_coboundary_check` evaluates at
+    seed 0: all of a length up to 2000, else 400 drawn in this order."""
+    rng = random.Random(0)
+
+    def draw(length):
+        if dim**length <= 2000:
+            return list(itertools.product(range(dim), repeat=length))
+        return [tuple(rng.randrange(dim) for _ in range(length)) for _ in range(400)]
+
+    return draw(n + 3), draw(n + 2)
+
+
+def test_check_tuples_are_the_checks_own(monkeypatch):
+    # On the true twist no tuple fails, so the check evaluates every one.
+    seen = {"bsq": [], "inv": []}
+    monkeypatch.setattr("qproj.cocycle._double_coboundary",
+                        lambda table, t, n: seen["bsq"].append(t) or {})
+    monkeypatch.setattr("qproj.cocycle._invariance_defect",
+                        lambda table, t, n: seen["inv"].append(t) or {})
+    for n in range(5):
+        seen["bsq"].clear()
+        seen["inv"].clear()
+        assert twisted_coboundary_check(n, seed=0).ok
+        assert (seen["bsq"], seen["inv"]) == _check_tuples(6, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("twist", sorted(_TWISTS))
+def test_combinations_equal_the_fraction_reference(twist, n):
+    # Exhaustively at n <= 2 on the degree-2 algebras, else at the check's
+    # own tuples; the combinations must agree key by key as Fractions.
+    algebra, factors = _TWISTS[twist]
+    sigma = algebra.scaling_automorphism(factors)
+    table = _face_table(algebra, sigma)
+    dim = algebra.dim
+    if n <= 2 and dim == 6:
+        bsq = itertools.product(range(dim), repeat=n + 3)
+        inv = itertools.product(range(dim), repeat=n + 2)
+    else:
+        bsq, inv = _check_tuples(dim, n)
+    nonzero = 0
+    for t in bsq:
+        combo = _double_coboundary(table, t, n)
+        assert combo == ref_double_coboundary(algebra, sigma, t, n)
+        assert all(type(c) is Fraction for c in combo.values())
+        nonzero += bool(combo)
+    for t in inv:
+        combo = _invariance_defect(table, t, n)
+        assert combo == ref_invariance_defect(algebra, sigma, t, n)
+        assert all(type(c) is Fraction for c in combo.values())
+        nonzero += bool(combo)
+    assert (nonzero > 0) == (twist in ("broken", "z1-squared"))
+
+
+# The reports of the Fraction face loop at n = 0..4, seeds 0..99: the broken
+# twist slips through the 400 sampled tuples at these (n, seed) only.
+_BROKEN_TWIST_SLIPS = {(3, 22), (3, 44), (4, 44), (4, 83)}
+_TUPLE_COUNTS = {0: (216, 36), 1: (1296, 216), 2: (400, 1296), 3: (400, 400), 4: (400, 400)}
+
+
+@pytest.mark.parametrize("twist", ["true", "broken", "z1-squared"])
+def test_reports_at_seeds_0_to_99_are_pinned(twist):
+    algebra, factors = _TWISTS[twist]
+    for n in range(5):
+        for seed in range(100):
+            rep = twisted_coboundary_check(n, seed=seed, algebra=algebra,
+                                           sigma_factors=factors)
+            ok = twist == "true" or (twist == "broken" and (n, seed) in _BROKEN_TWIST_SLIPS)
+            assert rep == (n, *_TUPLE_COUNTS[n], ok), (n, seed)
+
+
+def test_b_sigma_rejects_a_tuple_of_the_wrong_length():
+    alg = default_toy_algebra()
+    sigma = alg.scaling_automorphism((Fraction(2, 3), Fraction(3, 2)))
+    b = b_sigma(alg, sigma, {(0, 1): Fraction(1)}, 1)
+    assert isinstance(b((0, 1, 2)), Fraction)
+    for tup in [(0, 1), (0, 1, 2, 3)]:
+        with pytest.raises(ValueError, match="b_sigma evaluates on 3-tuples, got a %d-tuple"
+                           % len(tup)):
+            b(tup)
+
+
+def test_lambda_sigma_rejects_a_tuple_of_the_wrong_length():
+    sigma = default_toy_algebra().scaling_automorphism((Fraction(2, 3), Fraction(3, 2)))
+    lam = lambda_sigma(sigma, {(1, 2): Fraction(5)}, 1)
+    assert lam((2, 1)) == -sigma[1] * 5
+    for tup in [(2,), (2, 1, 0)]:
+        with pytest.raises(ValueError, match="lambda_sigma evaluates on 2-tuples, got a %d-tuple"
+                           % len(tup)):
+            lam(tup)
