@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
+from .coordring import _check_count
 from .linalg import exact_rank
 from .qarith import parse_q
 from .gtrep import (
@@ -179,12 +180,14 @@ def ker_el_combinatorial(ell: int, N: int) -> int:
 
     Counts the non-increasing integer sequences N >= x_1 >= ... >= x_l >= 0
     (zero for negative N); this is the independent oracle the matrix route
-    must reproduce.
+    must reproduce.  A count C(N + l, l) above `coordring.MAX_COUNT` is
+    refused before it starts.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
     if N < 0:
         return 0
+    _check_count(N + ell, ell, "ker_el_combinatorial")
     count = 0
     for _seq in itertools.combinations_with_replacement(range(N + 1), ell):
         count += 1

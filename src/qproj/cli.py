@@ -120,6 +120,8 @@ def cmd_ring_dims(args):
         raise ValueError("--Nmax must be non-negative, got %d" % args.Nmax)
     if args.ell < 1:  # before either count, so every ell < 1 gets this message
         raise ValueError("--ell must be at least 1, got %d" % args.ell)
+    # Each column enumerates C(Nmax + ell + 1, ell + 1) items in all.
+    coordring._check_count(args.Nmax + args.ell + 1, args.ell + 1, "ring-dims")
     results = []
     ok = True
     for N in range(args.Nmax + 1):
@@ -198,11 +200,13 @@ def cmd_shuffle_certificate(args):
 
 
 def cmd_coboundary_check(args):
-    report = cocycle.twisted_coboundary_check(
-        args.n, algebra=coordring.TruncatedPolynomialAlgebra(2, 2, args.q))
-    # Every cochain is certified at once: --samples is only checked and echoed.
+    # Every cochain is certified at once: --samples is only checked, after
+    # the degree and before any work, and echoed.
+    cocycle._check_degree(args.n)
     if args.samples < 1:
         raise ValueError("need at least one sampled cochain, got samples=%d" % args.samples)
+    report = cocycle.twisted_coboundary_check(
+        args.n, algebra=coordring.TruncatedPolynomialAlgebra(2, 2, args.q))
     results = [{"n": report.n, "cochains": args.samples,
                 "tuples_checked": report.tuples_checked,
                 "invariant_cochains": max(3, args.samples // 10),

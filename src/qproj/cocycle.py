@@ -68,6 +68,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .coordring import TruncatedPolynomialAlgebra
+from .linalg import _Memo
 
 __all__ = [
     "enumerate_shuffles",
@@ -87,13 +88,27 @@ __all__ = [
     "default_toy_algebra",
     "CoboundaryReport",
     "twisted_coboundary_check",
+    "MAX_SHUFFLE_ELL",
 ]
+
+# The largest l of the shuffle patterns.  There are C(2l, l) of them: 48,620
+# at l = 9, where `shuffle-certificate` takes about 2 s and 60 MiB; at l = 11
+# it took 44 s and 1.3 GiB.
+MAX_SHUFFLE_ELL = 9
+
+
+def _check_ell(ell):
+    # Every entry point that builds the patterns of an ell checks it first.
+    if ell < 1:
+        raise ValueError("ell must be at least 1")
+    if ell > MAX_SHUFFLE_ELL:
+        raise ValueError("ell must be at most %d, got %d" % (MAX_SHUFFLE_ELL, ell))
 
 
 def enumerate_shuffles(ell: int) -> list:
-    """All balanced patterns of length 2l, lexicographically ('0' < '1')."""
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
+    """All balanced patterns of length 2l, lexicographically ('0' < '1');
+    l must lie in 1..MAX_SHUFFLE_ELL."""
+    _check_ell(ell)
     out = []
     for ones in itertools.combinations(range(2 * ell), ell):
         chars = ["0"] * (2 * ell)
@@ -150,7 +165,8 @@ def build_chains(ell: int) -> Chains:
     adjacent to the end of chain1, always 2 (1 when r = 1).  One depth-first
     search over chain1 + chain2 on an explicit stack of neighbour iterators,
     lexicographic tie-breaking, the bridge tested as soon as its position is
-    filled.
+    filled.  Flip neighbours are listed only for the patterns the search
+    reaches.
 
     Raises ChainSearchError when the partition provably cannot exist (parity
     certificate, any even l >= 4), or when the search space or the budget of
@@ -172,7 +188,7 @@ def build_chains(ell: int) -> Chains:
     kappa = 1 if r == 1 else 2
     start1 = "0" * ell + "1" * ell
     start2 = "1" * ell + "0" * ell
-    nbr = {p: tuple(flip_neighbors(p)) for p in patterns}
+    nbr = _Memo(lambda p: tuple(flip_neighbors(p)))
 
     def moves(seq):
         # Positions 1..r are chain1, r+1..2r chain2, which restarts at start2.
@@ -311,21 +327,23 @@ def spanning_tree_edges(ell: int) -> list:
 
     The flip graph is connected (bubble sort), so the tree always has
     binom(2l, l) - 1 edges; used by `verify_membership` when the two-chain
-    partition does not exist.
+    partition does not exist.  Raises ArithmeticError if the walk misses a
+    pattern.
     """
-    patterns = enumerate_shuffles(ell)
+    _check_ell(ell)
     root = "0" * ell + "1" * ell
     seen = {root}
     queue = [root]
     edges = []
-    while queue:
-        cur = queue.pop(0)
+    for cur in queue:  # the walk reads the patterns appended as it goes
         for n in flip_neighbors(cur):
             if n not in seen:
                 seen.add(n)
                 edges.append((cur, n))
                 queue.append(n)
-    assert len(seen) == len(patterns)
+    if len(queue) != math.comb(2 * ell, ell):
+        raise ArithmeticError("the flip graph of ell=%d reaches %d of its %d patterns"
+                              % (ell, len(queue), math.comb(2 * ell, ell)))
     return edges
 
 
@@ -507,6 +525,12 @@ CoboundaryReport = namedtuple("CoboundaryReport", "n tuples_checked invariance_t
 _TUPLE_BUDGET = 2000
 
 
+def _check_degree(n):
+    # The cochain degrees the check covers; the CLI checks them first too.
+    if n < 0 or n > 4:
+        raise ValueError("cochain degree n must lie in 0..4")
+
+
 def twisted_coboundary_check(n: int, seed: int = 0, algebra=None,
                              sigma_factors=(Fraction(2, 3), Fraction(3, 2))
                              ) -> CoboundaryReport:
@@ -522,8 +546,7 @@ def twisted_coboundary_check(n: int, seed: int = 0, algebra=None,
     draws nothing else, and no cochain is sampled.  All arithmetic is exact;
     any nonzero coefficient fails the report.
     """
-    if n < 0 or n > 4:
-        raise ValueError("cochain degree n must lie in 0..4")
+    _check_degree(n)
     algebra = default_toy_algebra() if algebra is None else algebra
     table = _face_table(algebra, algebra.scaling_automorphism(sigma_factors))
     rng = random.Random(seed)

@@ -24,6 +24,7 @@ scaling automorphisms, used as the test bed for twisted Hochschild checks.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -39,11 +40,35 @@ __all__ = [
     "Factorization",
     "format_monomial",
     "TruncatedPolynomialAlgebra",
+    "MAX_COUNT",
+    "MAX_WORD_LENGTH",
 ]
+
+# The most items an enumeration counts (`graded_dim`, the kernel count of
+# `bundles`, `ring-dims`): 10^6 take about 2 s.
+MAX_COUNT = 10**6
+
+# The longest word, and so the largest factorization degree: the inversion
+# count is quadratic in the length, 0.4 s at 4,000.
+MAX_WORD_LENGTH = 4000
+
+
+def _check_count(n, k, what):
+    """Refuse, before it starts, an enumeration of C(n, k) items above
+    MAX_COUNT (C(n, k) is zero outside 0 <= k <= n); `what` names the caller
+    in the ValueError."""
+    j = min(k, n - k)
+    # C(n, j) >= C(2j, j) >= 2^j, so a j this large is refused unformed.
+    if j >= MAX_COUNT.bit_length() or j > 0 and math.comb(n, j) > MAX_COUNT:
+        raise ValueError("%s would enumerate C(%d, %d) items, above the ceiling of %d"
+                         % (what, n, k, MAX_COUNT))
 
 
 def _check_word(word, num_generators=None):
     word = tuple(int(x) for x in word)
+    if len(word) > MAX_WORD_LENGTH:
+        raise ValueError("word length %d is above the ceiling of %d"
+                         % (len(word), MAX_WORD_LENGTH))
     g = max(word, default=1) if num_generators is None else int(num_generators)
     if any(not 1 <= x <= g for x in word):
         raise ValueError("generator indices must lie in 1..%d: %r" % (g, word))
@@ -90,7 +115,9 @@ def monomials(num_generators: int, degree: int):
 
 
 def graded_dim(num_generators: int, degree: int) -> int:
-    """Number of degree-N monomials in g q-commuting generators, by enumeration."""
+    """Number of degree-N monomials in g q-commuting generators, by enumeration;
+    a count C(N + g - 1, N) above MAX_COUNT is refused before it starts."""
+    _check_count(degree + num_generators - 1, degree, "graded_dim")
     return sum(1 for _m in monomials(num_generators, degree))
 
 
@@ -117,9 +144,10 @@ def factorization_exponent(s, r) -> int:
     r = tuple(int(x) for x in r)
     if len(r) != len(s):
         raise ValueError("partition and monomial have different lengths")
-    R = 0
-    for j in range(1, len(s)):
-        R += r[j] * sum(s[i] - r[i] for i in range(j))
+    R = prefix = 0  # prefix = sum_{i<j} (s_i - r_i)
+    for x, y in zip(s, r):
+        R += y * prefix
+        prefix += x - y
     return R
 
 
@@ -133,7 +161,8 @@ def tensor_factorize(mono, N: int, partition=None) -> Factorization:
     exhausted.  An explicit partition must sum to N, satisfy 0 <= r_i <= s_i
     and be supported on indices 1..k, where k is the first index whose prefix
     sum of exponents exceeds N.  The stated postcondition is re-verified
-    internally through `normal_order`.
+    internally through `normal_order`.  A degree above MAX_WORD_LENGTH is
+    refused before any word is built.
     """
     s = tuple(int(x) for x in mono)
     if any(x < 0 for x in s):
@@ -141,6 +170,9 @@ def tensor_factorize(mono, N: int, partition=None) -> Factorization:
     degree = sum(s)
     if not 0 <= N <= degree:
         raise ValueError("need 0 <= N <= deg(Z) = %d, got N=%d" % (degree, N))
+    if degree > MAX_WORD_LENGTH:
+        raise ValueError("deg(Z) = %d is above the word length ceiling of %d"
+                         % (degree, MAX_WORD_LENGTH))
     k = len(s)
     prefix = 0
     for i, x in enumerate(s, start=1):
@@ -169,8 +201,9 @@ def tensor_factorize(mono, N: int, partition=None) -> Factorization:
     right = tuple(s[i] - r[i] for i in range(len(s)))
     R = factorization_exponent(s, r)
     qpow, mono_check = normal_order(_word_of(left) + _word_of(right), len(s))
-    assert mono_check == s and qpow == QLaurent.q_power(-R), \
-        "factorization postcondition failed (internal bug)"
+    if mono_check != s or qpow != QLaurent.q_power(-R):
+        raise ArithmeticError("factorization postcondition failed: %s gives %r times %s, "
+                              "expected q^%d times %s" % (s, qpow, mono_check, -R, s))
     return Factorization(R, left, right)
 
 

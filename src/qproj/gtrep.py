@@ -198,9 +198,6 @@ class GTTableau:
     def __hash__(self):
         return hash(self.rows)
 
-    def __lt__(self, other):
-        return self.flat() < other.flat()
-
     def __repr__(self):
         return "GTTableau(%s)" % (list(map(list, self.rows)),)
 
@@ -374,8 +371,11 @@ def _capped_weyl_dim(weight, dim_cap, what="weight"):
         if low > math.log2(dim_cap):  # so 2^low > dim_cap
             raise DimensionCapError("%s %s has dimension at least 2^%d, above the cap %d"
                                     % (what, weight, low, dim_cap))
-    d, r = divmod(math.prod((+exps).elements()), math.prod((-exps).elements()))
-    assert not r
+    num, den = math.prod((+exps).elements()), math.prod((-exps).elements())
+    d, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("Weyl product %d of weight %s is not divisible by %d"
+                              % (num, weight, den))
     if dim_cap is not None and d > dim_cap:
         raise DimensionCapError("%s %s has dimension %d, above the cap %d"
                                 % (what, weight, d, dim_cap))
@@ -421,7 +421,9 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
     precision = check_precision(precision)
     expected = _capped_weyl_dim(weight, dim_cap)
     basis = enumerate_tableaux(weight)
-    assert len(basis) == expected, "tableau count disagrees with the Weyl formula"
+    if len(basis) != expected:
+        raise ArithmeticError("weight %s has %d tableaux but Weyl dimension %d"
+                              % (weight, len(basis), expected))
     ell = len(weight)
     dim = len(basis)
     K, E, F = {}, {}, {}
@@ -458,10 +460,6 @@ class RelationReport:
         self.tolerance = tolerance
 
     @property
-    def max_residual(self):
-        return max((c.residual for c in self.checks), default=mp.mpf(0))
-
-    @property
     def worst(self):
         return max(self.checks, key=lambda c: c.residual) if self.checks else None
 
@@ -473,8 +471,9 @@ class RelationReport:
         return [c for c in self.checks if c.residual > self.tolerance]
 
     def __repr__(self):
+        worst = max((c.residual for c in self.checks), default=mp.mpf(0))
         return "RelationReport(%d checks, max=%s, ok=%s)" % (
-            len(self.checks), mp.nstr(self.max_residual, 6), self.ok)
+            len(self.checks), mp.nstr(worst, 6), self.ok)
 
 
 def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:

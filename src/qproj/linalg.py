@@ -3,9 +3,11 @@
 Plumbing shared by the representation modules.  A `SparseMatrix` takes and
 gives mpf values but stores each nonzero entry as its raw mpmath.libmp tuple,
 in a dict keyed by (row, col); that stored form is this module's own, and no
-other module reads it.  Every rank decision in the library runs on exact
+other module reads it.  Every rank decision on a matrix runs on exact
 rationals through `exact_rank`, on sparse {key: Fraction} rows, so the exact
-GT columns are ranked as they come, with no dense copy.
+GT columns are ranked as they come, with no dense copy.  The qP^1 complex of
+`dolbeault` needs no elimination: each of its blocks is a scalar, so its rank
+is decided by whether that block's exact Laurent radicand is zero.
 
 The GT matrices hold few distinct values (the E matrices of (1,1,1,1) hold
 3,684 nonzeros but 103 values), so each sparse operation memoises its

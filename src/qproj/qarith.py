@@ -90,9 +90,10 @@ def check_precision(precision) -> int:
 class QLaurent:
     """An integer-coefficient Laurent polynomial in the deformation parameter q.
 
-    Immutable.  Stored as a map exponent -> nonzero integer coefficient; all
-    ring operations are exact.  Division is exact Laurent long division and
-    hard-fails on a nonzero remainder (:class:`ExactnessError`).
+    Immutable.  Stored as a map exponent -> nonzero integer coefficient, both
+    Python ints (anything else is a TypeError).  The ring operations +, -
+    and * take two QLaurents and are exact.  Division is exact Laurent long
+    division and hard-fails on a nonzero remainder (:class:`ExactnessError`).
     """
 
     __slots__ = ("_c",)
@@ -101,15 +102,21 @@ class QLaurent:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
+                if not isinstance(e, int):
+                    raise TypeError("exponents must be integers, got %r" % (e,))
                 if not isinstance(v, int):
                     raise TypeError("coefficients must be exact integers, got %r" % (v,))
-                e = int(e)
-                nv = c.get(e, 0) + v
-                if nv:
-                    c[e] = nv
-                elif e in c:
-                    del c[e]
+                if v:
+                    c[e] = v
         self._c = c
+
+    @classmethod
+    def _of(cls, c) -> "QLaurent":
+        # The one constructor of trusted results: `c` is taken as it is, an
+        # exponent -> nonzero integer coefficient dict owned by the result.
+        out = cls.__new__(cls)
+        out._c = c
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -122,9 +129,9 @@ class QLaurent:
         return cls({0: 1})
 
     @classmethod
-    def q_power(cls, e: int, coeff: int = 1) -> "QLaurent":
-        """The monomial coeff * q^e."""
-        return cls({int(e): coeff})
+    def q_power(cls, e: int) -> "QLaurent":
+        """The monomial q^e; a non-integer e is a TypeError."""
+        return cls({e: 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -171,8 +178,6 @@ class QLaurent:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = QLaurent({0: other})
         if not isinstance(other, QLaurent):
             return NotImplemented
         c = dict(self._c)
@@ -180,36 +185,19 @@ class QLaurent:
             nv = c.get(e, 0) + v
             if nv:
                 c[e] = nv
-            elif e in c:
+            else:  # v != 0, so a zero sum cancels a term of `c`
                 del c[e]
-        out = QLaurent.__new__(QLaurent)
-        out._c = c
-        return out
-
-    __radd__ = __add__
+        return QLaurent._of(c)
 
     def __neg__(self):
-        out = QLaurent.__new__(QLaurent)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
+        return QLaurent._of({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = QLaurent({0: other})
         if not isinstance(other, QLaurent):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return QLaurent.zero()
-            out = QLaurent.__new__(QLaurent)
-            out._c = {e: other * v for e, v in self._c.items()}
-            return out
         if not isinstance(other, QLaurent):
             return NotImplemented
         c = {}
@@ -219,25 +207,9 @@ class QLaurent:
                 nv = c.get(e, 0) + v1 * v2
                 if nv:
                     c[e] = nv
-                elif e in c:
+                else:
                     del c[e]
-        out = QLaurent.__new__(QLaurent)
-        out._c = c
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("only non-negative powers are defined")
-        out = QLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return QLaurent._of(c)
 
     def exact_div(self, other: "QLaurent") -> "QLaurent":
         """Exact Laurent division; raises ExactnessError on a remainder."""
@@ -261,18 +233,16 @@ class QLaurent:
             shift = e_r - lead_e
             if shift < val_floor:
                 raise ExactnessError("inexact division: %r by %r" % (self, other))
-            t = c_r // lead_c
-            quo[shift] = quo.get(shift, 0) + t
+            # Each step cancels the leading term of `rem`, so every shift is new.
+            t = quo[shift] = c_r // lead_c
             for e, v in other._c.items():
                 ne = e + shift
                 nv = rem.get(ne, 0) - t * v
                 if nv:
                     rem[ne] = nv
-                elif ne in rem:
+                else:
                     del rem[ne]
-        out = QLaurent.__new__(QLaurent)
-        out._c = quo
-        return out
+        return QLaurent._of(quo)
 
     # -- symmetry ----------------------------------------------------------
 
@@ -322,9 +292,7 @@ def q_int(z: int) -> QLaurent:
     """
     z = int(z)
     sign, n = (1, z) if z >= 0 else (-1, -z)
-    out = QLaurent.__new__(QLaurent)
-    out._c = dict.fromkeys(range(1 - n, n, 2), sign)
-    return out
+    return QLaurent._of(dict.fromkeys(range(1 - n, n, 2), sign))
 
 
 def q_factorial(n: int) -> QLaurent:

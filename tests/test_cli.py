@@ -252,6 +252,40 @@ def test_samples_below_one_rejected(capsys, samples):
         {"error": "cochain degree n must lie in 0..4"}]
 
 
+def test_samples_are_checked_before_the_coboundary_check(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cocycle, "twisted_coboundary_check",
+                        lambda *a, **k: calls.append(a))
+    code, report = run_json(capsys, "coboundary-check", "--n", "4", "--samples", "0")
+    assert code == 1 and report["results"] == [
+        {"error": "need at least one sampled cochain, got samples=0"}]
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("ring-dims", "--ell", "6", "--Nmax", "30"),
+     "ring-dims would enumerate C(37, 7) items, above the ceiling of 1000000"),
+    (("ring-dims", "--ell", "10", "--Nmax", "20"),
+     "ring-dims would enumerate C(31, 11) items, above the ceiling of 1000000"),
+    (("ring-dims", "--ell", "1000000000", "--Nmax", "1000000000"),
+     "ring-dims would enumerate C(2000000001, 1000000001) items, above the ceiling "
+     "of 1000000"),
+    (("factorize", "--Z", "100000000,1", "--N", "3"),
+     "deg(Z) = 100000001 is above the word length ceiling of 4000"),
+    (("shuffle-certificate", "--ell", "12"), "ell must be at most 9, got 12"),
+])
+def test_unbudgeted_inputs_end_in_an_error_row(argv, error):
+    # In a child process with a timeout, so that an input past the ceiling
+    # that runs on fails here instead of hanging the suite.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "qproj.cli", *argv, "--format", "json"],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["results"] == [{"error": error}]
+
+
 @pytest.mark.parametrize("samples", [1, 5, 29, 30, 50])
 def test_invariant_cochains_echoes_samples(capsys, samples):
     # --samples only sets the two echoed columns: every one of the 6^4

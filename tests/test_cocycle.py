@@ -12,7 +12,9 @@ import pytest
 
 from oracles import ref_double_coboundary, ref_invariance_defect
 from qproj.coordring import TruncatedPolynomialAlgebra
+from qproj import cocycle
 from qproj.cocycle import (
+    MAX_SHUFFLE_ELL,
     ChainSearchError,
     Chains,
     _certificate,
@@ -268,6 +270,46 @@ def test_spanning_tree_edge_count():
     for ell in (1, 2, 3, 4):
         edges = spanning_tree_edges(ell)
         assert len(edges) == len(enumerate_shuffles(ell)) - 1
+
+
+def test_spanning_tree_is_the_breadth_first_tree():
+    # Oracle: the plain queue-popping breadth-first walk.
+    for ell in (1, 2, 3, 4, 5):
+        root = "0" * ell + "1" * ell
+        seen, queue, edges = {root}, [root], []
+        while queue:
+            cur = queue.pop(0)
+            for n in flip_neighbors(cur):
+                if n not in seen:
+                    seen.add(n)
+                    edges.append((cur, n))
+                    queue.append(n)
+        assert spanning_tree_edges(ell) == edges
+
+
+@pytest.mark.parametrize("entry", [
+    enumerate_shuffles, build_chains, spanning_tree_edges, verify_membership,
+    lambda ell: solve_cocycle_system(ell, 1, build_chains(1))])
+def test_shuffle_entry_points_refuse_ell_above_the_ceiling(entry):
+    # C(2l, l) patterns: l = 11 took 44 s and 1.3 GiB before this ceiling.
+    assert MAX_SHUFFLE_ELL == 9
+    for ell in (MAX_SHUFFLE_ELL + 1, 12, 10**6):
+        with pytest.raises(ValueError, match="ell must be at most 9, got %d" % ell):
+            entry(ell)
+    with pytest.raises(ValueError, match="ell must be at least 1"):
+        entry(0)
+
+
+def test_chain_search_lists_neighbours_of_reached_patterns_only(monkeypatch):
+    # At ell = 7 the search places 2000 of the 3432 patterns before it gives
+    # up, so it must not list the neighbours of all of them.
+    calls = []
+    original = cocycle.flip_neighbors
+    monkeypatch.setattr(cocycle, "flip_neighbors",
+                        lambda p: calls.append(p) or original(p))
+    with pytest.raises(ChainSearchError):
+        build_chains(7)
+    assert len(calls) == len(set(calls)) <= cocycle._NODE_BUDGET + 1
 
 
 def test_chain_edges_order():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 from qproj.qarith import QLaurent
 from qproj.bundles import ker_el_combinatorial
 from qproj.coordring import (
+    MAX_COUNT,
+    MAX_WORD_LENGTH,
     TruncatedPolynomialAlgebra,
+    _check_count,
     factorization_exponent,
     format_monomial,
     graded_dim,
@@ -165,6 +169,53 @@ def test_factorization_exponent_nested_form():
     s, r = (3, 2, 2), (1, 1, 2)
     expected = r[2] * ((s[1] - r[1]) + (s[0] - r[0])) + r[1] * (s[0] - r[0])
     assert factorization_exponent(s, r) == expected
+
+
+def test_factorization_exponent_is_the_double_sum():
+    rng = random.Random(5)
+    for _ in range(200):
+        s = [rng.randrange(5) for _ in range(rng.randrange(1, 7))]
+        r = [rng.randrange(x + 1) for x in s]
+        expected = sum(r[j] * sum(s[i] - r[i] for i in range(j)) for j in range(len(s)))
+        assert factorization_exponent(s, r) == expected
+
+
+def test_factorization_of_many_generators_is_linear():
+    # The nested double sum of the exponent took 16 s at 20,001 generators.
+    mono = (0,) * 20000 + (1,)
+    start = time.perf_counter()
+    assert tensor_factorize(mono, 1) == (0, mono, (0,) * 20001)
+    assert time.perf_counter() - start < 5
+
+
+def test_words_above_the_length_ceiling_are_refused():
+    assert MAX_WORD_LENGTH == 4000
+    assert inversion_count((2, 1) * 2000) == 2000 * 2001 // 2
+    message = "word length 4001 is above the ceiling of 4000"
+    for call in (lambda: inversion_count((1,) * 4001),
+                 lambda: normal_order((1,) * 4001)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # The factorization degree is refused before its word is built.
+    for mono in ((4000, 1), (10**8, 1)):
+        with pytest.raises(ValueError, match="above the word length ceiling of 4000"):
+            tensor_factorize(mono, 3)
+
+
+def test_counts_above_the_ceiling_are_refused_before_enumerating():
+    assert MAX_COUNT == 10**6
+    _check_count(10**6, 1, "x")           # exactly the ceiling
+    _check_count(10**6 + 1, 10**6 + 2, "x")  # k > n: nothing to count
+    with pytest.raises(ValueError, match=r"x would enumerate C\(1000001, 1\) items"):
+        _check_count(10**6 + 1, 1, "x")
+    # C(36, 30) = C(36, 6) = 1,947,792; a huge count is never formed.
+    for call, what in ((lambda: graded_dim(7, 30), "graded_dim"),
+                       (lambda: ker_el_combinatorial(6, 30), "ker_el_combinatorial"),
+                       (lambda: graded_dim(10**9, 10**9), "graded_dim"),
+                       (lambda: ker_el_combinatorial(10**9, 10**9), "ker_el_combinatorial")):
+        with pytest.raises(ValueError, match="%s would enumerate .* the ceiling of 1000000"
+                           % what):
+            call()
 
 
 def test_factorize_rejects_bad_degree():

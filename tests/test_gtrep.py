@@ -387,6 +387,14 @@ def test_relations_su4_serre_cases():
     assert {"serre(E1,E2)", "serre(E2,E1)", "serre(E2,E3)", "serre(E3,E2)"} <= serre
 
 
+def test_failures_are_the_checks_above_the_tolerance():
+    mod = build_irrep((1, 1), Q, PREC)
+    assert verify_relations(mod, TOL).failures() == []
+    strict = verify_relations(mod, "0")
+    assert strict.failures() == [c for c in strict.checks if c.residual > 0]
+    assert strict.ok is not bool(strict.failures())
+
+
 # -- structural invariants ---------------------------------------------------------
 
 def test_e_f_targets_stay_interlacing():

@@ -340,6 +340,65 @@ def test_coefficients_must_be_integers():
         QLaurent({0: 0.5})
 
 
+def test_zero_dividend_divides_to_zero():
+    assert QLaurent.zero().exact_div(q_int(2)) == QLaurent.zero()
+
+
+def test_coefficient_remainder_raises():
+    # 1 / 2 has a coefficient remainder; the valuations alone would allow it.
+    with pytest.raises(ExactnessError):
+        QLaurent({1: 1}).exact_div(QLaurent({0: 2}))
+
+
+def test_divisor_must_be_a_laurent_polynomial():
+    with pytest.raises(TypeError, match="another QLaurent"):
+        q_int(3).exact_div(2)
+
+
+# -- ring operations -----------------------------------------------------------
+
+def test_a_sum_that_cancels_a_term_drops_it():
+    total = QLaurent({1: 1, 0: 1}) + QLaurent({1: -1, -1: 2})
+    assert total.coeffs() == {0: 1, -1: 2}
+    assert (q_int(3) + -q_int(3)).coeffs() == {}
+
+
+def test_a_product_that_cancels_a_term_drops_it():
+    # (1 + q)(1 - q) = 1 - q^2: the two q terms cancel.
+    assert (QLaurent({0: 1, 1: 1}) * QLaurent({0: 1, 1: -1})).coeffs() == {0: 1, 2: -1}
+
+
+def test_difference_of_two_laurent_polynomials():
+    assert q_int(3) - q_int(1) == QLaurent({2: 1, -2: 1})
+    assert (q_factorial(4) - q_factorial(4)).coeffs() == {}
+
+
+@pytest.mark.parametrize("op", [
+    lambda p: p + 1, lambda p: 1 + p, lambda p: p - 1, lambda p: 1 - p,
+    lambda p: p * 2, lambda p: 2 * p, lambda p: p ** 2])
+def test_ring_operations_take_two_laurent_polynomials(op):
+    with pytest.raises(TypeError):
+        op(q_int(2))
+
+
+def test_integers_compare_as_constants():
+    assert q_int(1) == 1 and q_int(0) == 0 and q_int(2) != 2
+
+
+@pytest.mark.parametrize("coeffs", [
+    {0.5: 1}, {1.5: 2, 1: 3}, {Fraction(7, 2): 1}, {"3": 1}, {2.0: 1}])
+def test_exponents_must_be_integers(coeffs):
+    # They used to be truncated: {0.5: 1} was 1 and {1.5: 2, 1: 3} was 5q.
+    with pytest.raises(TypeError, match="exponents must be integers"):
+        QLaurent(coeffs)
+
+
+@pytest.mark.parametrize("e", [2.9, Fraction(7, 2), "3"])
+def test_q_power_exponent_must_be_an_integer(e):
+    with pytest.raises(TypeError, match="exponents must be integers"):
+        QLaurent.q_power(e)
+
+
 # -- guarded square root -------------------------------------------------------
 
 def test_guarded_sqrt_clamps_roundoff_and_rejects_real_negatives():
