@@ -45,6 +45,7 @@ from .gtrep import (
     _q_numbers,
     _tableaux,
     top_row,
+    validate_weight,
     weyl_dim,
 )
 
@@ -61,8 +62,9 @@ __all__ = [
 ]
 
 
-class FilterError(RuntimeError):
-    """The matrix-based constraint filter produced a non-coordinate kernel."""
+class FilterError(ArithmeticError):
+    """The matrix-based constraint filter produced a non-coordinate kernel:
+    a failed postcondition, an ArithmeticError like the others."""
 
 
 def block_weight(ell: int, N: int, n1: int) -> tuple:
@@ -125,7 +127,7 @@ def ln_conditions_filter(N: int, weight, q, dim_cap: int = DEFAULT_DIM_CAP) -> l
     """
     _check_dim_cap(dim_cap)
     qf = parse_q(q)
-    weight = tuple(int(n) for n in weight)
+    weight = validate_weight(weight)
     _capped_weyl_dim(weight, dim_cap, "block weight")
     ell = len(weight)
     selected = [

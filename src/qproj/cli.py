@@ -172,7 +172,7 @@ def cmd_shuffle_certificate(args):
     except cocycle.ChainSearchError as exc:
         # The search has just failed; certify through the spanning tree
         # without searching again.
-        cert = cocycle._tree_certificate(args.ell)
+        cert = cocycle._certificate(args.ell, cocycle.spanning_tree_edges(args.ell), False)
         results = [{
             "r": cert.r,
             "chain_error": str(exc),

@@ -6,8 +6,8 @@ length 2l with l of each letter is a balanced shuffle, and two patterns are
 adjacent when they differ by one adjacent transposition of distinct letters.
 The fundamental class is the formal sum tau of all binom(2l, l) pattern
 symbols; the telescoping construction writes m*tau - k*phi_first as an exact
-rational combination of adjacent-pair differences (phi - phi'), where the
-pairs form a spanning tree of the patterns, read off two chains
+combination of adjacent-pair differences (phi - phi'), where the pairs form a
+spanning tree of the patterns, read off two chains
 
     chain1: '0'^l '1'^l = pi_1 ~ pi_2 ~ ... ~ pi_r,
     chain2: '1'^l '0'^l = pi'_1 ~ pi'_2 ~ ... ~ pi'_r,
@@ -15,15 +15,16 @@ pairs form a spanning tree of the patterns, read off two chains
 partitioning all patterns, plus one bridge pi_r ~ pi'_kappa.  The
 coefficients are read off the tree by peeling leaves, with no linear solve:
 the pair (a, b) carries m times the number of patterns beyond it, signed by
-which end those patterns hang from.  The chains are found by one budgeted
-depth-first search over the sequence chain1 + chain2 with lexicographic
-tie-breaking and the bridge fixed at kappa = 2 (kappa = 1 when r = 1),
-because that placement makes the solved coefficients match the closed form
-x_i = -(2r-i)m with a single sign absorption at x_{r+1}.  The bridge is
-tested as soon as position kappa of chain2 is filled, so no subtree that
-cannot hold it is entered.  The search runs on an explicit stack and ends by
-one rule, a budget of placed patterns (`_NODE_BUDGET`); at odd l >= 5 it
-raises ChainSearchError when the budget runs out (a Hamilton
+which end those patterns hang from.  The system is linear in m, so the tree
+is peeled once, in integers at m = 1, and scaled.  The chains are found by
+one budgeted depth-first search over the sequence chain1 + chain2 with
+lexicographic tie-breaking and the bridge fixed at kappa = 2 (kappa = 1 when
+r = 1), because that placement makes the solved coefficients match the
+closed form x_i = -(2r-i)m with a single sign absorption at x_{r+1}.  The
+bridge is tested as soon as position kappa of chain2 is filled, so no
+subtree that cannot hold it is entered.  The search runs on an explicit
+stack and ends by one rule, a budget of placed patterns (`_NODE_BUDGET`); at
+odd l >= 5 it raises ChainSearchError when the budget runs out (a Hamilton
 path of the flip graph exists exactly at odd l, by Eades, Hickey and Read,
 JACM 31 (1984), so it is this kappa = 2 search that fails there).
 
@@ -109,13 +110,14 @@ def enumerate_shuffles(ell: int) -> list:
     """All balanced patterns of length 2l, lexicographically ('0' < '1');
     l must lie in 1..MAX_SHUFFLE_ELL."""
     _check_ell(ell)
+    # The zero positions come in lexicographic order, and so do the patterns.
     out = []
-    for ones in itertools.combinations(range(2 * ell), ell):
-        chars = ["0"] * (2 * ell)
-        for p in ones:
-            chars[p] = "1"
+    for zeros in itertools.combinations(range(2 * ell), ell):
+        chars = ["1"] * (2 * ell)
+        for p in zeros:
+            chars[p] = "0"
         out.append("".join(chars))
-    return sorted(out)
+    return out
 
 
 def flip_neighbors(pattern: str) -> list:
@@ -239,23 +241,23 @@ def _closed_form(i, r, kappa, m):
     return j * m if j < kappa else -(r - j) * m
 
 
-def _telescope(patterns, edges, m):
-    """Exact x with m*tau - 2rm*phi_first = sum_e x_e (phi_a - phi_b).
+def _telescope(patterns, edges):
+    """Integer x with tau - 2r*phi_first = sum_e x_e (phi_a - phi_b).
 
     One unknown per edge (a, b), one equation per pattern; first =
-    patterns[0] = '0'^l '1'^l and 2r = len(patterns).  The edges must form a
-    spanning tree of the patterns, and x is read off it by peeling leaves: a
-    leaf's one edge carries the leaf's whole demand, which then passes to the
-    other end.  So x_e = +-m * (number of patterns beyond e, away from first).
+    patterns[0] = '0'^l '1'^l and 2r = len(patterns), so every pattern
+    demands 1 and first demands 1 - 2r.  The edges must form a spanning tree
+    of the patterns, and x is read off it by peeling leaves: a leaf's one
+    edge carries the leaf's whole demand, which then passes to the other end.
+    So x_e = +-(number of patterns beyond e, away from first), an int.
     Returns (x, rebuilt), or None when the edges close a cycle or do not span
     the patterns; `rebuilt` re-checks x independently of the peeling by
     summing the weighted pairs.
     """
     if len(edges) != len(patterns) - 1:
         return None
-    m = Fraction(m)
-    rhs = dict.fromkeys(patterns, m)
-    rhs[patterns[0]] = m - len(patterns) * m
+    rhs = dict.fromkeys(patterns, 1)
+    rhs[patterns[0]] = 1 - len(patterns)
     incident = {p: [] for p in patterns}
     for e, (a, b) in enumerate(edges):
         incident[a].append(e)
@@ -277,7 +279,7 @@ def _telescope(patterns, edges, m):
             leaves.append(other)
     if None in x:
         return None
-    total = dict.fromkeys(patterns, Fraction(0))
+    total = dict.fromkeys(patterns, 0)
     for y, (a, b) in zip(x, edges):
         total[a] += y
         total[b] -= y
@@ -291,35 +293,32 @@ def solve_cocycle_system(ell: int, m=1, chains: Chains = None) -> CocycleSolutio
     edge contributes +-(phi - phi') with the sign convention fixed
     edge-forward), reads the exact solution off the tree the edges form,
     asserts it against the closed form above, and records which indices
-    differ from -(2r-i)m only by the documented sign absorption.  k is 2rm:
-    every pair difference has coefficient sum zero, so summing the equations
-    over all patterns forces it.  `membership` is the solver-independent
-    rebuild of the sum, the check `verify_membership` makes.  Raises
-    ArithmeticError when the chain edges are no spanning tree of the
-    patterns.
+    differ from -(2r-i)m only by the documented sign absorption.  The system
+    is linear in m, so this is the `verify_membership` solve (m = 1) scaled
+    by m.  k is 2rm: every pair difference has coefficient sum zero, so
+    summing the equations over all patterns forces it.  `membership` is the
+    solver-independent rebuild of the sum.  Raises ArithmeticError when the
+    chain edges are no spanning tree of the patterns.
     """
     m = Fraction(m)
     if chains is None:
         chains = build_chains(ell)
-    patterns = enumerate_shuffles(ell)
-    r = len(patterns) // 2
-    edges = chain_edges(chains)
-    solved = _telescope(patterns, edges, m)
-    if solved is None:
+    cert = _certificate(ell, chain_edges(chains), True)
+    if not cert.coefficients:
         raise ArithmeticError(
             "telescoping system has no unique solution at ell=%d "
             "(falsifies the construction)" % ell)
-    x, rebuilt = solved
-    kappa = chains.bridge
-    expected = [_closed_form(i, r, kappa, m) for i in range(1, 2 * r)]
+    r, kappa = cert.r, chains.bridge
+    x = tuple(m * v for v in cert.coefficients)
+    expected = tuple(_closed_form(i, r, kappa, m) for i in range(1, 2 * r))
     matches = x == expected
     # Indices where the solved coefficient deviates from the bare pattern
     # -(2r-i)m; with the bridge at kappa <= 2 this is at most {r+1}, where
     # only the sign differs (the documented sign absorption).
     sign_absorbed = tuple(
         i for i in range(1, 2 * r) if x[i - 1] != -(2 * r - i) * m)
-    return CocycleSolution(m, r, kappa, tuple(x), 2 * r * m, tuple(edges), matches,
-                           sign_absorbed, rebuilt)
+    return CocycleSolution(m, r, kappa, x, 2 * r * m, cert.pairs, matches,
+                           sign_absorbed, cert.ok)
 
 
 def spanning_tree_edges(ell: int) -> list:
@@ -359,27 +358,21 @@ def verify_membership(ell: int) -> MembershipCertificate:
     spanning-tree pairs of the flip graph (2r - 1 pairs either way).
     """
     try:
-        edges = chain_edges(build_chains(ell))
+        edges, via_chains = chain_edges(build_chains(ell)), True
     except ChainSearchError:
-        return _tree_certificate(ell)
-    return _certificate(ell, edges, True)
-
-
-def _tree_certificate(ell: int) -> MembershipCertificate:
-    """`verify_membership` through the spanning-tree pairs, for when the
-    two-chain partition does not exist; no chain search is made."""
-    return _certificate(ell, spanning_tree_edges(ell), False)
+        edges, via_chains = spanning_tree_edges(ell), False
+    return _certificate(ell, edges, via_chains)
 
 
 def _certificate(ell, edges, via_chains) -> MembershipCertificate:
-    # One solve over the given pairs, re-checked by rebuilding the sum.
+    # The one solve over the given pairs, no chain search, re-checked by
+    # rebuilding the sum; the integer coefficients come back as Fractions.
     patterns = enumerate_shuffles(ell)
     r = len(patterns) // 2
-    solved = _telescope(patterns, edges, 1)
-    if solved is None:
-        return MembershipCertificate(False, ell, r, via_chains, tuple(edges), ())
-    x, rebuilt = solved
-    return MembershipCertificate(rebuilt, ell, r, via_chains, tuple(edges), tuple(x))
+    solved = _telescope(patterns, edges)
+    x, rebuilt = solved if solved else ((), False)
+    return MembershipCertificate(rebuilt, ell, r, via_chains, tuple(edges),
+                                 tuple(map(Fraction, x)))
 
 
 # -- twisted Hochschild operators on the toy algebra -----------------------

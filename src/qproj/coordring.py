@@ -28,7 +28,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .qarith import QLaurent
+from .qarith import QLaurent, _check_int
 
 __all__ = [
     "inversion_count",
@@ -65,11 +65,12 @@ def _check_count(n, k, what):
 
 
 def _check_word(word, num_generators=None):
-    word = tuple(int(x) for x in word)
+    word = tuple(_check_int(x, "a generator index") for x in word)
     if len(word) > MAX_WORD_LENGTH:
         raise ValueError("word length %d is above the ceiling of %d"
                          % (len(word), MAX_WORD_LENGTH))
-    g = max(word, default=1) if num_generators is None else int(num_generators)
+    g = (max(word, default=1) if num_generators is None
+         else _check_int(num_generators, "the number of generators"))
     if any(not 1 <= x <= g for x in word):
         raise ValueError("generator indices must lie in 1..%d: %r" % (g, word))
     return word, g
@@ -140,8 +141,8 @@ def factorization_exponent(s, r) -> int:
     r_k{(s_{k-1}-r_{k-1}) + ...} + ... + r_2(s_1 - r_1) expands to exactly
     this.
     """
-    s = tuple(int(x) for x in s)
-    r = tuple(int(x) for x in r)
+    s = tuple(_check_int(x, "an exponent") for x in s)
+    r = tuple(_check_int(x, "a partition entry") for x in r)
     if len(r) != len(s):
         raise ValueError("partition and monomial have different lengths")
     R = prefix = 0  # prefix = sum_{i<j} (s_i - r_i)
@@ -164,7 +165,8 @@ def tensor_factorize(mono, N: int, partition=None) -> Factorization:
     internally through `normal_order`.  A degree above MAX_WORD_LENGTH is
     refused before any word is built.
     """
-    s = tuple(int(x) for x in mono)
+    s = tuple(_check_int(x, "an exponent") for x in mono)
+    N = _check_int(N, "the degree N")
     if any(x < 0 for x in s):
         raise ValueError("exponents must be non-negative: %r" % (mono,))
     degree = sum(s)
@@ -188,7 +190,7 @@ def tensor_factorize(mono, N: int, partition=None) -> Factorization:
             r.append(take)
             remaining -= take
     else:
-        r = [int(x) for x in partition]
+        r = [_check_int(x, "a partition entry") for x in partition]
         if len(r) != len(s):
             raise ValueError("partition length must match the monomial")
         if sum(r) != N:

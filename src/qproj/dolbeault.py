@@ -72,8 +72,11 @@ TruncatedComplex = namedtuple("TruncatedComplex", "N l_max blocks")
 
 
 def cp1_dolbeault_matrix(N: int, l_max) -> TruncatedComplex:
-    """Build the truncated degree-N complex up to spin l_max <= MAX_LMAX."""
-    l_max = Fraction(l_max)
+    """Build the truncated degree-N complex up to spin l_max <= MAX_LMAX; a
+    spin is a multiple of 1/2, and any other l_max is a ValueError."""
+    given, l_max = l_max, Fraction(l_max)
+    if (2 * l_max).denominator != 1:
+        raise ValueError("l_max must be a multiple of 1/2, got %s" % (given,))
     if l_max < Fraction(abs(N), 2):
         raise ValueError("l_max must be at least |N|/2")
     if l_max > MAX_LMAX:

@@ -47,6 +47,7 @@ from .linalg import SparseMatrix, _Memo
 from .qarith import (
     DEFAULT_PRECISION,
     NegativeRadicandError,
+    _check_int,
     check_precision,
     guarded_sqrt,
     parse_q,
@@ -89,7 +90,7 @@ def _relation_tol(tol, precision):
 
 
 def validate_weight(weight) -> tuple:
-    weight = tuple(int(n) for n in weight)
+    weight = tuple(_check_int(n, "a highest weight component") for n in weight)
     if not weight:
         raise ValueError("a highest weight needs at least one component")
     if any(n < 0 for n in weight):
@@ -118,7 +119,7 @@ class GTTableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(_check_int(x, "a tableau entry") for x in r) for r in rows)
         size = len(rows[0]) if rows else 0
         if [len(r) for r in rows] != list(range(size, 0, -1)):
             raise ValueError("rows must shrink from l+1 entries down to 1")

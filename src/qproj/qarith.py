@@ -74,6 +74,14 @@ def parse_q(q) -> Fraction:
     return q
 
 
+def _check_int(value, what) -> int:
+    """`value` as an int; anything else (a float, a Fraction, a string) is a
+    TypeError naming `what`, never truncated.  A bool counts as an int."""
+    if not isinstance(value, int):
+        raise TypeError("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
 def check_precision(precision) -> int:
     precision = int(precision)
     if precision < MIN_PRECISION:
@@ -156,6 +164,9 @@ class QLaurent:
         return self._c == other._c
 
     def __hash__(self):
+        # A constant equals its integer, so it must hash as that integer.
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     def __repr__(self):
@@ -288,9 +299,9 @@ def q_int(z: int) -> QLaurent:
     """The symmetric q-integer [z] = (q^z - q^-z)/(q - q^-1).
 
     For z > 0 this is q^(z-1) + q^(z-3) + ... + q^(1-z); [0] = 0 and
-    [-z] = -[z].
+    [-z] = -[z].  A non-integer z is a TypeError.
     """
-    z = int(z)
+    z = _check_int(z, "a q-integer argument")
     sign, n = (1, z) if z >= 0 else (-1, -z)
     return QLaurent._of(dict.fromkeys(range(1 - n, n, 2), sign))
 
@@ -318,7 +329,7 @@ def q_multinomial(parts) -> QLaurent:
     J = j_1 + ... + j_k.  The prefactor breaks palindromicity whenever two
     parts are simultaneously nonzero.
     """
-    js = [int(j) for j in parts]
+    js = [_check_int(j, "a q-multinomial part") for j in parts]
     if any(j < 0 for j in js):
         raise ValueError("q-multinomial parts must be non-negative, got %r" % (parts,))
     total = sum(js)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qproj import cli, cocycle, gtrep
+from qproj import bundles, cli, cocycle, gtrep
 from qproj.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,6 +194,15 @@ def test_empty_ranges_are_rejected(capsys, argv, error):
     code, report = run_json(capsys, *argv)
     assert code == 1 and not report["pass"]
     assert report["results"] == [{"error": error}]
+
+
+def test_a_filter_postcondition_failure_is_one_error_row(monkeypatch, capsys):
+    # A rank of 0 leaves a joint kernel that single tableaux do not span.
+    monkeypatch.setattr(bundles, "exact_rank", lambda columns: 0)
+    code, report = run_json(capsys, "ln-kernel", "--ell", "2", "--N", "1", "--n1max", "1")
+    assert code == 1 and report["config"] == {} and not report["pass"]
+    assert report["results"] == [
+        {"error": "joint kernel (dim 2) is not spanned by single tableaux (1 found)"}]
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
@@ -442,6 +451,33 @@ def test_pins_cover_every_subcommand_in_every_format():
 @pytest.mark.parametrize("argv, code, digest", BYTE_PINS)
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     got_code, out = run(capsys, *argv.split())
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
+
+
+# The JSON report of every shuffle-certificate ell up to the ceiling
+# MAX_SHUFFLE_ELL = 9, pinned as above: ell 1..3 certify through the chains,
+# ell 4..9 through the spanning tree, and exit 1.
+SHUFFLE_PINS = [
+    (1, 0, "aaceb9de10fb9511"),
+    (2, 0, "ec59fc8ed2d5b93b"),
+    (3, 0, "78fb202865afa89f"),
+    (4, 1, "93d49cc58ee5f215"),
+    (5, 1, "1660b6f845948694"),
+    (6, 1, "906d42c170d96f57"),
+    (7, 1, "086e7ef82c42a148"),
+    (8, 1, "7e400b1bf4c61394"),
+    (9, 1, "e964fc690a7c4174"),
+]
+
+
+def test_shuffle_pins_reach_the_ceiling():
+    assert [ell for ell, _code, _digest in SHUFFLE_PINS] == list(
+        range(1, cocycle.MAX_SHUFFLE_ELL + 1))
+
+
+@pytest.mark.parametrize("ell, code, digest", SHUFFLE_PINS)
+def test_shuffle_certificate_bytes_are_pinned(capsys, ell, code, digest):
+    got_code, out = run(capsys, "shuffle-certificate", "--ell", str(ell), "--format", "json")
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
 
 

@@ -1,5 +1,6 @@
 """Shuffle chains, the telescoping solve, membership, twisted coboundary."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -223,6 +224,35 @@ def test_membership_coefficients_are_pinned_fractions(ell):
     cert = verify_membership(ell)
     assert cert.ok and _exact(cert.coefficients)
     assert cert.coefficients == (TREE_X_ELL4 if ell == 4 else CHAIN_X[ell])
+
+
+# Above ell = 4 the spanning-tree coefficients, one per pair, as the first 16
+# hex digits of the sha256 of their comma-joined decimal strings.
+TREE_X_DIGESTS = {
+    5: "22c88e055fb20c9b",
+    6: "8b1d2dcfc6b66afd",
+    7: "55fde9e6207dfa67",
+    8: "321aa5b40b0f2a9f",
+    9: "165aaecfe97834ad",
+}
+
+
+@pytest.mark.parametrize("ell", sorted(TREE_X_DIGESTS))
+def test_tree_coefficients_are_pinned_up_to_the_ceiling(ell):
+    cert = verify_membership(ell)
+    assert cert.ok and not cert.via_chains and _exact(cert.coefficients)
+    joined = ",".join(map(str, cert.coefficients))
+    assert len(cert.coefficients) == len(cert.pairs) == 2 * cert.r - 1
+    assert hashlib.sha256(joined.encode()).hexdigest()[:16] == TREE_X_DIGESTS[ell]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_telescope_solves_in_integers(ell):
+    # Every demand is an integer, so the peel needs no Fraction: the
+    # coefficients come back as ints, in units of m.
+    x, rebuilt = cocycle._telescope(enumerate_shuffles(ell), chain_edges(build_chains(ell)))
+    assert rebuilt and all(type(v) is int for v in x)
+    assert tuple(x) == CHAIN_X[ell]
 
 
 # Pairs at ell = 2 that are no spanning tree of the six patterns: chain2

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from oracles import ref_eval
-from qproj import dolbeault, gtrep, qarith
+from qproj import bundles, coordring, dolbeault, gtrep, qarith
 from qproj.qarith import (
     ExactnessError,
     QLaurent,
@@ -385,12 +385,65 @@ def test_integers_compare_as_constants():
     assert q_int(1) == 1 and q_int(0) == 0 and q_int(2) != 2
 
 
+def test_constants_hash_as_their_integers():
+    # Equal objects must hash alike, or sets and dicts hold both.
+    assert len({1, q_int(1)}) == len({0, QLaurent.zero()}) == 1
+    assert len({-3, q_int(3) - q_int(3) - QLaurent({0: 3})}) == 1
+    assert {q_int(1): "one"}[1] == "one" and {0: "zero"}[QLaurent.zero()] == "zero"
+    assert {QLaurent({0: 5}): "five"}[5] == "five"
+    assert len({q_int(2), q_int(2) * q_int(1), q_int(3)}) == 2
+
+
 @pytest.mark.parametrize("coeffs", [
     {0.5: 1}, {1.5: 2, 1: 3}, {Fraction(7, 2): 1}, {"3": 1}, {2.0: 1}])
 def test_exponents_must_be_integers(coeffs):
     # They used to be truncated: {0.5: 1} was 1 and {1.5: 2, 1: 3} was 5q.
     with pytest.raises(TypeError, match="exponents must be integers"):
         QLaurent(coeffs)
+
+
+# Integer arguments used to be truncated: q_int(2.5) was [2], weyl_dim((1.5, 1))
+# was 8, and GTTableau([[2.7, 0], [1.2]]) stored ((2, 0), (1,)).
+@pytest.mark.parametrize("call, message", [
+    (lambda: q_int(2.5), "a q-integer argument must be an integer, got 2.5"),
+    (lambda: q_int(Fraction(5, 1)), "a q-integer argument must be an integer, got Fraction"),
+    (lambda: q_multinomial((1.5, 1)), "a q-multinomial part must be an integer, got 1.5"),
+    (lambda: gtrep.validate_weight((1, "2")), "a highest weight component must be .* got '2'"),
+    (lambda: gtrep.weyl_dim((1.5, 1)), "a highest weight component must be .* got 1.5"),
+    (lambda: gtrep.build_irrep((1.9,), Q), "a highest weight component must be .* got 1.9"),
+    (lambda: gtrep.GTTableau([[2.7, 0], [1.2]]), "a tableau entry must be an integer, got 2.7"),
+    (lambda: bundles.ln_conditions_filter(1, (1.5, 1), Q),
+     "a highest weight component must be .* got 1.5"),
+    (lambda: coordring.normal_order([1, 2.9, 1]), "a generator index must be .* got 2.9"),
+    (lambda: coordring.inversion_count([2.0, 1]), "a generator index must be .* got 2.0"),
+    (lambda: coordring.normal_order([1, 2], 2.5), "the number of generators must be .* got 2.5"),
+    (lambda: coordring.tensor_factorize((1.5, 2), 1), "an exponent must be an integer, got 1.5"),
+    (lambda: coordring.tensor_factorize((1, 2), 1.0), "the degree N must be an integer, got 1.0"),
+    (lambda: coordring.tensor_factorize((1, 2), 1, (0.5, 0.5)),
+     "a partition entry must be an integer, got 0.5"),
+    (lambda: coordring.factorization_exponent((1, 2), (1, 0.0)),
+     "a partition entry must be an integer, got 0.0"),
+])
+def test_integer_arguments_are_checked_not_truncated(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, given", [
+    (lambda: dolbeault.cp1_euler_characteristic(0, 4.7), "4.7"),
+    (lambda: dolbeault.cp1_dolbeault_matrix(0, Fraction(13, 3)), "13/3"),
+    (lambda: dolbeault.cp1_dolbeault_matrix(0, "17/4"), "17/4"),
+])
+def test_a_spin_must_be_a_multiple_of_one_half(call, given):
+    # l_max = 4.7 was echoed while 2 l_max = 9.4 was truncated to 9.
+    with pytest.raises(ValueError, match="l_max must be a multiple of 1/2, got %s$" % given):
+        call()
+
+
+def test_bools_and_half_integer_spins_are_accepted():
+    assert q_int(True) == q_int(1) and gtrep.validate_weight((True, 0)) == (1, 0)
+    res = dolbeault.cp1_euler_characteristic(1, Fraction(9, 2))
+    assert res.chi == 0 and res.stable and max(b.twol for b in res.blocks) == 9
 
 
 @pytest.mark.parametrize("e", [2.9, Fraction(7, 2), "3"])
