@@ -41,7 +41,7 @@ from mpmath import mp
 from .gtrep import _amplitude
 from .linalg import _Memo
 from .qarith import (
-    DEFAULT_PRECISION, QLaurent, _evaluator, check_precision, parse_q, q_int)
+    DEFAULT_PRECISION, QLaurent, _check_int, _evaluator, check_precision, parse_q, q_int)
 
 __all__ = [
     "MAX_LMAX",
@@ -85,11 +85,9 @@ def cp1_dolbeault_matrix(N: int, l_max) -> TruncatedComplex:
     src_min, tgt_min = abs(N), abs(N - 2)
     qn = _Memo(q_int)
     blocks = []
-    for twol in range(min(src_min, tgt_min), twol_cap + 1):
-        in_source = twol >= src_min and (twol - src_min) % 2 == 0
-        in_target = twol >= tgt_min and (twol - tgt_min) % 2 == 0
-        if not in_source and not in_target:
-            continue
+    # |N| and |N - 2| share one parity, so 2l steps by 2 through both spin lists.
+    for twol in range(min(src_min, tgt_min), twol_cap + 1, 2):
+        in_source, in_target = twol >= src_min, twol >= tgt_min
         m = (twol + N) // 2  # F_1 on ((2l, 0), (m,)) lowers m, unless m = 0
         radicand = (_amplitude("E", 1, (m - 1,), (twol, 0), qn)
                     * _amplitude("F", 1, (m,), (), qn) if in_source and m
@@ -156,7 +154,10 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
     empty grid raises ValueError, since it would pass with nothing checked.
     """
     precision = check_precision(precision)
-    n_values, q_list = list(n_values), list(q_list)
+    n_values = [_check_int(n, "n") for n in n_values]
+    q_list = list(q_list)
+    if any(n < 0 for n in n_values):
+        raise ValueError("n must be non-negative")
     if not n_values or not q_list:
         raise ValueError("empty parameter grid: %d n values, %d q values"
                          % (len(n_values), len(q_list)))
@@ -168,9 +169,6 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
         ev = _evaluator(qf, precision)
         e = _Memo(lambda z: ev(q_int(z)))
         for n in n_values:
-            n = int(n)
-            if n < 0:
-                raise ValueError("n must be non-negative")
             with mp.workdps(precision):
                 # Component along the mixed basis vector: -x - x + 2 [2]^{-1} [2] x = 0.
                 x_joint = mp.sqrt(e[n] * e[n + 5] / (e[2] * e[3]))

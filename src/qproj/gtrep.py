@@ -49,7 +49,6 @@ from .qarith import (
     NegativeRadicandError,
     _check_int,
     check_precision,
-    guarded_sqrt,
     parse_q,
 )
 
@@ -282,7 +281,8 @@ def _raise_value(k, j, window, qn, precision):
             "radicand of A^%d_%d is negative: %s" % (j, k, radicand))
     with mp.workdps(precision + 10):
         value = mp.mpf(radicand.numerator) / radicand.denominator
-    return guarded_sqrt(value, precision)
+    with mp.workdps(precision):
+        return mp.sqrt(+value)
 
 
 def _e_column(k, tableau, values):

@@ -34,7 +34,6 @@ __all__ = [
     "q_multinomial",
     "parse_q",
     "check_precision",
-    "guarded_sqrt",
     "ExactnessError",
     "NegativeRadicandError",
     "MIN_PRECISION",
@@ -53,7 +52,8 @@ class ExactnessError(ArithmeticError):
 
 
 class NegativeRadicandError(ArithmeticError):
-    """A radicand that must be non-negative came out significantly negative."""
+    """An exact radicand, whose sign is decided before any rounding, came
+    out negative: that can only be a transcription bug upstream."""
 
 
 def parse_q(q) -> Fraction:
@@ -83,7 +83,9 @@ def _check_int(value, what) -> int:
 
 
 def check_precision(precision) -> int:
-    precision = int(precision)
+    """`precision` as an int digit count; a non-int is a TypeError, one
+    outside MIN_PRECISION..MAX_PRECISION a ValueError."""
+    precision = _check_int(precision, "the working precision")
     if precision < MIN_PRECISION:
         raise ValueError(
             "working precision must be at least %d digits, got %d"
@@ -343,20 +345,3 @@ def q_multinomial(parts) -> QLaurent:
         den = den * q_factorial(j)
     return num.exact_div(den)
 
-
-def guarded_sqrt(value, precision: int = DEFAULT_PRECISION):
-    """Square root of a numerically non-negative quantity.
-
-    Values below -10^(-precision/2) raise NegativeRadicandError (a formula
-    transcription bug, not round-off); tiny negatives are clamped to zero.
-    """
-    precision = check_precision(precision)
-    with mp.workdps(precision):
-        value = mp.mpf(value)
-        if value < 0:
-            if value < -mp.mpf(10) ** (-(precision // 2)):
-                raise NegativeRadicandError(
-                    "radicand %s is negative beyond round-off tolerance" % mp.nstr(value, 8)
-                )
-            return mp.mpf(0)
-        return mp.sqrt(value)

@@ -230,6 +230,21 @@ def test_cp2_rejects_negative_n():
         cp2_coefficient_identity([-1], [Q], PREC)
 
 
+# n used to be truncated (n = 2.5 gave a passing row with n = 2) and checked
+# inside the q loop, after the first q's [z] were evaluated.
+@pytest.mark.parametrize("n_values, error, message", [
+    ([2.5], TypeError, "n must be an integer, got 2.5"),
+    ([0, Fraction(3)], TypeError, "n must be an integer, got Fraction"),
+    ([0, 1, -1], ValueError, "n must be non-negative"),
+])
+def test_cp2_checks_every_n_before_any_q_is_evaluated(monkeypatch, n_values, error, message):
+    evaluated = []
+    monkeypatch.setattr(dolbeault, "_evaluator", lambda *args: evaluated.append(args))
+    with pytest.raises(error, match=message):
+        cp2_coefficient_identity(n_values, [Q, Fraction(3, 4)], PREC)
+    assert evaluated == []
+
+
 def test_cp2_rejects_an_empty_grid():
     # An empty grid would report ok with nothing checked.
     with pytest.raises(ValueError):

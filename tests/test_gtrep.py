@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from oracles import ref_relation_checks
+from qproj import gtrep
 from qproj.bundles import ln_conditions_filter
 from qproj.gtrep import (
     DimensionCapError,
@@ -26,6 +27,7 @@ from qproj.gtrep import (
     weyl_dim,
 )
 from qproj.linalg import SparseMatrix
+from qproj.qarith import NegativeRadicandError
 
 Q = Fraction(1, 2)
 PREC = 60
@@ -149,6 +151,20 @@ def test_raise_coeff_rejects_j_or_k_out_of_range(k, j):
     t = GTTableau(((2, 1, 0), (2, 0), (1,)))
     with pytest.raises(ValueError, match="need 1 <= j <= k <= 2, got j=%d k=%d" % (j, k)):
         raise_coeff(k, j, t, Q)
+
+
+def test_a_negative_radicand_is_an_error_naming_the_amplitude(monkeypatch):
+    # A sign slip in the transcribed b_j makes every nonzero radicand
+    # a_j(m) b_j(m^j_k) negative; the exact sign test must catch it before
+    # any rounding, in the build and in the single coefficient alike.
+    amplitude = gtrep._amplitude
+    monkeypatch.setattr(gtrep, "_amplitude", lambda op, *args: (
+        -amplitude(op, *args) if op == "F" else amplitude(op, *args)))
+    with pytest.raises(NegativeRadicandError, match=r"^radicand of A\^1_1 is negative: -"):
+        build_irrep((1, 1), Q, PREC)
+    t = GTTableau(((2, 1, 0), (2, 0), (1,)))
+    with pytest.raises(NegativeRadicandError, match=r"^radicand of A\^2_2 is negative: -"):
+        raise_coeff(2, 2, t, Q, PREC)
 
 
 # -- weight exponents ----------------------------------------------------------
@@ -470,6 +486,16 @@ EXPORT_SHA256 = {
         "bc1d7bfe77ae975efe2342a91d223a0e7f7b209522650847e0cfc4f34c7819bb",
     ((1, 1), Q, 100): "9126e43f79664d0fdad5c014124d36873e74c3527e7c47331101aec49200b34c",
     ((1, 1, 1, 1), Q, 60): "d972294ba02208a81ca757ec84eba2149d6f562acfcc9612b2033cc651c70d41",
+    # The precision extremes, where the rounding at precision + 10 and the
+    # root at precision are easiest to get wrong.
+    ((1, 1), Q, 30): "3b0eb9fac789477b8321818c96658449bc70ba384c8b2db624c26ecea551a10b",
+    ((1, 1), Q, 4000): "6bf3f776c45dcedb26cea37a5fc76639b77a86152fd91698de5d6a828464ea9a",
+    ((1, 0, 1), Fraction(9, 10), 30):
+        "ffa5dc6403bc7c7dbd8d53933536e1b1367c23e725b13263d715ed4f9a26e097",
+    ((1, 0, 1), Fraction(9, 10), 4000):
+        "95f2170887564c1253da2b28d303351972fdc4d917448375f0184be31782ea98",
+    ((2, 1), Fraction(9, 10), 1000):
+        "2b7c2afb0dd48665960c5a3d78ec6abd6e788da8c5e05b19402caeda11d5622a",
 }
 
 

@@ -13,7 +13,6 @@ from qproj.qarith import (
     ExactnessError,
     QLaurent,
     check_precision,
-    guarded_sqrt,
     parse_q,
     q_binomial,
     q_factorial,
@@ -249,12 +248,37 @@ def test_precision_ceiling_holds_at_every_entry_point():
     message = "at most 4000 digits, got 4001"
     for call in (lambda: check_precision(4001),
                  lambda: q_int(2).eval(Q, 4001),
-                 lambda: guarded_sqrt(2, 4001),
                  lambda: gtrep.raise_coeff(1, 1, gtrep.GTTableau(((1, 0), (0,))), Q, 4001),
                  lambda: gtrep.build_irrep((1,), Q, 4001),
                  lambda: dolbeault.cp2_coefficient_identity([0], [Q], 4001)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+# A precision used to be truncated: check_precision(60.9) was 60,
+# build_irrep((1,), Q, 60.9) exported precision=60, and
+# q_int(3).eval(Q, 45.5) evaluated at 45 digits.
+PRECISION_ENTRY_POINTS = {
+    "check_precision": check_precision,
+    "eval": lambda p: q_int(3).eval(Q, p),
+    "raise_coeff": lambda p: gtrep.raise_coeff(1, 1, gtrep.GTTableau(((1, 0), (0,))), Q, p),
+    "build_irrep": lambda p: gtrep.build_irrep((1,), Q, p),
+    "cp2": lambda p: dolbeault.cp2_coefficient_identity([0], [Q], p),
+}
+
+
+@pytest.mark.parametrize("precision, error, message", [
+    (60.9, TypeError, "the working precision must be an integer, got 60.9"),
+    (45.5, TypeError, "the working precision must be an integer, got 45.5"),
+    ("60", TypeError, "the working precision must be an integer, got '60'"),
+    (Fraction(60), TypeError, "the working precision must be an integer, got Fraction"),
+    (True, ValueError, "at least 30 digits, got 1$"),  # a bool counts as an int
+])
+@pytest.mark.parametrize("call", list(PRECISION_ENTRY_POINTS.values()),
+                         ids=list(PRECISION_ENTRY_POINTS))
+def test_a_precision_is_checked_not_truncated(call, precision, error, message):
+    with pytest.raises(error, match=message):
+        call(precision)
 
 
 @pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0"])
@@ -451,13 +475,3 @@ def test_q_power_exponent_must_be_an_integer(e):
     with pytest.raises(TypeError, match="exponents must be integers"):
         QLaurent.q_power(e)
 
-
-# -- guarded square root -------------------------------------------------------
-
-def test_guarded_sqrt_clamps_roundoff_and_rejects_real_negatives():
-    from qproj.qarith import NegativeRadicandError, guarded_sqrt
-    with mp.workdps(PREC):
-        assert guarded_sqrt(mp.mpf("-1e-45"), PREC) == 0   # below round-off scale
-        assert guarded_sqrt(mp.mpf(4), PREC) == 2
-    with pytest.raises(NegativeRadicandError):
-        guarded_sqrt(-1, PREC)
