@@ -28,7 +28,7 @@ for k in (1, 2, 3):
 
 print("\nRelation residuals for the weight (1, 0, 1) module (dim %d):" % weyl_dim((1, 0, 1)))
 report = verify_relations(build_irrep((1, 0, 1), q, 60), mp.mpf("1e-40"))
-worst = report.worst
+worst = max(report.checks, key=lambda c: c.residual)
 print("  %d relations checked, worst: %s at %s" % (
     len(report.checks), worst[0], mp.nstr(worst[1], 5)))
 print("  all within 1e-40: %s" % report.ok)

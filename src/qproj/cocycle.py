@@ -250,9 +250,9 @@ def _telescope(patterns, edges):
     of the patterns, and x is read off it by peeling leaves: a leaf's one
     edge carries the leaf's whole demand, which then passes to the other end.
     So x_e = +-(number of patterns beyond e, away from first), an int.
-    Returns (x, rebuilt), or None when the edges close a cycle or do not span
-    the patterns; `rebuilt` re-checks x independently of the peeling by
-    summing the weighted pairs.
+    Returns (x, rebuilt), or None when the edges close a cycle, do not span
+    the patterns or reach a non-pattern; `rebuilt` re-checks x independently
+    of the peeling by summing the weighted pairs.
     """
     if len(edges) != len(patterns) - 1:
         return None
@@ -260,6 +260,8 @@ def _telescope(patterns, edges):
     rhs[patterns[0]] = 1 - len(patterns)
     incident = {p: [] for p in patterns}
     for e, (a, b) in enumerate(edges):
+        if a not in incident or b not in incident:
+            return None
         incident[a].append(e)
         incident[b].append(e)
     demand = dict(rhs)

@@ -215,8 +215,7 @@ class TruncatedPolynomialAlgebra:
     Basis: exponent tuples of degree <= max_degree, graded then lexicographic.
     Products of basis monomials are single basis monomials scaled by an exact
     rational power of q (or zero past the cutoff), so multilinear cochains on
-    this algebra can be evaluated with no rounding at all.  The dim x dim
-    product table is built once, at construction.
+    this algebra can be evaluated with no rounding at all.
     """
 
     def __init__(self, num_generators: int, max_degree: int, q):
@@ -232,29 +231,22 @@ class TruncatedPolynomialAlgebra:
             basis.extend(monomials(num_generators, d))
         self.basis = basis
         self.index = {m: i for i, m in enumerate(basis)}
-        self._table = [[self._multiply(a, b) for b in basis] for a in basis]
 
     @property
     def dim(self):
         return len(self.basis)
-
-    def _multiply(self, a, b):
-        total = tuple(x + y for x, y in zip(a, b))
-        if sum(total) > self.max_degree:
-            return Fraction(0), None
-        e = -sum(
-            a[p] * b[r]
-            for p in range(self.num_generators)
-            for r in range(p)
-        )
-        return self.q**e, self.index[total]
 
     def product(self, i: int, j: int):
         """Product of basis elements i, j as (rational coefficient, index).
 
         Returns (0, None) when the product degree exceeds the cutoff.
         """
-        return self._table[i][j]
+        a, b = self.basis[i], self.basis[j]
+        total = tuple(x + y for x, y in zip(a, b))
+        if sum(total) > self.max_degree:
+            return Fraction(0), None
+        e = -sum(a[p] * b[r] for p in range(self.num_generators) for r in range(p))
+        return self.q**e, self.index[total]
 
     def scaling_automorphism(self, factors):
         """Eigenvalues of z_i -> c_i z_i on the basis, as a list of Fractions."""

@@ -448,33 +448,7 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
 
 RelationCheck = namedtuple("RelationCheck", "name residual entry")
 
-
-class RelationReport:
-    """Per-relation max residuals from a defining-relation verification.
-
-    Each check records the relation name, its max-entry residual, and the
-    (row, col) position where that residual occurs (None for a zero matrix).
-    """
-
-    def __init__(self, checks, tolerance):
-        self.checks = checks
-        self.tolerance = tolerance
-
-    @property
-    def worst(self):
-        return max(self.checks, key=lambda c: c.residual) if self.checks else None
-
-    @property
-    def ok(self):
-        return all(c.residual <= self.tolerance for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if c.residual > self.tolerance]
-
-    def __repr__(self):
-        worst = max((c.residual for c in self.checks), default=mp.mpf(0))
-        return "RelationReport(%d checks, max=%s, ok=%s)" % (
-            len(self.checks), mp.nstr(worst, 6), self.ok)
+RelationReport = namedtuple("RelationReport", "checks tolerance ok")
 
 
 def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
@@ -483,9 +457,12 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
     Covered: K commutativity, the three E-K exchange cases, E-F brackets
     against (K^2 - K^-2)/(q - q^-1), E-E commutation at distance > 1, Serre
     relations at distance 1, and the transposed F counterparts of all of the
-    above.  Residuals are max-entry absolute values, the first largest entry
-    in storage order.  The tolerance defaults to 1e-min(40, 2*precision//3);
-    a NaN, infinite or negative one is a ValueError.
+    above.  The report holds one RelationCheck per relation: its name, its
+    max-entry residual and the (row, col) of the first largest entry in
+    storage order (None for a zero matrix); ok says whether every residual is
+    within the tolerance, kept as an mpf.  The tolerance defaults to
+    1e-min(40, 2*precision//3); a NaN, infinite or negative one is a
+    ValueError.  A K with an off-diagonal entry is a ValueError too.
 
     Each residual is bit for bit that of the plain matrix algebra, with
     fewer products.  M K_j - c K_j M (M = E_i, F_i or K_i) is
@@ -558,7 +535,7 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
                     del ij, ji, ab, ba
         checks.extend(pairs[key] for key in sorted(pairs))  # in (i, j, E/F) order
 
-    return RelationReport(checks, tol)
+    return RelationReport(checks, tol, all(c.residual <= tol for c in checks))
 
 
 def export_matrix(mod: IrrepModule, op: str, k: int) -> str:

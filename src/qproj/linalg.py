@@ -202,11 +202,20 @@ class SparseMatrix:
         """`_max_abs` of M K - c K M for this M and a diagonal K, with c an
         mpf or None, evaluated entry by entry: m at (r, s) gives
         m k_s - c (k_r m) with the roundings of `@`, `scaled` and `-` (c = None
-        is 1, whose product is exact).
+        is 1, whose product is exact).  A K of another size than this square
+        M, or with an off-diagonal entry, is a ValueError.
         `products` memoises m k by raw pair across calls at one precision;
         k_r m is m k_r, since mpf_mul is commutative bit for bit."""
         prec, rnd = mp._prec_rounding
-        k = [K._d.get((s, s), fzero) for s in range(K.nrows)]
+        n = self.nrows
+        if (self.ncols, K.nrows, K.ncols) != (n, n, n):
+            raise ValueError("K is %dx%d, M %dx%d: need both square of one size"
+                             % (K.nrows, K.ncols, n, self.ncols))
+        k = [fzero] * n
+        for (r, s), v in K._d.items():
+            if r != s:
+                raise ValueError("K is not diagonal: entry at (%d, %d)" % (r, s))
+            k[r] = v
         if c is not None:
             c = c._mpf_
 

@@ -273,6 +273,16 @@ def test_pairs_that_are_no_spanning_tree_are_refused(chains):
     assert not cert.ok and cert.coefficients == ()
 
 
+def test_a_chain_through_a_non_pattern_is_refused():
+    # Five edges, as a tree of the six patterns has, but one end is no pattern.
+    chain1, chain2, bridge = build_chains(2)
+    chains = Chains(chain1[:-1] + ("0x11",), chain2, bridge)
+    with pytest.raises(ArithmeticError, match="no unique solution"):
+        solve_cocycle_system(2, 1, chains)
+    cert = _certificate(2, chain_edges(chains), True)
+    assert not cert.ok and cert.coefficients == ()
+
+
 # -- membership -----------------------------------------------------------------------
 
 def test_membership_ell1():

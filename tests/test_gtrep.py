@@ -16,6 +16,7 @@ from qproj.bundles import ln_conditions_filter
 from qproj.gtrep import (
     DimensionCapError,
     GTTableau,
+    IrrepModule,
     _interlace,
     build_irrep,
     enumerate_tableaux,
@@ -388,27 +389,44 @@ def test_a_dimension_far_above_the_cap_fails_fast():
 
 def test_relations_fundamental_su2_tight():
     report = verify_relations(build_irrep((1,), Q, PREC), mp.mpf("1e-50"))
-    assert report.ok, report.failures()
+    assert report.ok, report.checks
 
 
 def test_relations_su3_adjoint():
     report = verify_relations(build_irrep((1, 1), Q, PREC), TOL)
-    assert report.ok, report.failures()
+    assert report.ok, report.checks
 
 
 def test_relations_su4_serre_cases():
     report = verify_relations(build_irrep((1, 0, 1), Q, PREC), TOL)
-    assert report.ok, report.failures()
+    assert report.ok, report.checks
     serre = {c.name for c in report.checks if c.name.startswith("serre(E")}
     assert {"serre(E1,E2)", "serre(E2,E1)", "serre(E2,E3)", "serre(E3,E2)"} <= serre
 
 
-def test_failures_are_the_checks_above_the_tolerance():
+def test_report_is_a_record_whose_ok_is_every_check_within_tolerance():
     mod = build_irrep((1, 1), Q, PREC)
-    assert verify_relations(mod, TOL).failures() == []
-    strict = verify_relations(mod, "0")
-    assert strict.failures() == [c for c in strict.checks if c.residual > 0]
-    assert strict.ok is not bool(strict.failures())
+    loose, strict = (verify_relations(mod, tol) for tol in (TOL, "0"))
+    for report, tol in ((loose, TOL), (strict, 0)):
+        assert type(report) is gtrep.RelationReport
+        assert report._fields == ("checks", "tolerance", "ok")
+        assert report.tolerance == tol
+        assert report.ok is all(c.residual <= tol for c in report.checks)
+    assert loose.ok and not strict.ok
+
+
+def test_a_k_with_an_off_diagonal_entry_is_refused():
+    # The plain matrix algebra sees the extra K_2 entry at (0, 1); the
+    # diagonal exchange must refuse it rather than read past it.
+    mod = build_irrep((1, 1), Q, PREC)
+    with mp.workdps(PREC):
+        entries = dict(mod.K[2].entries())
+        entries[(0, 1)] = mp.mpf(1)
+        K = {1: mod.K[1], 2: SparseMatrix(mod.dim, mod.dim, entries)}
+        bad = IrrepModule(mod.weight, mod.basis, mod.q, PREC, K, mod.E, mod.F)
+        assert (K[1] @ K[2] - K[2] @ K[1])._max_abs()[0] > mp.mpf("0.5")
+    with pytest.raises(ValueError, match=r"K is not diagonal: entry at \(0, 1\)"):
+        verify_relations(bad)
 
 
 # -- structural invariants ---------------------------------------------------------

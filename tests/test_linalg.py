@@ -247,6 +247,17 @@ def test_all_zero_scans_give_zero_and_no_entry():
         _same_scan(got, ref_max_abs(ref_diagonal_exchange(m, k)))
 
 
+def test_diagonal_exchange_refuses_a_k_of_another_size_or_off_its_diagonal():
+    m = M(2, 2, {(0, 1): 3})
+    with pytest.raises(ValueError, match="K is 3x3, M 2x2"):
+        m._diagonal_exchange(M(3, 3, {(0, 0): 1}), None, {})
+    with pytest.raises(ValueError, match="M 2x3"):
+        M(2, 3, {})._diagonal_exchange(M(2, 2, {(0, 0): 1}), None, {})
+    # the first off-diagonal entry in storage order is named
+    with pytest.raises(ValueError, match=r"entry at \(1, 0\)"):
+        m._diagonal_exchange(M(2, 2, {(0, 0): 1, (1, 0): 2, (0, 1): 5}), None, {})
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), digits=st.sampled_from([PREC, 100]), n=st.integers(1, 6))
 def test_relation_scans_are_the_mpf_loops_bit_for_bit(data, digits, n):
