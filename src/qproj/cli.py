@@ -71,8 +71,7 @@ def cmd_irrep(args):
     results = []
     for op in ("K", "E", "F"):
         for k in range(1, mod.ell + 1):
-            row = {"op": "%s%d" % (op, k),
-                   "nnz": {"K": mod.K, "E": mod.E, "F": mod.F}[op][k].nnz}
+            row = {"op": "%s%d" % (op, k), "nnz": getattr(mod, op)[k].nnz}
             if args.out:
                 os.makedirs(args.out, exist_ok=True)
                 path = os.path.join(

@@ -215,7 +215,8 @@ class TruncatedPolynomialAlgebra:
     Basis: exponent tuples of degree <= max_degree, graded then lexicographic.
     Products of basis monomials are single basis monomials scaled by an exact
     rational power of q (or zero past the cutoff), so multilinear cochains on
-    this algebra can be evaluated with no rounding at all.
+    this algebra can be evaluated with no rounding at all.  q is any positive
+    int, Fraction or "p/r" string; a float is a TypeError, as in `parse_q`.
     """
 
     def __init__(self, num_generators: int, max_degree: int, q):
@@ -223,6 +224,8 @@ class TruncatedPolynomialAlgebra:
             raise ValueError("need at least one generator and max_degree >= 0")
         self.num_generators = num_generators
         self.max_degree = max_degree
+        if isinstance(q, float):
+            raise TypeError("q must be exact, got the float %r" % (q,))
         self.q = Fraction(q)
         if not 0 < self.q:
             raise ValueError("q must be a positive rational")
@@ -237,10 +240,11 @@ class TruncatedPolynomialAlgebra:
         return len(self.basis)
 
     def product(self, i: int, j: int):
-        """Product of basis elements i, j as (rational coefficient, index).
-
-        Returns (0, None) when the product degree exceeds the cutoff.
-        """
+        """Product of basis elements i, j in 0..dim-1 (else an IndexError) as
+        (rational coefficient, index), or (0, None) past the degree cutoff."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError("basis indices must lie in 0..%d, got %d and %d"
+                             % (self.dim - 1, i, j))
         a, b = self.basis[i], self.basis[j]
         total = tuple(x + y for x, y in zip(a, b))
         if sum(total) > self.max_degree:

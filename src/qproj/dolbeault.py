@@ -45,6 +45,7 @@ from .qarith import (
 
 __all__ = [
     "MAX_LMAX",
+    "MAX_CP2_N",
     "Cp1Block",
     "TruncatedComplex",
     "cp1_dolbeault_matrix",
@@ -56,8 +57,10 @@ __all__ = [
 
 
 # The largest l_max of the qP^1 complex: its radicands are full Laurent
-# products, so a build is cubic in l_max.
+# products, so a build is cubic in l_max.  A cp2 grid up to the largest
+# degree n takes under 2 s.
 MAX_LMAX = 128
+MAX_CP2_N = 1000
 
 # `radicand` is the exact [l - N/2 + 1][l + N/2], read from the GT amplitudes
 # of F_1 (zero for a source-free block); the coefficient c_l is its root.
@@ -131,6 +134,15 @@ def cp1_euler_characteristic(N: int, l_max) -> EulerResult:
     return EulerResult(N, l_max, ker, coker, chi, chi == chi_prev, blocks)
 
 
+def _check_n(n):
+    # A cp2 degree, checked as the grid is read: a long grid stops at its first bad n.
+    n = _check_int(n, "n")
+    if not 0 <= n <= MAX_CP2_N:
+        raise ValueError("n must be non-negative" if n < 0
+                         else "n must be at most %d, got %d" % (MAX_CP2_N, n))
+    return n
+
+
 Cp2Row = namedtuple("Cp2Row", "n q residual_mixed residual_scalar ok")
 
 Cp2Report = namedtuple("Cp2Report", "rows tolerance ok")
@@ -151,13 +163,12 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
     tolerance is 10^(-precision/2).  Each [z] is evaluated once per q and
     reused by every row that needs it, and each q-power term c q^e of the
     [z] is computed once per q and reused by every [z] that has it.  An
-    empty grid raises ValueError, since it would pass with nothing checked.
+    empty grid raises ValueError, since it would pass with nothing checked,
+    and so does an n above MAX_CP2_N, as soon as the grid reaches it.
     """
     precision = check_precision(precision)
-    n_values = [_check_int(n, "n") for n in n_values]
+    n_values = [_check_n(n) for n in n_values]
     q_list = list(q_list)
-    if any(n < 0 for n in n_values):
-        raise ValueError("n must be non-negative")
     if not n_values or not q_list:
         raise ValueError("empty parameter grid: %d n values, %d q values"
                          % (len(n_values), len(q_list)))

@@ -206,8 +206,10 @@ def enumerate_tableaux(weight) -> list:
     """All interlacing tableaux for a weight, lexicographic in flat() order.
 
     The top row is the normalized one; lower rows range over every choice
-    allowed by interlacing.
+    allowed by interlacing.  A weight of dimension above DEFAULT_DIM_CAP is
+    a DimensionCapError before any tableau is built.
     """
+    _capped_weyl_dim(weight, DEFAULT_DIM_CAP)
     return _tableaux(top_row(weight))
 
 
@@ -383,23 +385,12 @@ def _capped_weyl_dim(weight, dim_cap, what="weight"):
     return d
 
 
-class IrrepModule:
-    """A built irreducible module: ordered GT basis plus sparse matrices.
+class IrrepModule(namedtuple("IrrepModule", "weight basis q precision K E F")):
+    """A built irreducible module: the ordered GT basis and the SparseMatrix
+    ``K[k]``, ``E[k]``, ``F[k]`` (k = 1..l) over mpf, F[k] the transpose of
+    E[k].  `build_irrep` makes it once, after every matrix exists."""
 
-    ``K[k]``, ``E[k]``, ``F[k]`` (k = 1..l) are SparseMatrix over mpf; F[k]
-    is the transpose of E[k].  `build_irrep` fills K, E and F through the
-    module's own ``index``; immutable once it returns.
-    """
-
-    def __init__(self, weight, basis, q, precision, K, E, F):
-        self.weight = weight
-        self.basis = basis
-        self.index = {t: i for i, t in enumerate(basis)}
-        self.q = q
-        self.precision = precision
-        self.K = K
-        self.E = E
-        self.F = F
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -421,29 +412,23 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
     qf = parse_q(q)
     precision = check_precision(precision)
     expected = _capped_weyl_dim(weight, dim_cap)
-    basis = enumerate_tableaux(weight)
+    basis = _tableaux(top_row(weight))
     if len(basis) != expected:
         raise ArithmeticError("weight %s has %d tableaux but Weyl dimension %d"
                               % (weight, len(basis), expected))
-    ell = len(weight)
-    dim = len(basis)
-    K, E, F = {}, {}, {}
-    mod = IrrepModule(weight, basis, qf, precision, K, E, F)
-    index = mod.index
+    index = {t: i for i, t in enumerate(basis)}
     qn = _q_numbers(qf)
     values = _Memo(lambda key: _raise_value(*key, qn, precision))
+    gens, dim = range(1, len(weight) + 1), len(basis)
     with mp.workdps(precision):
         qs = mp.sqrt(mp.mpf(qf.numerator) / mp.mpf(qf.denominator))
         powers = _Memo(lambda a: qs ** a)  # one power per distinct exponent
-        for k in range(1, ell + 1):
-            K[k] = SparseMatrix.diagonal([powers[t.a(k)] for t in basis])
-            entries = {}
-            for col, t in enumerate(basis):
-                for target, c in _e_column(k, t, values):
-                    entries[(index[target], col)] = c
-            E[k] = SparseMatrix(dim, dim, entries)
-            F[k] = E[k].transpose()
-    return mod
+        K = {k: SparseMatrix.diagonal([powers[t.a(k)] for t in basis]) for k in gens}
+        E = {k: SparseMatrix(dim, dim, {(index[target], col): c for col, t in enumerate(basis)
+                                        for target, c in _e_column(k, t, values)})
+             for k in gens}
+        F = {k: M.transpose() for k, M in E.items()}
+    return IrrepModule(weight, basis, qf, precision, K, E, F)
 
 
 RelationCheck = namedtuple("RelationCheck", "name residual entry")

@@ -437,6 +437,7 @@ BYTE_PINS = [
     ("coboundary-check --n 1 --samples 5 --format table", 0, "4c927c04db16f7d7"),
     ("coboundary-check --n 1 --samples 5 --format csv", 0, "be461fc8ffd13cac"),
     ("ring-dims --ell 2 --Nmax -3", 1, "6ce297e226e55f55"),
+    ("cp2-identity --nmax 1001", 1, "7b90f654a1c0b38d"),
     ("--q 9/10 cp2-identity --nmax 1 --format json", 0, "33cbc9a8fcbf97ef"),
     ("cp2-identity --nmax 1 --q 9/10 --format json", 0, "33cbc9a8fcbf97ef"),
 ]
@@ -452,6 +453,27 @@ def test_pins_cover_every_subcommand_in_every_format():
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     got_code, out = run(capsys, *argv.split())
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
+
+
+def readme_command_lines():
+    """The argv of every `qproj ...` line of the README's Command line block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("qproj ")]
+
+
+def test_the_readme_shows_every_subcommand():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert {argv[0] for argv in readme_command_lines()} == set(commands)
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
+def test_readme_command_lines_pass(capsys, monkeypatch, tmp_path, argv):
+    # A renamed flag or subcommand would leave the README wrong; the
+    # `irrep --out` line writes under tmp_path.
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, *argv)
+    assert code == 0, out
 
 
 # The JSON report of every shuffle-certificate ell up to the ceiling

@@ -318,6 +318,23 @@ def test_truncated_algebra_rejects_bad_inputs(gens, max_degree, q, message):
         TruncatedPolynomialAlgebra(gens, max_degree, q)
 
 
+def test_truncated_algebra_refuses_a_float_q():
+    # 0.1 used to be stored as 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError, match="q must be exact, got the float 0.1"):
+        TruncatedPolynomialAlgebra(2, 2, 0.1)
+    for q, want in ((2, 2), (Fraction(3, 2), Fraction(3, 2)), ("1/3", Fraction(1, 3))):
+        assert TruncatedPolynomialAlgebra(2, 2, q).q == want
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, 6)])
+def test_product_refuses_an_index_out_of_range(i, j):
+    # product(-1, 0) used to return the product of basis element 5.
+    alg = TruncatedPolynomialAlgebra(2, 2, Fraction(1, 2))
+    with pytest.raises(IndexError, match="basis indices must lie in 0..5, got %d and %d"
+                       % (i, j)):
+        alg.product(i, j)
+
+
 @pytest.mark.parametrize("gens, max_degree, q", [(2, 2, Fraction(1, 2)),
                                                  (3, 3, Fraction(2, 3))])
 def test_product_table_matches_normal_order(gens, max_degree, q):

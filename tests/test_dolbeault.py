@@ -236,6 +236,7 @@ def test_cp2_rejects_negative_n():
     ([2.5], TypeError, "n must be an integer, got 2.5"),
     ([0, Fraction(3)], TypeError, "n must be an integer, got Fraction"),
     ([0, 1, -1], ValueError, "n must be non-negative"),
+    ([0, 1001], ValueError, "n must be at most 1000, got 1001"),
 ])
 def test_cp2_checks_every_n_before_any_q_is_evaluated(monkeypatch, n_values, error, message):
     evaluated = []
@@ -243,6 +244,15 @@ def test_cp2_checks_every_n_before_any_q_is_evaluated(monkeypatch, n_values, err
     with pytest.raises(error, match=message):
         cp2_coefficient_identity(n_values, [Q, Fraction(3, 4)], PREC)
     assert evaluated == []
+
+
+def test_cp2_refuses_a_long_grid_at_its_first_n_above_the_ceiling():
+    def grid():
+        yield from range(dolbeault.MAX_CP2_N + 2)
+        raise AssertionError("the grid was read past its first n above the ceiling")
+
+    with pytest.raises(ValueError, match="n must be at most 1000, got 1001"):
+        cp2_coefficient_identity(grid(), [Q], PREC)
 
 
 def test_cp2_rejects_an_empty_grid():

@@ -279,14 +279,15 @@ def test_f2_coefficients_match_longhand_radicands():
     while checked < 20:
         weight = (rng.randint(0, 4), rng.randint(0, 4))
         mod = build_irrep(weight, q, PREC, dim_cap=500)
+        index = {t: i for i, t in enumerate(mod.basis)}
         t = rng.choice(mod.basis)
-        col = mod.index[t]
+        col = index[t]
         for j in (1, 2):
             with mp.workdps(PREC):
                 target = t.lowered(j, 2)
                 entry = mp.mpf(0)
                 if target is not None:
-                    entry = mod.F[2].get(mod.index[target], col)
+                    entry = mod.F[2].get(index[target], col)
                 num, den = _longhand_f2(t, j)
                 if den == 0:
                     assert entry == 0
@@ -314,7 +315,8 @@ def test_f2_bottom_factor_shift_is_detectable():
     assert abs(abs(shifted) - qiv(2)) < mp.mpf("1e-50")  # sqrt([2]) != 1
     mod = build_irrep((0, 1), Q, PREC)
     target = t.lowered(2, 2)
-    assert abs(mod.F[2].get(mod.index[target], mod.index[t]) - 1) < mp.mpf("1e-50")
+    index = {t: i for i, t in enumerate(mod.basis)}
+    assert abs(mod.F[2].get(index[target], index[t]) - 1) < mp.mpf("1e-50")
 
 
 # -- module construction ---------------------------------------------------------
@@ -323,6 +325,7 @@ def test_su2_matrix_entries_reproduce_spin_formulas():
     # Weight (2J): E raises m with <m|E|m-1> = sqrt([l-m+1][l+m]), K diag q^m.
     for twoJ in (1, 2, 3):
         mod = build_irrep((twoJ,), Q, PREC)
+        index = {t: i for i, t in enumerate(mod.basis)}
         l = Fraction(twoJ, 2)
         with mp.workdps(PREC):
             qs = mp.sqrt(mp.mpf(Q.numerator) / mp.mpf(Q.denominator))
@@ -330,7 +333,7 @@ def test_su2_matrix_entries_reproduce_spin_formulas():
                 m = Fraction(t.row(1)[0]) - l
                 assert abs(mod.K[1].get(idx, idx) - qs ** int(2 * m)) < mp.mpf("1e-50")
                 if m > -l:
-                    lower = mod.index[t.lowered(1, 1)]
+                    lower = index[t.lowered(1, 1)]
                     expected = mp.sqrt(qiv(int(l - m + 1)) * qiv(int(l + m)))
                     assert abs(mod.E[1].get(idx, lower) - expected) < mp.mpf("1e-45")
 
@@ -385,6 +388,24 @@ def test_a_dimension_far_above_the_cap_fails_fast():
         assert bits and 605_500 <= int(bits.group(1)) <= 605_550
 
 
+def test_enumeration_checks_the_default_cap_before_any_tableau(monkeypatch):
+    # (3, 3, 3, 3) has 1,048,576 tableaux: enumerating them took 9.8 s and
+    # 493 MiB before the weight was checked against the cap.
+    built = []
+    monkeypatch.setattr(gtrep, "_tableaux", lambda *args: built.append(args))
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError, match=r"\(3, 3, 3, 3\) .* above the cap 20000$"):
+        enumerate_tableaux((3, 3, 3, 3))
+    assert time.perf_counter() - start < 1 and built == []
+
+
+def test_build_irrep_enumerates_under_its_own_cap(monkeypatch):
+    monkeypatch.setattr(gtrep, "DEFAULT_DIM_CAP", 7)
+    with pytest.raises(DimensionCapError, match=r"dimension 8, above the cap 7$"):
+        enumerate_tableaux((1, 1))
+    assert build_irrep((1, 1), Q, PREC, dim_cap=8).dim == 8
+
+
 # -- relations --------------------------------------------------------------------
 
 def test_relations_fundamental_su2_tight():
@@ -413,6 +434,17 @@ def test_report_is_a_record_whose_ok_is_every_check_within_tolerance():
         assert report.tolerance == tol
         assert report.ok is all(c.residual <= tol for c in report.checks)
     assert loose.ok and not strict.ok
+
+
+def test_a_built_module_is_a_record():
+    mod = build_irrep((1, 1), Q, PREC)
+    assert isinstance(mod, tuple) and type(mod) is IrrepModule
+    assert mod._fields == ("weight", "basis", "q", "precision", "K", "E", "F")
+    assert (mod.dim, mod.ell) == (8, 2)
+    assert repr(mod) == "IrrepModule(n=(1, 1), dim=8, q=1/2)"
+    # No instance dict: nothing but the seven fields is stored, so `index`
+    # is the tuple method, not a tableau -> position map.
+    assert not hasattr(mod, "__dict__") and IrrepModule.index is tuple.index
 
 
 def test_a_k_with_an_off_diagonal_entry_is_refused():
@@ -614,13 +646,14 @@ def test_built_entries_are_the_unmemoised_coefficients(weight, q):
         for k in range(1, mod.ell + 1):
             for col, t in enumerate(mod.basis):
                 assert mod.K[k].get(col, col)._mpf_ == (qs ** t.a(k))._mpf_
+    index = {t: i for i, t in enumerate(mod.basis)}
     for k in range(1, mod.ell + 1):
         want = {}
         for col, t in enumerate(mod.basis):
             for j in range(1, k + 1):
                 target = t.raised(j, k)
                 if target is not None:
-                    want[(mod.index[target], col)] = raise_coeff(k, j, t, q, PREC)._mpf_
+                    want[(index[target], col)] = raise_coeff(k, j, t, q, PREC)._mpf_
         assert {key: v._mpf_ for key, v in mod.E[k].entries()} == want
 
 
