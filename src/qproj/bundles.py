@@ -35,14 +35,13 @@ from collections import namedtuple
 
 from .coordring import _check_count
 from .linalg import exact_rank
-from .qarith import parse_q
+from .qarith import _q_numbers, parse_q
 from .gtrep import (
     DEFAULT_DIM_CAP,
     GTTableau,
     _capped_weyl_dim,
     _check_dim_cap,
     _exact_column,
-    _q_numbers,
     _tableaux,
     top_row,
     validate_weight,

@@ -217,11 +217,14 @@ class TruncatedPolynomialAlgebra:
     rational power of q (or zero past the cutoff), so multilinear cochains on
     this algebra can be evaluated with no rounding at all.  q is any positive
     int, Fraction or "p/r" string; a float is a TypeError, as in `parse_q`.
+    A basis of C(max_degree + num_generators, num_generators) monomials above
+    MAX_COUNT is refused before it is built.
     """
 
     def __init__(self, num_generators: int, max_degree: int, q):
         if num_generators < 1 or max_degree < 0:
             raise ValueError("need at least one generator and max_degree >= 0")
+        _check_count(max_degree + num_generators, num_generators, "TruncatedPolynomialAlgebra")
         self.num_generators = num_generators
         self.max_degree = max_degree
         if isinstance(q, float):

@@ -33,6 +33,7 @@ rounding, not q-arithmetic; it is not a Riemann-Roch oracle for the plane.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -57,8 +58,8 @@ __all__ = [
 
 
 # The largest l_max of the qP^1 complex: its radicands are full Laurent
-# products, so a build is cubic in l_max.  A cp2 grid up to the largest
-# degree n takes under 2 s.
+# products, so a build is cubic in l_max.  A cp2 grid of MAX_CP2_N + 1 (n, q)
+# rows, the CLI's largest, takes under 2 s.
 MAX_LMAX = 128
 MAX_CP2_N = 1000
 
@@ -86,14 +87,14 @@ def cp1_dolbeault_matrix(N: int, l_max) -> TruncatedComplex:
         raise ValueError("l_max must be at most %d, got %s" % (MAX_LMAX, l_max))
     twol_cap = int(2 * l_max)
     src_min, tgt_min = abs(N), abs(N - 2)
-    qn = _Memo(q_int)
+    qn = _Memo(lambda z: (q_int(z), 0))  # [z] itself, over (ab)^0
     blocks = []
     # |N| and |N - 2| share one parity, so 2l steps by 2 through both spin lists.
     for twol in range(min(src_min, tgt_min), twol_cap + 1, 2):
         in_source, in_target = twol >= src_min, twol >= tgt_min
         m = (twol + N) // 2  # F_1 on ((2l, 0), (m,)) lowers m, unless m = 0
-        radicand = (_amplitude("E", 1, (m - 1,), (twol, 0), qn)
-                    * _amplitude("F", 1, (m,), (), qn) if in_source and m
+        radicand = (_amplitude("E", 1, (m - 1,), (twol, 0), qn)[0]
+                    * _amplitude("F", 1, (m,), (), qn)[0] if in_source and m
                     else QLaurent.zero())
         blocks.append(Cp1Block(
             twol,
@@ -164,11 +165,15 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
     reused by every row that needs it, and each q-power term c q^e of the
     [z] is computed once per q and reused by every [z] that has it.  An
     empty grid raises ValueError, since it would pass with nothing checked,
-    and so does an n above MAX_CP2_N, as soon as the grid reaches it.
+    and so does an n above MAX_CP2_N, as soon as the grid reaches it, and a
+    grid of more than MAX_CP2_N + 1 (n, q) rows, counted as it is read.
     """
     precision = check_precision(precision)
-    n_values = [_check_n(n) for n in n_values]
-    q_list = list(q_list)
+    most = MAX_CP2_N + 1
+    n_values = [_check_n(n) for n in itertools.islice(n_values, most + 1)]
+    q_list = list(itertools.islice(q_list, most // max(1, len(n_values)) + 1))
+    if len(n_values) * len(q_list) > most:
+        raise ValueError("the cp2 grid has more than %d (n, q) rows" % most)
     if not n_values or not q_list:
         raise ValueError("empty parameter grid: %d n values, %d q values"
                          % (len(n_values), len(q_list)))

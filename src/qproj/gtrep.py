@@ -48,6 +48,8 @@ from .qarith import (
     DEFAULT_PRECISION,
     NegativeRadicandError,
     _check_int,
+    _q_numbers,
+    _ratio,
     check_precision,
     parse_q,
 )
@@ -229,8 +231,9 @@ def _tableaux(top, step=None) -> list:
         rows = stack.pop()
         upper = rows[-1]
         j = len(upper) - 1
-        if not j:
-            out.append(GTTableau(rows))
+        if not j:  # rows drawn from interlacing int ranges need no re-check
+            out.append(GTTableau.__new__(GTTableau))
+            out[-1].rows = tuple(rows)
             continue
         choices = [range(upper[i + 1], upper[i] + 1) for i in range(j)]
         stack.extend(rows + [lower] for lower in reversed(list(itertools.product(*choices)))
@@ -244,11 +247,6 @@ def _check_dim_cap(dim_cap):
         raise ValueError("dim_cap must be at least 1, got %s" % (dim_cap,))
 
 
-def _q_numbers(qf):
-    # The exact q-numbers [z] = (q^z - q^-z)/(q - q^-1) at one rational q.
-    return _Memo(lambda z: (qf**z - qf**-z) / (qf - 1 / qf))
-
-
 def _window(tableau, k):
     # Rows k+1, k and k-1 of a tableau; row 0 is empty.
     return tableau.row(k + 1), tableau.row(k), tableau.row(k - 1) if k > 1 else ()
@@ -259,17 +257,21 @@ def _amplitude(op, j, row, other, qn):
     entry j of row k = `row`, exactly; see `exact_column`.
 
     Only differences of entries enter, so rows shifted by one constant give
-    the same value.  `qn` maps z to [z]: `_q_numbers(qf)` gives a Fraction,
-    `_Memo(q_int)` a QLaurent (in `dolbeault`, at k = 1: nothing is divided).
+    the same value.  `qn` maps z to (N_z, e_z) with [z] = N_z / (ab)^e_z;
+    the result (num, den, e) is num / (den (ab)^e), made one Fraction by
+    `_ratio` from the integers of `_q_numbers(qf)`.  `dolbeault` maps z to
+    (q_int(z), 0): at k = 1 nothing is divided, so num is the QLaurent value.
     """
-    ljk = row[j - 1] - j
-    c = -qn[1] if op == "E" else qn[1]
+    ljk, den = row[j - 1] - j, 1
+    num, e = qn[1]
     for i, m in enumerate(other, 1):
-        c *= qn[m - i - ljk]
+        n, d = qn[m - i - ljk]
+        num, e = num * n, e + d
     for i, m in enumerate(row, 1):
         if i != j:
-            c /= qn[m - i - ljk]
-    return c
+            n, d = qn[m - i - ljk]
+            den, e = den * n, e - d
+    return -num if op == "E" else num, den, e
 
 
 def _raise_value(k, j, window, qn, precision):
@@ -277,7 +279,9 @@ def _raise_value(k, j, window, qn, precision):
     # of `window`, with q and precision already checked.
     upper, row, lower = window
     raised = row[:j - 1] + (row[j - 1] + 1,) + row[j:]
-    radicand = _amplitude("E", j, row, upper, qn) * _amplitude("F", j, raised, lower, qn)
+    n, d, e = _amplitude("E", j, row, upper, qn)
+    n2, d2, e2 = _amplitude("F", j, raised, lower, qn)
+    radicand = _ratio(qn, n * n2, d * d2, e + e2)
     if radicand < 0:
         raise NegativeRadicandError(
             "radicand of A^%d_%d is negative: %s" % (j, k, radicand))
@@ -285,20 +289,6 @@ def _raise_value(k, j, window, qn, precision):
         value = mp.mpf(radicand.numerator) / radicand.denominator
     with mp.workdps(precision):
         return mp.sqrt(+value)
-
-
-def _e_column(k, tableau, values):
-    # (target, A^j_k) for every nonzero entry of E_k |tableau>, j ascending;
-    # `values` is `_raise_value` memoised by its (k, j, window) arguments.
-    window = _window(tableau, k)
-    for j in range(1, k + 1):
-        target = tableau._moved(j, k, 1)
-        if target is not None:
-            # Shifted by m_{j,k}, the window still fixes A^j_k (`_amplitude`).
-            shift = window[1][j - 1]
-            c = values[k, j, tuple(tuple(x - shift for x in r) for r in window)]
-            if c:
-                yield target, c
 
 
 def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
@@ -346,7 +336,7 @@ def _exact_column(op, k, tableau, qn):
         target = tableau._moved(j, k, step)
         if target is None:
             continue
-        c = _amplitude(op, j, row, other, qn)
+        c = _ratio(qn, *_amplitude(op, j, row, other, qn))
         if c:
             out[target] = c
     return out
@@ -406,7 +396,9 @@ class IrrepModule(namedtuple("IrrepModule", "weight basis q precision K E F")):
 
 def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
                 dim_cap: int = DEFAULT_DIM_CAP) -> IrrepModule:
-    """Enumerate the GT basis and populate all K/E/F matrices."""
+    """Enumerate the GT basis and populate all K/E/F matrices, read off the raw
+    rows: a_k from the row sums, and A^j_k where m_{j,k} + 1 stays within
+    m_{j,k+1} and m_{j-1,k-1}, memoised by the window shifted by m_{j,k}."""
     _check_dim_cap(dim_cap)
     weight = validate_weight(weight)
     qf = parse_q(q)
@@ -416,17 +408,31 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
     if len(basis) != expected:
         raise ArithmeticError("weight %s has %d tableaux but Weyl dimension %d"
                               % (weight, len(basis), expected))
-    index = {t: i for i, t in enumerate(basis)}
+    index = {t.rows: i for i, t in enumerate(basis)}
     qn = _q_numbers(qf)
     values = _Memo(lambda key: _raise_value(*key, qn, precision))
-    gens, dim = range(1, len(weight) + 1), len(basis)
+    size, dim = len(weight) + 1, len(basis)
+    sums = [[*map(sum, t.rows), 0] for t in basis]
+    K, E = {}, {}
     with mp.workdps(precision):
         qs = mp.sqrt(mp.mpf(qf.numerator) / mp.mpf(qf.denominator))
         powers = _Memo(lambda a: qs ** a)  # one power per distinct exponent
-        K = {k: SparseMatrix.diagonal([powers[t.a(k)] for t in basis]) for k in gens}
-        E = {k: SparseMatrix(dim, dim, {(index[target], col): c for col, t in enumerate(basis)
-                                        for target, c in _e_column(k, t, values)})
-             for k in gens}
+        for k in range(1, size):
+            pos = size - k  # row k is rows[pos]
+            K[k] = SparseMatrix.diagonal([powers[2 * s[pos] - s[pos - 1] - s[pos + 1]]
+                                          for s in sums])
+            entries = {}
+            for col, t in enumerate(basis):
+                rows = t.rows
+                upper, row, lower = rows[pos - 1], rows[pos], rows[pos + 1] if k > 1 else ()
+                for p, x in enumerate(row):
+                    if x < upper[p] and (not p or x < lower[p - 1]):
+                        c = values[k, p + 1, tuple(tuple(y - x for y in r)
+                                                   for r in (upper, row, lower))]
+                        if c:
+                            raised = row[:p] + (x + 1,) + row[p + 1:]
+                            entries[index[rows[:pos] + (raised,) + rows[pos + 1:]], col] = c
+            E[k] = SparseMatrix(dim, dim, entries)
         F = {k: M.transpose() for k, M in E.items()}
     return IrrepModule(weight, basis, qf, precision, K, E, F)
 

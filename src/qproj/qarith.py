@@ -308,6 +308,21 @@ def q_int(z: int) -> QLaurent:
     return QLaurent._of(dict.fromkeys(range(1 - n, n, 2), sign))
 
 
+def _q_numbers(qf):
+    """[z] at q = a/b in integers, z -> (N_z, |z| - 1) with [z] = N_z / (ab)^(|z|-1):
+    N_z = sign(z) (a^(2|z|) - b^(2|z|))/(a^2 - b^2) is the value at q of the
+    factored form q^(1-|z|) P_|z|(q^2).  The table keeps ab for `_ratio`."""
+    a2, b2 = qf.numerator ** 2, qf.denominator ** 2
+    table = _Memo(lambda z: ((a2**abs(z) - b2**abs(z)) // (a2 - b2) * (-1) ** (z < 0), abs(z) - 1))
+    table.ab = qf.numerator * qf.denominator
+    return table
+
+
+def _ratio(table, num, den, e):
+    # num / (den (ab)^e) as one reduced Fraction, ab from a `_q_numbers` table.
+    return Fraction(num, den * table.ab ** e) if e >= 0 else Fraction(num * table.ab ** -e, den)
+
+
 def q_factorial(n: int) -> QLaurent:
     """[n]! = [n][n-1]...[1], with [0]! = 1."""
     if n < 0:

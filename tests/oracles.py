@@ -23,6 +23,12 @@ from its own products.  `qproj.gtrep.verify_relations` evaluates the K checks
 entry by entry and shares the products of each generator pair; it must give
 the same names, residual bits and entries.
 
+`ref_amplitude` is the GT amplitude a_j or b_j as a chain of `Fraction`
+multiplications and divisions by [z] = (q^z - q^-z)/(q - q^-1), each [z] a
+`Fraction` of its own.  `qproj.gtrep._amplitude` multiplies the integer
+numerators of `qproj.qarith._q_numbers` and builds one `Fraction`; the two
+must agree exactly.
+
 `ref_eval` is the term-by-term evaluation of a QLaurent, every power q^e
 taken afresh, that `QLaurent.eval` must reproduce bit for bit from its
 memoised terms.
@@ -208,6 +214,26 @@ def cp1_radicand(N, twol):
     if twol < abs(N) or (twol - N) % 2:
         return QLaurent.zero()
     return q_int((twol - N) // 2 + 1) * q_int((twol + N) // 2)
+
+
+def ref_amplitude(op, j, row, other, q):
+    """a_j (op "E", `other` row k+1) or b_j (op "F", `other` row k-1) of
+    entry j of row k = `row` at a rational q, one `Fraction` step per
+    q-number: -[1] (E) or [1] (F), times [l_{i,other} - l_{j,k}] over every
+    entry of `other`, over [l_{i,k} - l_{j,k}] for every i != j."""
+    qf = parse_q(q)
+
+    def qn(z):
+        return (qf**z - qf**-z) / (qf - 1 / qf)
+
+    ljk = row[j - 1] - j
+    c = -qn(1) if op == "E" else qn(1)
+    for i, m in enumerate(other, 1):
+        c *= qn(m - i - ljk)
+    for i, m in enumerate(row, 1):
+        if i != j:
+            c /= qn(m - i - ljk)
+    return c
 
 
 def ref_eval(p, q, precision):

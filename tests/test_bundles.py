@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import apply_e, numeric_rank
-from qproj import bundles, gtrep
+from qproj import bundles, gtrep, qarith
 from qproj.bundles import (
     block_weight,
     build_block,
@@ -229,10 +229,12 @@ class _CountingTable(_Memo):
 
 def _count_q_number_tables(monkeypatch):
     made = []
-    original = gtrep._q_numbers
+    original = qarith._q_numbers
 
     def counting(qf):
-        made.append(_CountingTable(original(qf).f))
+        table = original(qf)
+        made.append(_CountingTable(table.f))
+        made[-1].ab = table.ab
         return made[-1]
 
     monkeypatch.setattr(bundles, "_q_numbers", counting)

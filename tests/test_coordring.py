@@ -218,6 +218,20 @@ def test_counts_above_the_ceiling_are_refused_before_enumerating():
             call()
 
 
+def test_truncated_algebra_refuses_a_basis_above_the_ceiling_before_building():
+    # (2, 2000) used to build 2,003,001 monomials in 2.8 s at 519 MiB.
+    for gens, max_degree in ((2, 2000), (3, 200), (1, 10**6), (10**9, 10**9)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"TruncatedPolynomialAlgebra would enumerate "
+                           r"C\(%d, %d\) items, above the ceiling of 1000000"
+                           % (gens + max_degree, gens)):
+            TruncatedPolynomialAlgebra(gens, max_degree, Fraction(1, 2))
+        assert time.perf_counter() - start < 1
+    # The count is the basis size: C(2 + 2, 2) = 6 for the toy, C(3 + 3, 3) = 20.
+    assert TruncatedPolynomialAlgebra(2, 2, Fraction(1, 2)).dim == 6
+    assert TruncatedPolynomialAlgebra(3, 3, Fraction(1, 2)).dim == 20
+
+
 def test_factorize_rejects_bad_degree():
     with pytest.raises(ValueError):
         tensor_factorize((1, 1), 3)

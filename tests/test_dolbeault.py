@@ -1,6 +1,7 @@
 """Quantum line complex and quantum plane coefficient identities."""
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -253,6 +254,31 @@ def test_cp2_refuses_a_long_grid_at_its_first_n_above_the_ceiling():
 
     with pytest.raises(ValueError, match="n must be at most 1000, got 1001"):
         cp2_coefficient_identity(grid(), [Q], PREC)
+
+
+@pytest.mark.parametrize("n_values, q_list", [
+    (range(1001), [Q, Fraction(3, 4), Fraction(9, 10)]),  # took 3.85 s
+    ([5] * 1002, [Q]),
+    (itertools.repeat(5), [Q]),
+    ([0, 1], itertools.repeat(Q)),
+])
+def test_cp2_refuses_more_than_the_ceiling_of_rows_before_any_q_is_evaluated(
+        monkeypatch, n_values, q_list):
+    # Each n may lie in range while the grid, repeated n or many q, does not;
+    # the rows are counted as the grid is read, so an endless one stops too.
+    evaluated = []
+    monkeypatch.setattr(dolbeault, "_evaluator", lambda *args: evaluated.append(args))
+    with pytest.raises(ValueError, match=r"^the cp2 grid has more than 1001 \(n, q\) rows$"):
+        cp2_coefficient_identity(n_values, q_list, PREC)
+    assert evaluated == []
+
+
+def test_cp2_takes_a_grid_of_exactly_the_ceiling_of_rows(monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(dolbeault, "_evaluator",
+                        lambda *args: evaluated.append(args) or (lambda p: mp.mpf(1)))
+    rep = cp2_coefficient_identity(range(77), [Q] * 13, PREC)  # 1001 rows
+    assert len(rep.rows) == 1001 and len(evaluated) == 13
 
 
 def test_cp2_rejects_an_empty_grid():

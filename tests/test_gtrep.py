@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from oracles import ref_relation_checks
-from qproj import gtrep
+from oracles import ref_amplitude, ref_relation_checks
+from qproj import gtrep, qarith
 from qproj.bundles import ln_conditions_filter
 from qproj.gtrep import (
     DimensionCapError,
@@ -28,7 +28,7 @@ from qproj.gtrep import (
     weyl_dim,
 )
 from qproj.linalg import SparseMatrix
-from qproj.qarith import NegativeRadicandError
+from qproj.qarith import NegativeRadicandError, parse_q
 
 Q = Fraction(1, 2)
 PREC = 60
@@ -159,8 +159,12 @@ def test_a_negative_radicand_is_an_error_naming_the_amplitude(monkeypatch):
     # a_j(m) b_j(m^j_k) negative; the exact sign test must catch it before
     # any rounding, in the build and in the single coefficient alike.
     amplitude = gtrep._amplitude
-    monkeypatch.setattr(gtrep, "_amplitude", lambda op, *args: (
-        -amplitude(op, *args) if op == "F" else amplitude(op, *args)))
+
+    def slipped(op, *args):
+        num, den, e = amplitude(op, *args)
+        return -num if op == "F" else num, den, e
+
+    monkeypatch.setattr(gtrep, "_amplitude", slipped)
     with pytest.raises(NegativeRadicandError, match=r"^radicand of A\^1_1 is negative: -"):
         build_irrep((1, 1), Q, PREC)
     t = GTTableau(((2, 1, 0), (2, 0), (1,)))
@@ -715,6 +719,59 @@ def test_exact_amplitudes_multiply_to_raise_radicand(weight, q):
                         <= mp.mpf("1e-50") * max(1, numeric)
                 checked += 1
     assert checked
+
+
+AMPLITUDE_QS = ["1/2", "9/10", "3/4", "1/3", "4/9"]
+
+
+@pytest.mark.parametrize("q", AMPLITUDE_QS)
+@pytest.mark.parametrize("op", ["E", "F"])
+def test_integer_amplitude_equals_the_fraction_chain(op, q):
+    # One Fraction from the integer products equals the chain of Fraction
+    # steps, on random non-increasing rows (so every l_{i,k} is distinct)
+    # under an unconstrained `other` row, so zero numerators occur too.
+    rng = random.Random(30)
+    qn = qarith._q_numbers(parse_q(q))
+    zeros = 0
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        row = tuple(sorted((rng.randint(-6, 12) for _ in range(k)), reverse=True))
+        other = tuple(rng.randint(-6, 12) for _ in range(k + 1 if op == "E" else k - 1))
+        j = rng.randint(1, k)
+        got = qarith._ratio(qn, *gtrep._amplitude(op, j, row, other, qn))
+        assert type(got) is Fraction and got == ref_amplitude(op, j, row, other, q)
+        zeros += not got
+    assert 0 < zeros < 300
+
+
+@pytest.mark.parametrize("q", AMPLITUDE_QS)
+def test_raise_radicands_are_the_fraction_chain_products(q, monkeypatch):
+    # The one Fraction `_raise_value` roots is ref_amplitude("E") at m times
+    # ref_amplitude("F") at m^j_k, exactly, and the root has the bits of that
+    # product rounded at precision + 10 digits and rooted at precision.
+    seen, ratio = [], gtrep._ratio
+    monkeypatch.setattr(gtrep, "_ratio", lambda *args: seen.append(ratio(*args)) or seen[-1])
+    qn = qarith._q_numbers(parse_q(q))
+    checked = 0
+    for weight in [(2, 1), (1, 1, 1), (2, 0, 1), (1, 0, 0, 1)]:
+        for t in enumerate_tableaux(weight):
+            for k in range(1, len(weight) + 1):
+                for j in range(1, k + 1):
+                    if t.raised(j, k) is None:
+                        continue
+                    upper, row, lower = window = gtrep._window(t, k)
+                    raised = row[:j - 1] + (row[j - 1] + 1,) + row[j:]
+                    want = (ref_amplitude("E", j, row, upper, q)
+                            * ref_amplitude("F", j, raised, lower, q))
+                    got = gtrep._raise_value(k, j, window, qn, PREC)
+                    assert seen == [want]
+                    seen.clear()
+                    with mp.workdps(PREC + 10):
+                        value = mp.mpf(want.numerator) / want.denominator
+                    with mp.workdps(PREC):
+                        assert got == mp.sqrt(+value)
+                    checked += 1
+    assert checked > 100
 
 
 def test_exact_column_rejects_unknown_op():

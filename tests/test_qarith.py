@@ -33,6 +33,32 @@ def qint_value(z, qv):
     return sign * sum(qv**e for e in range(1 - z, z, 2))
 
 
+# -- the integer q-number table ---------------------------------------------------
+
+@pytest.mark.parametrize("q", ["1/2", "9/10", "3/4", "1/3", "4/9"])
+def test_integer_q_numbers_are_the_symmetric_q_integers(q):
+    # [z] = N_z / (ab)^(|z|-1) at q = a/b, against (q^z - q^-z)/(q - q^-1)
+    # in Fractions, for |z| <= 40; N_z is an int and odd in z.
+    qf = parse_q(q)
+    table = qarith._q_numbers(qf)
+    assert table.ab == qf.numerator * qf.denominator
+    for z in range(-40, 41):
+        n, e = table[z]
+        assert type(n) is int and e == abs(z) - 1
+        assert n * Fraction(table.ab) ** -e == (qf**z - qf**-z) / (qf - 1 / qf)
+        assert n == -table[-z][0]
+
+
+@pytest.mark.parametrize("q", ["1/2", "9/10", "3/4", "1/3", "4/9"])
+def test_ratio_is_one_reduced_fraction(q):
+    table = qarith._q_numbers(parse_q(q))
+    for num, den, e in [(3, 5, 0), (-7, 2, 3), (6, -4, -2), (0, 9, 1), (12, 12, -1)]:
+        r = qarith._ratio(table, num, den, e)
+        assert type(r) is Fraction and r == Fraction(num, den) / Fraction(table.ab) ** e
+    with pytest.raises(ZeroDivisionError):
+        qarith._ratio(table, 1, 0, 0)
+
+
 # -- q_int ------------------------------------------------------------------
 
 def test_q_int_zero_and_one():
