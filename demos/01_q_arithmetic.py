@@ -26,10 +26,9 @@ for n in range(2, 6):
     f = q_factorial(n)
     print("  [%d]! = %s   palindromic: %s" % (n, f, f.is_palindromic()))
 
-print("\nThe q-binomial is symmetric and exact (division leaves no remainder):")
+print("\nThe q-binomial is exact, built by the q-Pascal rule, and symmetric:")
 print("  [4 choose 2] = %s" % q_binomial(4, 2))
-print("  equals [4 choose 2] with the parts swapped: %s"
-      % (q_binomial(4, 2) == q_binomial(4, 2)))
+print("  [5 choose 2] equals [5 choose 3]: %s" % (q_binomial(5, 2) == q_binomial(5, 3)))
 
 print("\nThe twisted q-multinomial is NOT palindromic; its prefactor shifts it:")
 m = q_multinomial((1, 1, 1))

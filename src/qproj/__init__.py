@@ -11,7 +11,6 @@ it; the test suite is the contract.
 from .qarith import (
     DEFAULT_PRECISION,
     DEFAULT_Q,
-    ExactnessError,
     NegativeRadicandError,
     QLaurent,
     q_binomial,

@@ -35,7 +35,7 @@ from collections import namedtuple
 
 from .coordring import _check_count
 from .linalg import exact_rank
-from .qarith import _q_numbers, parse_q
+from .qarith import _check_int, _q_numbers, parse_q
 from .gtrep import (
     DEFAULT_DIM_CAP,
     GTTableau,
@@ -68,6 +68,8 @@ class FilterError(ArithmeticError):
 
 def block_weight(ell: int, N: int, n1: int) -> tuple:
     """Highest weight of the degree-N bundle block labelled by n1 >= 0."""
+    ell, N = _check_int(ell, "ell"), _check_int(N, "the degree N")
+    n1 = _check_int(n1, "the block label n1")
     if ell < 1:
         raise ValueError("ell must be at least 1")
     if n1 < 0:
@@ -88,6 +90,7 @@ def closed_form_section_tableaux(N: int, weight) -> list:
     empty when the weight is incompatible, and has one member otherwise.  This
     is the independent cross-check route against `ln_conditions_filter`.
     """
+    N = _check_int(N, "the degree N")
     top = top_row(weight)
     size = len(top)
     if size == 2:  # l = 1
@@ -124,6 +127,7 @@ def ln_conditions_filter(N: int, weight, q, dim_cap: int = DEFAULT_DIM_CAP) -> l
     that breaks it (no candidate at all when s_1 is not an integer); the K
     conditions are still checked on every candidate it returns.
     """
+    N = _check_int(N, "the degree N")
     _check_dim_cap(dim_cap)
     qf = parse_q(q)
     weight = validate_weight(weight)
@@ -184,6 +188,7 @@ def ker_el_combinatorial(ell: int, N: int) -> int:
     must reproduce.  A count C(N + l, l) above `coordring.MAX_COUNT` is
     refused before it starts.
     """
+    ell, N = _check_int(ell, "ell"), _check_int(N, "the degree N")
     if ell < 1:
         raise ValueError("ell must be at least 1")
     if N < 0:
@@ -202,11 +207,14 @@ def ker_el_numeric(ell: int, N: int, n1_max: int, q,
     For each block, the E_l columns over the constrained tableaux are ranked
     exactly; the kernel on the constrained leg then multiplies the free-leg
     dimension.  The E_l columns of every block read one exact q-number table.
+    Block dimensions grow with n1, so the n1_max block is held to `dim_cap`
+    before any block is built.
     """
-    if n1_max < 0:
+    if _check_int(n1_max, "n1_max") < 0:
         raise ValueError("n1_max must be non-negative")
     _check_dim_cap(dim_cap)
     qf = parse_q(q)
+    _capped_weyl_dim(block_weight(ell, N, n1_max), dim_cap, "block weight")
     qn = _q_numbers(qf)
     records = []
     for n1 in range(n1_max + 1):

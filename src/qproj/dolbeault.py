@@ -78,6 +78,7 @@ TruncatedComplex = namedtuple("TruncatedComplex", "N l_max blocks")
 def cp1_dolbeault_matrix(N: int, l_max) -> TruncatedComplex:
     """Build the truncated degree-N complex up to spin l_max <= MAX_LMAX; a
     spin is a multiple of 1/2, and any other l_max is a ValueError."""
+    N = _check_int(N, "the degree N")
     given, l_max = l_max, Fraction(l_max)
     if (2 * l_max).denominator != 1:
         raise ValueError("l_max must be a multiple of 1/2, got %s" % (given,))
@@ -126,6 +127,7 @@ def cp1_euler_characteristic(N: int, l_max) -> EulerResult:
     those); a change in the characteristic flips `stable` off instead of
     being silently accepted.
     """
+    N = _check_int(N, "the degree N")
     if Fraction(l_max) < Fraction(abs(N), 2) + 2:
         raise ValueError("l_max must leave a stability margin of at least 2")
     blocks = cp1_dolbeault_matrix(N, l_max).blocks

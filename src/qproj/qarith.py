@@ -2,9 +2,10 @@
 
 The symmetric q-integer of z is [z] = (q^z - q^-z)/(q - q^-1), a Laurent
 polynomial in q with integer coefficients.  Everything assembled from
-q-integers by ring operations and exact division (q-factorials, q-binomials,
-the twisted q-multinomial) stays inside that ring and is represented exactly
-by :class:`QLaurent`; no rounding ever happens on this tier.
+q-integers by ring operations (q-factorials, q-binomials by the q-Pascal
+rule, the twisted q-multinomial as a product of q-binomials) stays inside
+that ring and is represented exactly by :class:`QLaurent`; nothing is
+divided and no rounding ever happens on this tier.
 
 Square roots force a second, numeric tier: evaluating a QLaurent at a fixed
 rational 0 < q < 1 produces an arbitrary-precision mpmath float computed
@@ -34,21 +35,12 @@ __all__ = [
     "q_multinomial",
     "parse_q",
     "check_precision",
-    "ExactnessError",
     "NegativeRadicandError",
     "MIN_PRECISION",
     "MAX_PRECISION",
     "DEFAULT_PRECISION",
     "DEFAULT_Q",
 ]
-
-
-class ExactnessError(ArithmeticError):
-    """A division that must be exact left a remainder.
-
-    Raised instead of returning a rounded quotient: an inexact q-integer
-    division always signals a transcription bug upstream.
-    """
 
 
 class NegativeRadicandError(ArithmeticError):
@@ -102,8 +94,7 @@ class QLaurent:
 
     Immutable.  Stored as a map exponent -> nonzero integer coefficient, both
     Python ints (anything else is a TypeError).  The ring operations +, -
-    and * take two QLaurents and are exact.  Division is exact Laurent long
-    division and hard-fails on a nonzero remainder (:class:`ExactnessError`).
+    and * take two QLaurents and are exact.
     """
 
     __slots__ = ("_c",)
@@ -224,39 +215,6 @@ class QLaurent:
                     del c[e]
         return QLaurent._of(c)
 
-    def exact_div(self, other: "QLaurent") -> "QLaurent":
-        """Exact Laurent division; raises ExactnessError on a remainder."""
-        if not isinstance(other, QLaurent):
-            raise TypeError("can only divide by another QLaurent")
-        if not other:
-            raise ZeroDivisionError("division of QLaurent by zero")
-        if not self:
-            return QLaurent.zero()
-        lead_e = max(other._c)
-        lead_c = other._c[lead_e]
-        # For an exact quotient, valuations subtract; anything below is inexact.
-        val_floor = min(self._c) - min(other._c)
-        rem = dict(self._c)
-        quo = {}
-        while rem:
-            e_r = max(rem)
-            c_r = rem[e_r]
-            if c_r % lead_c:
-                raise ExactnessError("inexact division: %r by %r" % (self, other))
-            shift = e_r - lead_e
-            if shift < val_floor:
-                raise ExactnessError("inexact division: %r by %r" % (self, other))
-            # Each step cancels the leading term of `rem`, so every shift is new.
-            t = quo[shift] = c_r // lead_c
-            for e, v in other._c.items():
-                ne = e + shift
-                nv = rem.get(ne, 0) - t * v
-                if nv:
-                    rem[ne] = nv
-                else:
-                    del rem[ne]
-        return QLaurent._of(quo)
-
     # -- symmetry ----------------------------------------------------------
 
     def is_palindromic(self) -> bool:
@@ -325,6 +283,7 @@ def _ratio(table, num, den, e):
 
 def q_factorial(n: int) -> QLaurent:
     """[n]! = [n][n-1]...[1], with [0]! = 1."""
+    n = _check_int(n, "the q-factorial n")
     if n < 0:
         raise ValueError("q-factorial needs n >= 0, got %d" % n)
     out = QLaurent.one()
@@ -334,29 +293,34 @@ def q_factorial(n: int) -> QLaurent:
 
 
 def q_binomial(n: int, m: int) -> QLaurent:
-    """The q-binomial [n]! / ([m]! [n-m]!), exact by construction."""
+    """The q-binomial [n]! / ([m]! [n-m]!), built without a division by the
+    q-Pascal rule [k, j] = q^-j [k-1, j] + q^(k-j) [k-1, j-1], row k keeping
+    only the j that still reach [n, m]: max(0, m - n + k) <= j <= min(m, k).
+    """
+    n, m = _check_int(n, "the q-binomial n"), _check_int(m, "the q-binomial m")
     if not 0 <= m <= n:
         raise ValueError("q-binomial needs 0 <= m <= n, got n=%d m=%d" % (n, m))
-    return q_factorial(n).exact_div(q_factorial(m) * q_factorial(n - m))
+    zero, row = QLaurent.zero(), {0: QLaurent.one()}
+    for k in range(1, n + 1):
+        row = {j: QLaurent.q_power(-j) * row.get(j, zero)
+               + QLaurent.q_power(k - j) * row.get(j - 1, zero)
+               for j in range(max(0, m - n + k), min(m, k) + 1)}
+    return row[m]
 
 
 def q_multinomial(parts) -> QLaurent:
     """The twisted q-multinomial q^(-sum_{r<s} j_r j_s) [J]!/([j_1]!...[j_k]!).
 
-    J = j_1 + ... + j_k.  The prefactor breaks palindromicity whenever two
-    parts are simultaneously nonzero.
+    J = j_1 + ... + j_k.  The quotient is the product over s of the
+    q-binomials [j_1 + ... + j_s, j_s].  The prefactor breaks palindromicity
+    whenever two parts are simultaneously nonzero.
     """
     js = [_check_int(j, "a q-multinomial part") for j in parts]
     if any(j < 0 for j in js):
         raise ValueError("q-multinomial parts must be non-negative, got %r" % (parts,))
-    total = sum(js)
-    cross = 0
-    for r in range(len(js)):
-        for s in range(r + 1, len(js)):
-            cross += js[r] * js[s]
-    num = QLaurent.q_power(-cross) * q_factorial(total)
-    den = QLaurent.one()
+    out, total, cross = QLaurent.one(), 0, 0
     for j in js:
-        den = den * q_factorial(j)
-    return num.exact_div(den)
-
+        cross += total * j
+        total += j
+        out = out * q_binomial(total, j)
+    return QLaurent.q_power(-cross) * out

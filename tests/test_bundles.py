@@ -292,6 +292,32 @@ def test_block_cap_raises_in_filter_and_block():
         ker_el_numeric(2, 1, 2, Q, dim_cap=cap - 1)
 
 
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_block_dimensions_grow_with_n1(ell):
+    # The premise of `ker_el_numeric` checking only its n1_max block against the cap.
+    for N in range(-4, 7):
+        dims = [weyl_dim(block_weight(ell, N, n1)) for n1 in range(6)]
+        assert all(a < b for a, b in zip(dims, dims[1:])), (ell, N, dims)
+
+
+def test_kernel_refuses_the_top_block_before_building_any(monkeypatch):
+    # It used to build every block under the cap first: 27.3 s for
+    # `ln-kernel --ell 1 --N 0 --n1max 1000000` before its refusal.
+    calls = collections.Counter()
+    real = bundles.ln_conditions_filter
+
+    def counted(*args, **kwargs):
+        calls["filter"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bundles, "ln_conditions_filter", counted)
+    with pytest.raises(DimensionCapError, match=r"^block weight \(2000000,\) .* cap 20000$"):
+        ker_el_numeric(1, 0, 10**6, Q)
+    assert calls["filter"] == 0
+    ker_el_numeric(1, 0, 2, Q)
+    assert calls["filter"] == 3  # the counter does see the blocks that are built
+
+
 # -- exact ranks against the numeric oracle ---------------------------------------
 
 ORACLE_PREC = 60

@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp
 
 from oracles import cp1_radicand
-from qproj.bundles import ker_el_combinatorial
+from qproj.bundles import block_weight, ker_el_combinatorial, ker_el_numeric
 from qproj import dolbeault
 from qproj.dolbeault import (
     cp1_dolbeault_matrix,
@@ -130,6 +130,18 @@ def test_kernel_matches_bundle_count_with_degree_switch():
     for N in range(-4, 5):
         res = cp1_euler_characteristic(N, 8)
         assert res.dim_ker == ker_el_combinatorial(1, -N)
+
+
+@pytest.mark.parametrize("N", range(7))
+def test_bundle_and_line_complex_degrees_are_opposite(N):
+    # `bundles` raises with E, so its sections sit at N >= 0; the qP^1
+    # complex lowers with F, so the same sections are its kernel at -N.
+    res = cp1_euler_characteristic(-N, Fraction(N, 2) + 4)
+    sections = sum(r.dim_kernel for r in ker_el_numeric(1, N, 4, Q))
+    assert res.dim_ker == sections == N + 1
+    # The one source block that F_1 kills is the bundle's n1 = 0 block.
+    zero = [b.twol for b in res.blocks if b.dim_source and not b.radicand]
+    assert zero == [N] == [block_weight(1, N, 0)[0]]
 
 
 # -- quantum plane identities --------------------------------------------------------

@@ -10,7 +10,6 @@ from mpmath import mp
 from oracles import ref_eval
 from qproj import bundles, coordring, dolbeault, gtrep, qarith
 from qproj.qarith import (
-    ExactnessError,
     QLaurent,
     check_precision,
     parse_q,
@@ -147,6 +146,13 @@ def test_q_binomial_precondition():
         q_binomial(3, 4)
     with pytest.raises(ValueError):
         q_binomial(3, -1)
+
+
+def test_q_binomial_times_factorials_is_the_factorial():
+    # Products only: [n, m] [m]! [n-m]! = [n]! for every 0 <= m <= n <= 14.
+    for n in range(15):
+        for m in range(n + 1):
+            assert q_binomial(n, m) * q_factorial(m) * q_factorial(n - m) == q_factorial(n)
 
 
 @given(n=st.integers(0, 12), m=st.integers(0, 12))
@@ -368,44 +374,12 @@ def test_one_term_products_keep_the_double_loop_terms_and_order(p, e, v):
         assert list((a * b).coeffs().items()) == _double_loop(a, b)
 
 
-# -- exact division ----------------------------------------------------------
-
-def test_exact_division_roundtrip():
-    a, b = q_factorial(5), q_factorial(3)
-    assert a.exact_div(b) * b == a
-
-
-def test_inexact_division_raises():
-    with pytest.raises(ExactnessError):
-        q_int(3).exact_div(q_int(2))
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        q_int(3).exact_div(QLaurent.zero())
-
+# -- ring operations -----------------------------------------------------------
 
 def test_coefficients_must_be_integers():
     with pytest.raises(TypeError):
         QLaurent({0: 0.5})
 
-
-def test_zero_dividend_divides_to_zero():
-    assert QLaurent.zero().exact_div(q_int(2)) == QLaurent.zero()
-
-
-def test_coefficient_remainder_raises():
-    # 1 / 2 has a coefficient remainder; the valuations alone would allow it.
-    with pytest.raises(ExactnessError):
-        QLaurent({1: 1}).exact_div(QLaurent({0: 2}))
-
-
-def test_divisor_must_be_a_laurent_polynomial():
-    with pytest.raises(TypeError, match="another QLaurent"):
-        q_int(3).exact_div(2)
-
-
-# -- ring operations -----------------------------------------------------------
 
 def test_a_sum_that_cancels_a_term_drops_it():
     total = QLaurent({1: 1, 0: 1}) + QLaurent({1: -1, -1: 2})
@@ -473,6 +447,26 @@ def test_exponents_must_be_integers(coeffs):
      "a partition entry must be an integer, got 0.5"),
     (lambda: coordring.factorization_exponent((1, 2), (1, 0.0)),
      "a partition entry must be an integer, got 0.0"),
+    (lambda: q_factorial(3.0), "the q-factorial n must be an integer, got 3.0"),
+    (lambda: q_binomial(4, 2.0), "the q-binomial m must be an integer, got 2.0"),
+    (lambda: q_binomial(Fraction(4), 2), "the q-binomial n must be an integer, got Fraction"),
+    # A non-integer degree used to read as a block with no sections, or
+    # failed deep inside with a message that named something else.
+    (lambda: bundles.ln_conditions_filter(1.5, (1, 1), "1/2"),
+     "the degree N must be an integer, got 1.5"),
+    (lambda: bundles.closed_form_section_tableaux(1.5, (1, 1)),
+     "the degree N must be an integer, got 1.5"),
+    (lambda: bundles.block_weight(2, 1.5, 0), "the degree N must be an integer, got 1.5"),
+    (lambda: bundles.block_weight(2.0, 1, 0), "ell must be an integer, got 2.0"),
+    (lambda: bundles.block_weight(2, 1, 0.5), "the block label n1 must be an integer, got 0.5"),
+    (lambda: bundles.build_block(2, 1, 1.0, Q), "the block label n1 must be an integer, got 1.0"),
+    (lambda: bundles.ker_el_numeric(2, 1.0, 2, "1/2"), "the degree N must be an integer, got 1.0"),
+    (lambda: bundles.ker_el_numeric(2, 1, 2.0, Q), "n1_max must be an integer, got 2.0"),
+    (lambda: bundles.ker_el_combinatorial(2, 3.0), "the degree N must be an integer, got 3.0"),
+    (lambda: bundles.ker_el_combinatorial(2.5, 3), "ell must be an integer, got 2.5"),
+    (lambda: dolbeault.cp1_dolbeault_matrix(1.0, 4), "the degree N must be an integer, got 1.0"),
+    (lambda: dolbeault.cp1_euler_characteristic(1.5, 4),
+     "the degree N must be an integer, got 1.5"),
 ])
 def test_integer_arguments_are_checked_not_truncated(call, message):
     with pytest.raises(TypeError, match=message):
