@@ -128,7 +128,7 @@ def ln_conditions_filter(N: int, weight, q, dim_cap: int = DEFAULT_DIM_CAP) -> l
     conditions are still checked on every candidate it returns.
     """
     N = _check_int(N, "the degree N")
-    _check_dim_cap(dim_cap)
+    dim_cap = _check_dim_cap(dim_cap)
     qf = parse_q(q)
     weight = validate_weight(weight)
     _capped_weyl_dim(weight, dim_cap, "block weight")
@@ -174,7 +174,7 @@ BlockKernel = namedtuple("BlockKernel", "ell N n1 dim_constrained dim_kernel")
 def build_block(ell: int, N: int, n1: int, q,
                 dim_cap: int = DEFAULT_DIM_CAP) -> LineBundleBlock:
     """Constrained tableaux and free-leg dimension of one bundle block."""
-    _check_dim_cap(dim_cap)
+    dim_cap = _check_dim_cap(dim_cap)
     weight = block_weight(ell, N, n1)
     section = ln_conditions_filter(N, weight, q, dim_cap)
     return LineBundleBlock(ell, N, n1, weight, section, weyl_dim(weight))
@@ -212,7 +212,7 @@ def ker_el_numeric(ell: int, N: int, n1_max: int, q,
     """
     if _check_int(n1_max, "n1_max") < 0:
         raise ValueError("n1_max must be non-negative")
-    _check_dim_cap(dim_cap)
+    dim_cap = _check_dim_cap(dim_cap)
     qf = parse_q(q)
     _capped_weyl_dim(block_weight(ell, N, n1_max), dim_cap, "block weight")
     qn = _q_numbers(qf)

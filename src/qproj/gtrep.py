@@ -43,7 +43,7 @@ from collections import Counter, namedtuple
 
 from mpmath import mp
 
-from .linalg import SparseMatrix, _Memo
+from .linalg import SparseMatrix, _Memo, _rounded_root
 from .qarith import (
     DEFAULT_PRECISION,
     NegativeRadicandError,
@@ -241,10 +241,12 @@ def _tableaux(top, step=None) -> list:
     return out
 
 
-def _check_dim_cap(dim_cap):
+def _check_dim_cap(dim_cap) -> int:
     # A cap below 1 would reject every module as if it were above a real cap.
+    dim_cap = _check_int(dim_cap, "the dimension cap dim_cap")
     if dim_cap < 1:
-        raise ValueError("dim_cap must be at least 1, got %s" % (dim_cap,))
+        raise ValueError("dim_cap must be at least 1, got %d" % dim_cap)
+    return dim_cap
 
 
 def _window(tableau, k):
@@ -285,10 +287,7 @@ def _raise_value(k, j, window, qn, precision):
     if radicand < 0:
         raise NegativeRadicandError(
             "radicand of A^%d_%d is negative: %s" % (j, k, radicand))
-    with mp.workdps(precision + 10):
-        value = mp.mpf(radicand.numerator) / radicand.denominator
-    with mp.workdps(precision):
-        return mp.sqrt(+value)
+    return _rounded_root(radicand, precision)
 
 
 def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
@@ -399,7 +398,7 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
     """Enumerate the GT basis and populate all K/E/F matrices, read off the raw
     rows: a_k from the row sums, and A^j_k where m_{j,k} + 1 stays within
     m_{j,k+1} and m_{j-1,k-1}, memoised by the window shifted by m_{j,k}."""
-    _check_dim_cap(dim_cap)
+    dim_cap = _check_dim_cap(dim_cap)
     weight = validate_weight(weight)
     qf = parse_q(q)
     precision = check_precision(precision)
@@ -463,8 +462,18 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
     products are shared by the exchanges and dropped before the brackets.
     Every other residual is the `SparseMatrix._max_abs` scan of its matrix.
     Only `linalg` reads the stored entries.  The bracket's K side is
-    one diagonal, one value per weight exponent.  The far and Serre checks of
-    a pair i < j share M_i M_j and M_j M_i; M_i M_i is formed once per i.
+    one diagonal, one value per weight exponent.
+
+    The products are formed pair by pair, each unordered generator pair
+    {i <= j} once, i ascending, then j: the brackets (i, j) and (j, i), then
+    for E and for F the far or Serre checks of i < j, which share M_i M_j and
+    M_j M_i; M_i M_i is formed once per i, where first needed, and dropped
+    after its last use.  Every product of a pair goes through one
+    `SparseMatrix._product` memo, dropped when the pair ends: F = E^T and
+    mpf_mul gives the same bits in either operand order, so E_j F_i, F_i E_j
+    and all the F products reuse the multiplications of the E ones.  The
+    report lists the K and exchange checks, then the brackets by (i, j), then
+    the far and Serre checks by (i, j, E/F).
     """
     _given, tol = _relation_tol(tol, mod.precision)
     with mp.workdps(mod.precision):
@@ -495,35 +504,37 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
         # (K_i^2 - K_i^-2)/(q - q^-1) at the entries q^(a/2) of K_i, per a.
         scale = 1 / (qv - 1 / qv)
         sides = _Memo(lambda a: scale * (qs ** a * qs ** a - qs ** -a * qs ** -a))
-        for i in gens:
-            for j in gens:
-                bracket = E[i] @ F[j] - F[j] @ E[i]
-                if i == j:
-                    rhs = SparseMatrix.diagonal([sides[t.a(i)] for t in mod.basis])
-                    bracket = bracket - rhs
-                    name = "E%dF%d-F%dE%d-(K%d^2-K%d^-2)/(q-q^-1)" % (i, j, j, i, i, i)
-                else:
-                    name = "E%dF%d-F%dE%d" % (i, j, j, i)
-                checks.append(RelationCheck(name, *bracket._max_abs()))
-
         serre = qv + 1 / qv
-        pairs = {}
-        for X, M, _scalars in twins:
-            squares = _Memo(lambda a, M=M: M[a] @ M[a])
-            for i in gens:
-                for j in gens[i:]:
-                    ij, ji = M[i] @ M[j], M[j] @ M[i]
+        squares, brackets, pairs = {}, {}, {}
+        for i in gens:
+            for j in gens[i - 1:]:
+                memo = {}  # a -> {b: a*b}, shared by this pair's products only
+                for a, b in sorted({(i, j), (j, i)}):
+                    R = E[a]._product(F[b], memo) - F[b]._product(E[a], memo)
+                    name = "E%dF%d-F%dE%d" % (a, b, b, a)
+                    if a == b:
+                        R = R - SparseMatrix.diagonal([sides[t.a(a)] for t in mod.basis])
+                        name += "-(K%d^2-K%d^-2)/(q-q^-1)" % (a, a)
+                    brackets[a, b] = RelationCheck(name, *R._max_abs())
+                for X, M, _scalars in twins if i < j else ():
+                    ij, ji = M[i]._product(M[j], memo), M[j]._product(M[i], memo)
                     for a, b, ab, ba in ((i, j, ij, ji), (j, i, ji, ij)):
                         if j - i > 1:
                             name, R = "%s%d%s%d-%s%d%s%d" % (X, a, X, b, X, b, X, a), ab - ba
                         else:
                             name = "serre(%s%d,%s%d)" % (X, a, X, b)
-                            R = squares[a] @ M[b] - (ab @ M[a]).scaled(serre) + ba @ M[a]
+                            if (X, a) not in squares:
+                                squares[X, a] = M[a]._product(M[a], memo)
+                            R = (squares[X, a]._product(M[b], memo)
+                                 - ab._product(M[a], memo).scaled(serre)
+                                 + ba._product(M[a], memo))
                             if a < b:  # the last use of M_a M_a
-                                del squares[a]
+                                del squares[X, a]
                         pairs[a, b, X] = RelationCheck(name, *R._max_abs())
                         del R  # only the current pair's products stay alive
                     del ij, ji, ab, ba
+                del memo
+        checks.extend(brackets[key] for key in sorted(brackets))  # in (i, j) order
         checks.extend(pairs[key] for key in sorted(pairs))  # in (i, j, E/F) order
 
     return RelationReport(checks, tol, all(c.residual <= tol for c in checks))

@@ -11,17 +11,23 @@ is decided by whether that block's exact Laurent radicand is zero.
 
 The GT matrices hold few distinct values (the E matrices of (1,1,1,1) hold
 3,684 nonzeros but 103 values), so each sparse operation memoises its
-arithmetic by operand value for the length of that one call.  The results
-stay bit for bit those of the plain mpf loop, for two reasons: the libmp
-functions are pure in (operands, precision, rounding), and mpf_add(fzero, p)
-is p for a p already rounded at that precision and rounding.  `_Memo` is the
-library's one memo class.
+arithmetic by operand value.  A memo lasts for one call, except the product
+memo of `SparseMatrix._product`, which a caller may own and pass to several
+products made at one precision; `gtrep.verify_relations` keeps one for each
+generator pair and drops it when the pair's checks end.  The results stay
+bit for bit those of the plain mpf loop, for three reasons: the libmp
+functions are pure in (operands, precision, rounding), mpf_mul gives the same
+bits in either operand order, and mpf_add(fzero, p) is p for a p already
+rounded at that precision and rounding.  `_Memo` is the library's one memo
+class.
 
 The scans of `gtrep.verify_relations` run here too: `_max_abs` finds a
 matrix's first largest |v| with |v| taken once per distinct value, and
 `_diagonal_exchange` evaluates M K - c K M from the diagonal of K once per
 distinct (m, k_r, k_s).  Both give the residual and the entry of the plain
-scan `abs(v) > worst` over the mpf entries.
+scan `abs(v) > worst` over the mpf entries.  `_rounded_root`, the root of
+an exact GT radicand that `gtrep` takes, lives here because only this module
+calls libmp; it gives the bits of the mpf route with no context switch.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_neg, mpf_sub
+from mpmath.libmp import (dps_to_prec, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
+                          mpf_mul, mpf_neg, mpf_pos, mpf_sqrt, mpf_sub)
 
 __all__ = ["SparseMatrix", "exact_rank"]
 
@@ -69,8 +76,10 @@ class SparseMatrix:
     operators, with the same precision, rounding and order, so their results
     are the mpf ones bit for bit.  Within one call, each distinct operand pair
     is multiplied, added or scaled once: a memo by value cannot change a pure
-    function's result.  The first product in a cell of ``@`` is stored as it
-    is, since adding it to zero returns it unchanged.
+    function's result.  ``@`` is `_product` with a fresh product memo; a
+    caller that passes its own memo to `_product` shares the products across
+    calls for as long as it keeps that memo.  The first product in a cell is
+    stored as it is, since adding it to zero returns it unchanged.
     """
 
     __slots__ = ("nrows", "ncols", "_d")
@@ -81,10 +90,12 @@ class SparseMatrix:
         self.ncols = int(ncols)
         d = {}
         for (i, j), v in (entries or {}).items():
-            if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-                raise IndexError("entry (%d, %d) outside %dx%d" % (i, j, nrows, ncols))
-            if v._mpf_ != fzero:
-                d[(i, j)] = v._mpf_
+            self._check_index(i, j)
+            raw = getattr(v, "_mpf_", None)
+            if raw is None:
+                raise TypeError("entry (%d, %d) must be an mpf, got %r" % (i, j, v))
+            if raw != fzero:
+                d[(i, j)] = raw
         self._d = d
 
     @classmethod
@@ -94,7 +105,13 @@ class SparseMatrix:
         return cls._trusted(n, n, {(i, i): v for i, v in enumerate(values) if v != fzero})
 
     def get(self, i, j):
+        """Entry (i, j) as an mpf, 0 where none is stored; IndexError outside."""
+        self._check_index(i, j)
         return mp.make_mpf(self._d.get((i, j), fzero))
+
+    def _check_index(self, i, j):
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError("entry (%d, %d) outside %dx%d" % (i, j, self.nrows, self.ncols))
 
     def entries(self):
         """((i, j), mpf) for each nonzero entry, in storage order."""
@@ -150,6 +167,14 @@ class SparseMatrix:
         return self._combine(other, True)
 
     def __matmul__(self, other):
+        return self._product(other)
+
+    def _product(self, other, memo=None):
+        """self @ other.  `memo` maps a raw value a to {b: a*b}; it defaults to
+        a fresh one, and a caller that passes one memo to several calls must
+        make them all at one precision and rounding.  Each new product is
+        stored under (a, b) and (b, a), since mpf_mul gives the same bits in
+        either operand order."""
         if self.ncols != other.nrows:
             raise ValueError(
                 "shape mismatch: %dx%d @ %dx%d"
@@ -159,20 +184,25 @@ class SparseMatrix:
         rows_of_b = {}
         for (k, j), b in other._d.items():
             rows_of_b.setdefault(k, []).append((j, b))
-        by_a = {}  # a -> {b: a*b}, one product dict per left-hand value
+        if memo is None:
+            memo = {}
         sums = {}
         acc = {}
         for (i, k), a in self._d.items():
             row = rows_of_b.get(k)
             if row is None:
                 continue
-            products = by_a.get(a)
+            products = memo.get(a)
             if products is None:
-                products = by_a[a] = {}
+                products = memo[a] = {}
             for j, b in row:
                 p = products.get(b)
                 if p is None:
                     p = products[b] = mpf_mul(a, b, prec, rnd)
+                    back = memo.get(b)
+                    if back is None:
+                        back = memo[b] = {}
+                    back[a] = p
                 key = i, j
                 old = acc.get(key)
                 if old is None:
@@ -183,7 +213,7 @@ class SparseMatrix:
                     if s is None:
                         s = sums[old, p] = mpf_add(old, p, prec, rnd)
                     acc[key] = s
-        del rows_of_b, by_a, sums  # the memos go before the result is built
+        del rows_of_b, memo, sums  # a fresh memo goes before the result is built
         return SparseMatrix._trusted(
             self.nrows, other.ncols, {key: v for key, v in acc.items() if v != fzero})
 
@@ -242,6 +272,18 @@ class SparseMatrix:
 
     def __repr__(self):
         return "SparseMatrix(%dx%d, nnz=%d)" % (self.nrows, self.ncols, self.nnz)
+
+
+def _rounded_root(radicand, precision):
+    """The root of a positive Fraction as an mpf: the radicand rounded at
+    precision + 10 digits, then its root at precision, with the libmp calls
+    and roundings of `mp.sqrt(+(mp.mpf(num) / den))` under those two
+    `mp.workdps`, but with no context switch."""
+    rnd = mp._prec_rounding[1]
+    wide, prec = dps_to_prec(precision + 10), dps_to_prec(precision)
+    value = mpf_div(mpf_pos(from_int(radicand.numerator), wide, rnd),
+                    from_int(radicand.denominator), wide, rnd)
+    return mp.make_mpf(mpf_sqrt(mpf_pos(value, prec, rnd), prec, rnd))
 
 
 def exact_rank(rows) -> int:

@@ -23,6 +23,11 @@ from its own products.  `qproj.gtrep.verify_relations` evaluates the K checks
 entry by entry and shares the products of each generator pair; it must give
 the same names, residual bits and entries.
 
+`ref_rounded_root` is the root of an exact GT radicand as the library took
+it before `qproj.linalg._rounded_root`: the radicand rounded to an mpf under
+`mp.workdps(precision + 10)`, then `mp.sqrt` of it under
+`mp.workdps(precision)`.  The raw libmp calls must give the same bits.
+
 `ref_amplitude` is the GT amplitude a_j or b_j as a chain of `Fraction`
 multiplications and divisions by [z] = (q^z - q^-z)/(q - q^-1), each [z] a
 `Fraction` of its own.  `qproj.gtrep._amplitude` multiplies the integer
@@ -114,6 +119,15 @@ def ref_add(a, b, negate=False):
 
 def ref_sub(a, b):
     return ref_add(a, b, negate=True)
+
+
+def ref_rounded_root(radicand, precision):
+    """sqrt(radicand) for a positive Fraction, rounded at precision + 10
+    digits and rooted at precision, through two `mp.workdps` switches."""
+    with mp.workdps(precision + 10):
+        value = mp.mpf(radicand.numerator) / radicand.denominator
+    with mp.workdps(precision):
+        return mp.sqrt(+value)
 
 
 def ref_matmul(a, b):

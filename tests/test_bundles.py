@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,16 @@ def test_non_positive_dim_cap_is_rejected():
             with pytest.raises(ValueError, match=message) as info:
                 call()
             assert not isinstance(info.value, DimensionCapError)
+
+
+@pytest.mark.parametrize("cap", [14.5, "20000", None])
+def test_a_dim_cap_that_is_not_an_int_is_a_type_error_naming_it(cap):
+    # Not truncated to "the cap 14", and not a failed comparison with 1.
+    message = "the dimension cap dim_cap must be an integer, got %s" % re.escape(repr(cap))
+    for call in (lambda: ker_el_numeric(2, 1, 2, Q, dim_cap=cap),
+                 lambda: build_irrep((1, 1), Q, dim_cap=cap)):
+        with pytest.raises(TypeError, match=message):
+            call()
 
 
 # -- combinatorial kernel count ------------------------------------------------------

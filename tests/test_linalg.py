@@ -1,10 +1,11 @@
 """Sparse matrix plumbing, the exact rank, and the numeric rank oracle."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from oracles import (
@@ -13,10 +14,11 @@ from oracles import (
     ref_diagonal_exchange,
     ref_matmul,
     ref_max_abs,
+    ref_rounded_root,
     ref_scaled,
     ref_sub,
 )
-from qproj.linalg import SparseMatrix, exact_rank
+from qproj.linalg import SparseMatrix, _rounded_root, exact_rank
 
 PREC = 60
 
@@ -54,6 +56,46 @@ def test_shape_checks():
         a + b
     with pytest.raises(ValueError, match="shape mismatch"):
         a - b
+
+
+@pytest.mark.parametrize("i, j", [(5, 7), (-1, 0), (0, -1), (2, 0), (0, 2)])
+def test_get_outside_the_matrix_is_an_index_error(i, j):
+    # As the constructor refuses an entry there, `get` refuses to read one.
+    a = M(2, 2, {(0, 0): 1, (1, 1): 2})
+    with pytest.raises(IndexError, match=r"entry \(%d, %d\) outside 2x2" % (i, j)):
+        a.get(i, j)
+
+
+@pytest.mark.parametrize("value", [1, 0, 0.5, Fraction(1, 2), "1", None])
+def test_an_entry_that_is_not_an_mpf_is_a_type_error_naming_it(value):
+    with pytest.raises(TypeError, match=r"entry \(1, 0\) must be an mpf, got %s"
+                       % re.escape(repr(value))):
+        SparseMatrix(2, 2, {(0, 0): mp.mpf(1), (1, 0): value})
+
+
+def _radicand(data, digits):
+    # A positive Fraction whose numerator and denominator each have more
+    # digits than either rounding keeps.
+    n, d = (data.draw(st.integers(10 ** (digits + 10), 10 ** (digits + 30)))
+            for _ in range(2))
+    return Fraction(n, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), precision=st.integers(30, 1000))
+def test_rounded_root_is_the_two_workdps_root_bit_for_bit(data, precision):
+    radicand = _radicand(data, precision)
+    assume(min(radicand.numerator, radicand.denominator) >= 10 ** (precision + 10))
+    assert _rounded_root(radicand, precision)._mpf_ == \
+        ref_rounded_root(radicand, precision)._mpf_
+
+
+def test_rounded_root_at_4000_digits():
+    rng = random.Random(32)
+    radicand = Fraction(rng.randrange(10 ** 4010, 10 ** 4030) | 1,
+                        rng.randrange(10 ** 4010, 10 ** 4030) | 1)
+    assert min(radicand.numerator, radicand.denominator) >= 10 ** 4010
+    assert _rounded_root(radicand, 4000)._mpf_ == ref_rounded_root(radicand, 4000)._mpf_
 
 
 def test_rank_full_and_deficient():
