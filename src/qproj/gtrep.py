@@ -276,9 +276,9 @@ def _amplitude(op, j, row, other, qn):
     return -num if op == "E" else num, den, e
 
 
-def _raise_value(k, j, window, qn, precision):
-    # A^j_k for a valid raise of entry j of row k, from the rows k+1, k, k-1
-    # of `window`, with q and precision already checked.
+def _radicand(k, j, window, qn):
+    # (A^j_k)^2 for a valid raise of entry j of row k, from the rows k+1, k,
+    # k-1 of `window`, exactly, with q already checked.
     upper, row, lower = window
     raised = row[:j - 1] + (row[j - 1] + 1,) + row[j:]
     n, d, e = _amplitude("E", j, row, upper, qn)
@@ -287,7 +287,12 @@ def _raise_value(k, j, window, qn, precision):
     if radicand < 0:
         raise NegativeRadicandError(
             "radicand of A^%d_%d is negative: %s" % (j, k, radicand))
-    return _rounded_root(radicand, precision)
+    return radicand
+
+
+def _raise_value(k, j, window, qn, precision):
+    # A^j_k, the root of `_radicand`, with precision already checked.
+    return _rounded_root(_radicand(k, j, window, qn), precision)
 
 
 def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
@@ -397,7 +402,8 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
                 dim_cap: int = DEFAULT_DIM_CAP) -> IrrepModule:
     """Enumerate the GT basis and populate all K/E/F matrices, read off the raw
     rows: a_k from the row sums, and A^j_k where m_{j,k} + 1 stays within
-    m_{j,k+1} and m_{j-1,k-1}, memoised by the window shifted by m_{j,k}."""
+    m_{j,k+1} and m_{j-1,k-1}, memoised by the window shifted by m_{j,k}.
+    Windows share radicands, so each distinct exact radicand is rooted once."""
     dim_cap = _check_dim_cap(dim_cap)
     weight = validate_weight(weight)
     qf = parse_q(q)
@@ -409,7 +415,8 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
                               % (weight, len(basis), expected))
     index = {t.rows: i for i, t in enumerate(basis)}
     qn = _q_numbers(qf)
-    values = _Memo(lambda key: _raise_value(*key, qn, precision))
+    roots = _Memo(lambda radicand: _rounded_root(radicand, precision))
+    values = _Memo(lambda key: roots[_radicand(*key, qn)])
     size, dim = len(weight) + 1, len(basis)
     sums = [[*map(sum, t.rows), 0] for t in basis]
     K, E = {}, {}
@@ -426,8 +433,9 @@ def build_irrep(weight, q, precision: int = DEFAULT_PRECISION,
                 upper, row, lower = rows[pos - 1], rows[pos], rows[pos + 1] if k > 1 else ()
                 for p, x in enumerate(row):
                     if x < upper[p] and (not p or x < lower[p - 1]):
-                        c = values[k, p + 1, tuple(tuple(y - x for y in r)
-                                                   for r in (upper, row, lower))]
+                        sub = x.__rsub__  # y -> y - x
+                        c = values[k, p + 1, (tuple(map(sub, upper)), tuple(map(sub, row)),
+                                              tuple(map(sub, lower)))]
                         if c:
                             raised = row[:p] + (x + 1,) + row[p + 1:]
                             entries[index[rows[:pos] + (raised,) + rows[pos + 1:]], col] = c

@@ -19,7 +19,8 @@ bit for bit those of the plain mpf loop, for three reasons: the libmp
 functions are pure in (operands, precision, rounding), mpf_mul gives the same
 bits in either operand order, and mpf_add(fzero, p) is p for a p already
 rounded at that precision and rounding.  `_Memo` is the library's one memo
-class.
+class, and `_check_int` its one integer-argument check; both live here, at
+the bottom of the imports, so that `SparseMatrix` can check its shape too.
 
 The scans of `gtrep.verify_relations` run here too: `_max_abs` finds a
 matrix's first largest |v| with |v| taken once per distinct value, and
@@ -55,6 +56,23 @@ class _Memo(dict):
         return value
 
 
+def _check_int(value, what) -> int:
+    """`value` as an int; anything else (a float, a Fraction, a string) is a
+    TypeError naming `what`, never truncated.  A bool counts as an int."""
+    if not isinstance(value, int):
+        raise TypeError("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
+def _raw(value, what, *args):
+    # The raw libmp tuple of an mpf; anything else is a TypeError naming
+    # `what % args` and the value.
+    raw = getattr(value, "_mpf_", None)
+    if raw is None:
+        raise TypeError((what + " must be an mpf, got %r") % (*args, value))
+    return raw
+
+
 def _first_largest(found):
     # {key: (|v|, first position)} in first-occurrence order -> the first
     # position of a strictly largest |v|.  The first key to reach the maximum
@@ -85,12 +103,16 @@ class SparseMatrix:
     __slots__ = ("nrows", "ncols", "_d")
 
     def __init__(self, nrows, ncols, entries=None):
-        """`entries` is a {(i, j): mpf} dict; zero entries are dropped."""
-        self.nrows = int(nrows)
-        self.ncols = int(ncols)
+        """`entries` is a {(i, j): mpf} dict; zero entries are dropped.  A
+        shape that is not an int is a TypeError, a negative one a ValueError."""
+        for n in (nrows, ncols):
+            if _check_int(n, "a matrix dimension") < 0:
+                raise ValueError("a matrix dimension must be non-negative, got %d" % n)
+        self.nrows, self.ncols = int(nrows), int(ncols)
         d = {}
         for (i, j), v in (entries or {}).items():
             self._check_index(i, j)
+            # `_raw`'s check inline: the GT build passes every E entry here.
             raw = getattr(v, "_mpf_", None)
             if raw is None:
                 raise TypeError("entry (%d, %d) must be an mpf, got %r" % (i, j, v))
@@ -100,7 +122,8 @@ class SparseMatrix:
 
     @classmethod
     def diagonal(cls, values):
-        values = [v._mpf_ for v in values]
+        """The square matrix with the mpf `values` on its diagonal."""
+        values = [_raw(v, "entry (%d, %d)", i, i) for i, v in enumerate(values)]
         n = len(values)
         return cls._trusted(n, n, {(i, i): v for i, v in enumerate(values) if v != fzero})
 
@@ -136,7 +159,7 @@ class SparseMatrix:
     def scaled(self, c):
         """c * self for an mpf c, each entry rounded as c * v rounds."""
         prec, rnd = mp._prec_rounding
-        c = c._mpf_
+        c = _raw(c, "the scale c")
         scale = _Memo(lambda v: mpf_mul(c, v, prec, rnd))
         return SparseMatrix._trusted(self.nrows, self.ncols, {
             k: p for k, v in self._d.items() if (p := scale[v]) != fzero})
@@ -174,7 +197,10 @@ class SparseMatrix:
         a fresh one, and a caller that passes one memo to several calls must
         make them all at one precision and rounding.  Each new product is
         stored under (a, b) and (b, a), since mpf_mul gives the same bits in
-        either operand order."""
+        either operand order.  Only a sum can cancel to zero (a product of
+        nonzero values is nonzero), so the result is filtered for zeros only
+        when one is there; it keeps the order in which its cells were
+        first reached."""
         if self.ncols != other.nrows:
             raise ValueError(
                 "shape mismatch: %dx%d @ %dx%d"
@@ -188,34 +214,38 @@ class SparseMatrix:
             memo = {}
         sums = {}
         acc = {}
+        # The dict methods of the inner loop, bound once per call.
+        row_of, products_of, sum_of, acc_at = rows_of_b.get, memo.get, sums.get, acc.get
         for (i, k), a in self._d.items():
-            row = rows_of_b.get(k)
+            row = row_of(k)
             if row is None:
                 continue
-            products = memo.get(a)
+            products = products_of(a)
             if products is None:
                 products = memo[a] = {}
             for j, b in row:
                 p = products.get(b)
                 if p is None:
                     p = products[b] = mpf_mul(a, b, prec, rnd)
-                    back = memo.get(b)
+                    back = products_of(b)
                     if back is None:
                         back = memo[b] = {}
                     back[a] = p
                 key = i, j
-                old = acc.get(key)
+                old = acc_at(key)
                 if old is None:
                     # mpf_add(fzero, p) is p: p is already rounded at prec, rnd.
                     acc[key] = p
                 else:
-                    s = sums.get((old, p))
+                    s = sum_of((old, p))
                     if s is None:
                         s = sums[old, p] = mpf_add(old, p, prec, rnd)
                     acc[key] = s
-        del rows_of_b, memo, sums  # a fresh memo goes before the result is built
-        return SparseMatrix._trusted(
-            self.nrows, other.ncols, {key: v for key, v in acc.items() if v != fzero})
+        # A fresh memo goes before the result is built.
+        del rows_of_b, memo, sums, row_of, products_of, sum_of
+        if fzero in acc.values():
+            acc = {key: v for key, v in acc.items() if v != fzero}
+        return SparseMatrix._trusted(self.nrows, other.ncols, acc)
 
     def _max_abs(self):
         """(|v|, position) of the first strictly largest |v| in storage order,
@@ -248,22 +278,22 @@ class SparseMatrix:
             k[r] = v
         if c is not None:
             c = c._mpf_
-
-        def times(m, x):
-            p = products.get((m, x))
-            if p is None:
-                p = products[m, x] = mpf_mul(m, x, prec, rnd)
-            return p
-
+        product = products.get
         found = {}
         for pos, m in self._d.items():
             r, s = pos
-            key = m, k[r], k[s]
+            kr, ks = k[r], k[s]
+            key = m, kr, ks
             if key not in found:
-                mr = times(m, k[r])
+                mr = product((m, kr))
+                if mr is None:
+                    mr = products[m, kr] = mpf_mul(m, kr, prec, rnd)
+                ms = product((m, ks))
+                if ms is None:
+                    ms = products[m, ks] = mpf_mul(m, ks, prec, rnd)
                 if c is not None:
                     mr = mpf_mul(c, mr, prec, rnd)
-                found[key] = mpf_abs(mpf_sub(times(m, k[s]), mr, prec, rnd), prec, rnd), pos
+                found[key] = mpf_abs(mpf_sub(ms, mr, prec, rnd), prec, rnd), pos
         return _first_largest(found)
 
     def _check_shape(self, other):

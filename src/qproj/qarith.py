@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .linalg import _Memo
+from .linalg import _Memo, _check_int
 
 MIN_PRECISION = 30
 MAX_PRECISION = 4000  # mp.nstr near 10^-4300 hits CPython's int-to-str limit
@@ -64,14 +64,6 @@ def parse_q(q) -> Fraction:
     if not 0 < q < 1:
         raise ValueError("q must lie strictly between 0 and 1, got %s" % q)
     return q
-
-
-def _check_int(value, what) -> int:
-    """`value` as an int; anything else (a float, a Fraction, a string) is a
-    TypeError naming `what`, never truncated.  A bool counts as an int."""
-    if not isinstance(value, int):
-        raise TypeError("%s must be an integer, got %r" % (what, value))
-    return int(value)
 
 
 def check_precision(precision) -> int:

@@ -5,6 +5,7 @@ import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -676,6 +677,35 @@ def test_relations_drop_each_pair_memo_when_the_pair_ends():
     assert peak <= 1.8 * 2 ** 20, "peak %.2f MiB" % (peak / 2 ** 20)
 
 
+@pytest.mark.parametrize("weight,q", [((1, 1, 1, 1), Q), ((2, 1, 2), Fraction(9, 10)),
+                                      ((1, 2, 1), Fraction(9, 10)), ((3, 3), Fraction(1, 3))],
+                         ids=["1,1,1,1-q1/2", "2,1,2-q9/10", "1,2,1-q9/10", "3,3-q1/3"])
+def test_transposed_brackets_are_equal_bit_for_bit(weight, q):
+    # For i != j each entry (r, s) of E_i F_j and of F_j E_i has exactly one
+    # term, so it is one mpf_mul, and mpf_mul gives the same bits in either
+    # operand order: E_j F_i = (E_i F_j)^T and F_i E_j = (F_j E_i)^T value for
+    # value.  Only the storage order may differ.
+    mod = build_irrep(weight, q, PREC)
+    E, F = mod.E, mod.F
+    checked = 0
+    with mp.workdps(PREC):
+        for i in range(1, mod.ell + 1):
+            for j in range(1, mod.ell + 1):
+                if i == j:
+                    continue
+                for A, B, back in ((E[i], F[j], E[j] @ F[i]), (F[j], E[i], F[i] @ E[j])):
+                    rows_of_b = {}
+                    for (k, s), _ in B.entries():
+                        rows_of_b.setdefault(k, []).append(s)
+                    terms = Counter((r, s) for (r, k), _ in A.entries()
+                                    for s in rows_of_b.get(k, ()))
+                    assert set(terms.values()) <= {1}
+                    got = {(s, r): v._mpf_ for (r, s), v in (A @ B).entries()}
+                    assert got == {key: v._mpf_ for key, v in back.entries()}
+                    checked += len(got)
+    assert checked
+
+
 @pytest.mark.parametrize("weight,q", [((1, 1, 1, 1), Q), ((1, 2, 1), Fraction(9, 10))],
                          ids=["1,1,1,1-q1/2", "1,2,1-q9/10"])
 def test_built_entries_are_the_unmemoised_coefficients(weight, q):
@@ -696,6 +726,18 @@ def test_built_entries_are_the_unmemoised_coefficients(weight, q):
                 if target is not None:
                     want[(index[target], col)] = raise_coeff(k, j, t, q, PREC)._mpf_
         assert {key: v._mpf_ for key, v in mod.E[k].entries()} == want
+
+
+@pytest.mark.parametrize("weight,roots", [((1, 1, 1, 1), 103), ((2, 1, 2), 106)])
+def test_build_roots_each_distinct_radicand_once(weight, roots, monkeypatch):
+    # Shifted windows share radicands: 709 and 401 windows take a root each,
+    # but they hold only 103 and 106 distinct radicands.
+    seen, root = [], gtrep._rounded_root
+    monkeypatch.setattr(gtrep, "_rounded_root",
+                        lambda radicand, precision: seen.append(radicand)
+                        or root(radicand, precision))
+    build_irrep(weight, Q, PREC)
+    assert len(seen) == len(set(seen)) == roots
 
 
 def test_export_rejects_bad_op():

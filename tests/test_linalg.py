@@ -73,6 +73,40 @@ def test_an_entry_that_is_not_an_mpf_is_a_type_error_naming_it(value):
         SparseMatrix(2, 2, {(0, 0): mp.mpf(1), (1, 0): value})
 
 
+@pytest.mark.parametrize("shape", [(2.5, 2), (2, 2.0), ("2", 2), (None, 2), (2, Fraction(2))])
+def test_a_shape_that_is_not_an_int_is_a_type_error_naming_it(shape):
+    # A float shape was truncated: SparseMatrix(2.5, 2) was a 2x2 matrix.
+    bad = next(n for n in shape if type(n) is not int)
+    with pytest.raises(TypeError, match="a matrix dimension must be an integer, got %s"
+                       % re.escape(repr(bad))):
+        SparseMatrix(*shape)
+
+
+@pytest.mark.parametrize("shape", [(-1, 2), (2, -1), (-3, -3)])
+def test_a_negative_shape_is_a_value_error(shape):
+    with pytest.raises(ValueError, match="a matrix dimension must be non-negative, got -"):
+        SparseMatrix(*shape)
+
+
+def test_an_empty_shape_is_a_matrix():
+    assert (SparseMatrix(0, 3).nrows, SparseMatrix(0, 3).ncols) == (0, 3)
+    assert SparseMatrix.diagonal([]).nnz == 0
+
+
+@pytest.mark.parametrize("value", [1, 0, 0.5, Fraction(1, 2), "1", None])
+def test_a_diagonal_value_that_is_not_an_mpf_is_a_type_error_naming_it(value):
+    with pytest.raises(TypeError, match=r"entry \(1, 1\) must be an mpf, got %s"
+                       % re.escape(repr(value))):
+        SparseMatrix.diagonal([mp.mpf(1), value])
+
+
+@pytest.mark.parametrize("value", [2, 0.5, Fraction(1, 2), "2", None])
+def test_a_scale_that_is_not_an_mpf_is_a_type_error_naming_it(value):
+    with pytest.raises(TypeError, match="the scale c must be an mpf, got %s"
+                       % re.escape(repr(value))):
+        M(2, 2, {(0, 0): 1}).scaled(value)
+
+
 def _radicand(data, digits):
     # A positive Fraction whose numerator and denominator each have more
     # digits than either rounding keeps.
