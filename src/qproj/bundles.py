@@ -58,7 +58,12 @@ __all__ = [
     "ker_el_numeric",
     "BlockKernel",
     "FilterError",
+    "MAX_BLOCK_ELL",
 ]
+
+# The K conditions and the Weyl dimension of a block are quadratic in l,
+# even at dimension 1: `ln-kernel --ell 1000 --N 0 --n1max 0` takes about 1 s.
+MAX_BLOCK_ELL = 1000
 
 
 class FilterError(ArithmeticError):
@@ -67,11 +72,14 @@ class FilterError(ArithmeticError):
 
 
 def block_weight(ell: int, N: int, n1: int) -> tuple:
-    """Highest weight of the degree-N bundle block labelled by n1 >= 0."""
+    """Highest weight of the degree-N bundle block labelled by n1 >= 0, for
+    1 <= ell <= MAX_BLOCK_ELL."""
     ell, N = _check_int(ell, "ell"), _check_int(N, "the degree N")
     n1 = _check_int(n1, "the block label n1")
     if ell < 1:
         raise ValueError("ell must be at least 1")
+    if ell > MAX_BLOCK_ELL:
+        raise ValueError("ell must be at most %d, got %d" % (MAX_BLOCK_ELL, ell))
     if n1 < 0:
         raise ValueError("block label n1 must be non-negative")
     if ell == 1:
@@ -132,13 +140,17 @@ def ln_conditions_filter(N: int, weight, q, dim_cap: int = DEFAULT_DIM_CAP) -> l
     qf = parse_q(q)
     weight = validate_weight(weight)
     _capped_weyl_dim(weight, dim_cap, "block weight")
+    return _sections(N, weight, _q_numbers(qf))
+
+
+def _sections(N, weight, qn) -> list:
+    # `ln_conditions_filter` on checked inputs, [z] read from the table `qn`.
     ell = len(weight)
     selected = [
         t for t in _candidates(N, weight)
         if all(t.a(i) == 0 for i in range(1, ell))
         and sum(k * t.a(k) for k in range(1, ell + 1)) == N * ell
     ]
-    qn = _q_numbers(qf)
     columns = [_condition_column(t, qn) for t in selected]
     zero_cols = [t for t, column in zip(selected, columns) if not column]
     kernel_dim = len(selected) - exact_rank(columns)
@@ -176,8 +188,9 @@ def build_block(ell: int, N: int, n1: int, q,
     """Constrained tableaux and free-leg dimension of one bundle block."""
     dim_cap = _check_dim_cap(dim_cap)
     weight = block_weight(ell, N, n1)
-    section = ln_conditions_filter(N, weight, q, dim_cap)
-    return LineBundleBlock(ell, N, n1, weight, section, weyl_dim(weight))
+    qf = parse_q(q)
+    free_dim = _capped_weyl_dim(weight, dim_cap, "block weight")
+    return LineBundleBlock(ell, N, n1, weight, _sections(N, weight, _q_numbers(qf)), free_dim)
 
 
 def ker_el_combinatorial(ell: int, N: int) -> int:
@@ -206,10 +219,9 @@ def ker_el_numeric(ell: int, N: int, n1_max: int, q,
 
     For each block, the E_l columns over the constrained tableaux are ranked
     exactly; the kernel on the constrained leg then multiplies the free-leg
-    dimension.  The E_l columns of every block read one exact q-number table.
-    Block dimensions grow with n1, so the n1_max block is held to `dim_cap`
-    before any block is built.
-    """
+    dimension.  The inputs are checked once, and every block is filtered and
+    ranked from one exact q-number table.  Block dimensions grow with n1, so
+    the n1_max block alone is held to `dim_cap`, before any block is built."""
     if _check_int(n1_max, "n1_max") < 0:
         raise ValueError("n1_max must be non-negative")
     dim_cap = _check_dim_cap(dim_cap)
@@ -218,11 +230,10 @@ def ker_el_numeric(ell: int, N: int, n1_max: int, q,
     qn = _q_numbers(qf)
     records = []
     for n1 in range(n1_max + 1):
-        block = build_block(ell, N, n1, qf, dim_cap)
-        columns = [_exact_column("E", ell, t, qn) for t in block.section_basis]
+        weight = block_weight(ell, N, n1)
+        section, free_dim = _sections(N, weight, qn), weyl_dim(weight)
+        columns = [_exact_column("E", ell, t, qn) for t in section]
         leg_kernel = len(columns) - exact_rank(columns)
-        records.append(BlockKernel(
-            ell, N, n1,
-            dim_constrained=len(block.section_basis) * block.free_dim,
-            dim_kernel=leg_kernel * block.free_dim))
+        records.append(BlockKernel(ell, N, n1, dim_constrained=len(section) * free_dim,
+                                   dim_kernel=leg_kernel * free_dim))
     return records

@@ -86,7 +86,7 @@ def cmd_irrep(args):
 
 
 def cmd_verify_relations(args):
-    tol, _value = gtrep._relation_tol(args.tol, args.precision)  # before the build
+    tol, _value = gtrep._relation_tol(args.tol, args.precision, args.ell)  # before the build
     mod = _build_module(args)
     report = gtrep.verify_relations(mod, tol)
     results = [{"relation": c.name, "residual": mp.nstr(c.residual, 8),

@@ -55,6 +55,9 @@ from .qarith import (
 )
 
 DEFAULT_DIM_CAP = 20000
+# The relation check forms about 5 l^2 checks, even on the trivial module:
+# at l = 100 that takes about 1 s.
+MAX_RELATION_ELL = 100
 
 __all__ = [
     "GTTableau",
@@ -70,6 +73,7 @@ __all__ = [
     "RelationReport",
     "export_matrix",
     "DimensionCapError",
+    "MAX_RELATION_ELL",
 ]
 
 
@@ -77,10 +81,14 @@ class DimensionCapError(ValueError):
     """A requested module exceeds the configured dimension cap."""
 
 
-def _relation_tol(tol, precision):
+def _relation_tol(tol, precision, ell):
     """The relation tolerance as given and as an mpf at `precision`: None
     means 1e-40, raised to 1e-(2*precision//3) below 60 digits to stay above
-    the rounding floor.  A NaN, infinite or negative one is a ValueError."""
+    the rounding floor.  A NaN, infinite or negative one is a ValueError, and
+    so, checked first, is a rank `ell` above MAX_RELATION_ELL."""
+    if ell > MAX_RELATION_ELL:
+        raise ValueError("the relation check takes ell at most %d, got %d"
+                         % (MAX_RELATION_ELL, ell))
     given = "1e-%d" % min(40, 2 * precision // 3) if tol is None else tol
     with mp.workdps(precision):
         value = mp.mpf(given)
@@ -290,11 +298,6 @@ def _radicand(k, j, window, qn):
     return radicand
 
 
-def _raise_value(k, j, window, qn, precision):
-    # A^j_k, the root of `_radicand`, with precision already checked.
-    return _rounded_root(_radicand(k, j, window, qn), precision)
-
-
 def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
     """The coefficient A^j_k of |m^j_k> in E_k |m>, as an mpf.
 
@@ -310,7 +313,7 @@ def raise_coeff(k, j, tableau, q, precision: int = DEFAULT_PRECISION):
         raise ValueError("need 1 <= j <= k <= %d, got j=%d k=%d" % (tableau.ell, j, k))
     if tableau._moved(j, k, 1) is None:
         return mp.mpf(0)
-    return _raise_value(k, j, _window(tableau, k), _q_numbers(qf), precision)
+    return _rounded_root(_radicand(k, j, _window(tableau, k), _q_numbers(qf)), precision)
 
 
 def exact_column(op, k, tableau, q) -> dict:
@@ -460,7 +463,8 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
     storage order (None for a zero matrix); ok says whether every residual is
     within the tolerance, kept as an mpf.  The tolerance defaults to
     1e-min(40, 2*precision//3); a NaN, infinite or negative one is a
-    ValueError.  A K with an off-diagonal entry is a ValueError too.
+    ValueError.  A K with an off-diagonal entry is a ValueError too, and so
+    is a module of rank above MAX_RELATION_ELL, before any product.
 
     Each residual is bit for bit that of the plain matrix algebra, with
     fewer products.  M K_j - c K_j M (M = E_i, F_i or K_i) is
@@ -483,7 +487,7 @@ def verify_relations(mod: IrrepModule, tol=None) -> RelationReport:
     report lists the K and exchange checks, then the brackets by (i, j), then
     the far and Serre checks by (i, j, E/F).
     """
-    _given, tol = _relation_tol(tol, mod.precision)
+    _given, tol = _relation_tol(tol, mod.precision, mod.ell)
     with mp.workdps(mod.precision):
         qv = mp.mpf(mod.q.numerator) / mp.mpf(mod.q.denominator)
         qs = mp.sqrt(qv)

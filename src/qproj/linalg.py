@@ -133,6 +133,9 @@ class SparseMatrix:
         return mp.make_mpf(self._d.get((i, j), fzero))
 
     def _check_index(self, i, j):
+        # A bool counts as an int, as in `_check_int`.
+        if not (isinstance(i, int) and isinstance(j, int)):
+            raise TypeError("entry (%r, %r) must have integer indices" % (i, j))
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError("entry (%d, %d) outside %dx%d" % (i, j, self.nrows, self.ncols))
 

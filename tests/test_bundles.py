@@ -263,11 +263,15 @@ def test_filter_computes_each_q_number_once(monkeypatch):
 
 def test_kernel_computes_each_q_number_once_per_table(monkeypatch):
     made = _count_q_number_tables(monkeypatch)
-    records = ker_el_numeric(3, 6, 6, Q)
-    # one table per block filter, one for the E_l columns of all blocks
-    assert len(made) == len(records) + 1 == 8
-    assert all(set(t.computed.values()) <= {1} for t in made)
-    assert made[-1].lookups > 2 * len(made[-1].computed)
+    assert len(ker_el_numeric(3, 6, 6, Q)) == 7
+    # one table for the filters and the E_l columns of all seven blocks
+    (table,) = made
+    assert set(table.computed.values()) == {1}
+    assert table.lookups > 2 * len(table.computed)
+    made.clear()
+    assert build_block(3, 3, 2, Q).section_basis
+    (table,) = made
+    assert set(table.computed.values()) == {1}
 
 
 def test_top_antiholomorphic_form_constraint_is_degree_ell_plus_one():
@@ -315,18 +319,62 @@ def test_kernel_refuses_the_top_block_before_building_any(monkeypatch):
     # It used to build every block under the cap first: 27.3 s for
     # `ln-kernel --ell 1 --N 0 --n1max 1000000` before its refusal.
     calls = collections.Counter()
-    real = bundles.ln_conditions_filter
+    real = bundles._sections
 
     def counted(*args, **kwargs):
         calls["filter"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bundles, "ln_conditions_filter", counted)
+    monkeypatch.setattr(bundles, "_sections", counted)
     with pytest.raises(DimensionCapError, match=r"^block weight \(2000000,\) .* cap 20000$"):
         ker_el_numeric(1, 0, 10**6, Q)
     assert calls["filter"] == 0
     ker_el_numeric(1, 0, 2, Q)
     assert calls["filter"] == 3  # the counter does see the blocks that are built
+
+
+@pytest.mark.parametrize("q", [Q, Fraction(9, 10)])
+def test_kernel_ranks_each_block_without_the_public_entry_points(q, monkeypatch):
+    # The kernel checks its inputs once and enters neither `build_block` nor
+    # `ln_conditions_filter`, yet equals their composition with the exact
+    # rank of the E_l columns.
+    want = {}
+    for ell in range(1, 5):
+        for N in range(-3, 7):
+            for n1 in range(2 if ell == 4 else 3):
+                block = build_block(ell, N, n1, q)
+                columns = [exact_column("E", ell, t, q) for t in block.section_basis]
+                want[ell, N, n1] = bundles.BlockKernel(
+                    ell, N, n1, len(columns) * block.free_dim,
+                    (len(columns) - exact_rank(columns)) * block.free_dim)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("re-entered a public entry point")
+
+    monkeypatch.setattr(bundles, "build_block", refused)
+    monkeypatch.setattr(bundles, "ln_conditions_filter", refused)
+    got = {(r.ell, r.N, r.n1): r for ell in range(1, 5) for N in range(-3, 7)
+           for r in ker_el_numeric(ell, N, 1 if ell == 4 else 2, q)}
+    assert got == want and len(got) == 3 * 10 * 3 + 10 * 2
+
+
+def test_block_rank_ceiling(monkeypatch):
+    # The trivial block has dimension 1 whatever l, so the dimension cap never
+    # bounded l: `ln-kernel --ell 4000 --N 0 --n1max 0` took 16.75 s and 632 MiB.
+    ceiling = bundles.MAX_BLOCK_ELL
+    assert block_weight(ceiling, 0, 0) == (0,) * ceiling
+
+    def product(*args):
+        raise AssertionError("formed a Weyl product above the ceiling")
+
+    monkeypatch.setattr(bundles, "_capped_weyl_dim", product)
+    monkeypatch.setattr(bundles, "weyl_dim", product)
+    message = r"^ell must be at most 1000, got 1001$"
+    for call in (lambda: block_weight(ceiling + 1, 0, 0),
+                 lambda: build_block(ceiling + 1, 0, 0, Q),
+                 lambda: ker_el_numeric(ceiling + 1, 0, 0, Q)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 # -- exact ranks against the numeric oracle ---------------------------------------

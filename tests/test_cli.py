@@ -179,6 +179,32 @@ def test_bad_tolerance_is_reported_before_the_build(capsys, monkeypatch):
         {"error": "relation tolerance must be finite and non-negative, got nan"}]
 
 
+def test_relation_rank_above_the_ceiling_is_reported_before_the_build(capsys, monkeypatch):
+    # The trivial module has dimension 1 whatever l, so the dimension cap
+    # never bounded the 5 l^2 relation checks: --ell 100 took 1.1 s and 83 MiB.
+    def build(*args):
+        raise AssertionError("built a module above the relation ceiling")
+
+    monkeypatch.setattr(gtrep, "build_irrep", build)
+    ell = gtrep.MAX_RELATION_ELL + 1
+    code, report = run_json(capsys, "verify-relations", "--ell", str(ell),
+                            "--n", ",".join(["0"] * ell))
+    assert code == 1 and report["results"] == [
+        {"error": "the relation check takes ell at most 100, got 101"}]
+
+
+def test_block_rank_above_the_ceiling_is_reported_before_any_weyl_product(
+        capsys, monkeypatch):
+    # A dimension-1 block at --ell 4000 took 16.75 s and 632 MiB to pass.
+    def product(*args):
+        raise AssertionError("formed a Weyl product above the block ceiling")
+
+    monkeypatch.setattr(bundles, "_capped_weyl_dim", product)
+    monkeypatch.setattr(bundles, "weyl_dim", product)
+    code, report = run_json(capsys, "ln-kernel", "--ell", "4000", "--N", "0", "--n1max", "0")
+    assert code == 1 and report["results"] == [{"error": "ell must be at most 1000, got 4000"}]
+
+
 def test_ring_dims_of_many_generators(capsys):
     code, report = run_json(capsys, "ring-dims", "--ell", "1200", "--Nmax", "0")
     assert code == 0 and report["pass"]

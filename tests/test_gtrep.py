@@ -442,6 +442,17 @@ def test_report_is_a_record_whose_ok_is_every_check_within_tolerance():
     assert loose.ok and not strict.ok
 
 
+def test_relations_refuse_a_rank_above_the_ceiling_before_any_product(monkeypatch):
+    # The trivial module has dimension 1 at every l, so only this ceiling
+    # bounds the about 5 l^2 checks.
+    ceiling = gtrep.MAX_RELATION_ELL
+    mod = build_irrep((0,) * (ceiling + 1), Q, PREC)
+    monkeypatch.setattr(SparseMatrix, "_diagonal_exchange", None)
+    with pytest.raises(ValueError, match=r"^the relation check takes ell at most 100, got 101$"):
+        verify_relations(mod, TOL)
+    assert gtrep._relation_tol(None, PREC, ceiling)[0] == "1e-40"
+
+
 def test_a_built_module_is_a_record():
     mod = build_irrep((1, 1), Q, PREC)
     assert isinstance(mod, tuple) and type(mod) is IrrepModule
@@ -825,7 +836,7 @@ def test_integer_amplitude_equals_the_fraction_chain(op, q):
 
 @pytest.mark.parametrize("q", AMPLITUDE_QS)
 def test_raise_radicands_are_the_fraction_chain_products(q, monkeypatch):
-    # The one Fraction `_raise_value` roots is ref_amplitude("E") at m times
+    # The one Fraction `raise_coeff` roots is ref_amplitude("E") at m times
     # ref_amplitude("F") at m^j_k, exactly, and the root has the bits of that
     # product rounded at precision + 10 digits and rooted at precision.
     seen, ratio = [], gtrep._ratio
@@ -842,7 +853,7 @@ def test_raise_radicands_are_the_fraction_chain_products(q, monkeypatch):
                     raised = row[:j - 1] + (row[j - 1] + 1,) + row[j:]
                     want = (ref_amplitude("E", j, row, upper, q)
                             * ref_amplitude("F", j, raised, lower, q))
-                    got = gtrep._raise_value(k, j, window, qn, PREC)
+                    got = linalg._rounded_root(gtrep._radicand(k, j, window, qn), PREC)
                     assert seen == [want]
                     seen.clear()
                     with mp.workdps(PREC + 10):

@@ -66,6 +66,22 @@ def test_get_outside_the_matrix_is_an_index_error(i, j):
         a.get(i, j)
 
 
+@pytest.mark.parametrize("i, j", [(0.5, 0), (0, 1.0), ("1", 0), (0, None), (Fraction(1), 1)])
+def test_an_index_that_is_not_an_int_is_a_type_error_naming_the_entry(i, j):
+    # (0.5, 0) was stored as it was: `entries()` yielded it, `get(0, 0)` read 0
+    # and `get(0.5, 0)` read 3; a string index failed on the bare comparison.
+    message = r"entry %s must have integer indices" % re.escape(repr((i, j)))
+    with pytest.raises(TypeError, match=message):
+        SparseMatrix(2, 2, {(0, 0): mp.mpf(1), (i, j): mp.mpf(3)})
+    with pytest.raises(TypeError, match=message):
+        M(2, 2, {(0, 0): 1}).get(i, j)
+
+
+def test_a_bool_index_counts_as_an_int():
+    a = SparseMatrix(2, 2, {(True, False): mp.mpf(3)})
+    assert a.get(1, 0) == a.get(True, 0) == 3 and a.get(0, 0) == 0
+
+
 @pytest.mark.parametrize("value", [1, 0, 0.5, Fraction(1, 2), "1", None])
 def test_an_entry_that_is_not_an_mpf_is_a_type_error_naming_it(value):
     with pytest.raises(TypeError, match=r"entry \(1, 0\) must be an mpf, got %s"
