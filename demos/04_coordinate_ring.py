@@ -16,8 +16,8 @@ from qproj.coordring import (
 
 print("Normal ordering a few words (exponent counts inversions):")
 for word in [(2, 1), (3, 2, 1), (2, 3, 1, 2)]:
-    qpow, mono = normal_order(word)
-    print("  %s  ->  %s * %s" % (word, qpow, format_monomial(mono)))
+    e, mono = normal_order(word)
+    print("  %s  ->  q^%d * %s" % (word, e, format_monomial(mono)))
 
 print("\nGraded dimensions in ell+1 generators vs kernel counts:")
 for ell in (1, 2, 3):

@@ -34,8 +34,8 @@ import itertools
 from collections import namedtuple
 
 from .coordring import _check_count
-from .linalg import exact_rank
-from .qarith import _check_int, _q_numbers, parse_q
+from .linalg import _check_int, exact_rank
+from .qarith import _q_numbers, parse_q
 from .gtrep import (
     DEFAULT_DIM_CAP,
     GTTableau,

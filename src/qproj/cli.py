@@ -59,7 +59,14 @@ def _parse_weight(text):
     return tuple(int(x) for x in text.split(","))
 
 
+# The rank of a CLI module build: even the trivial module, of dimension 1 and
+# so under any dimension cap, costs about l^2, about 2 s at l = 2,000.
+MAX_IRREP_ELL = 2000
+
+
 def _build_module(args):
+    if args.ell > MAX_IRREP_ELL:  # before the build
+        raise ValueError("--ell must be at most %d, got %d" % (MAX_IRREP_ELL, args.ell))
     weight = _parse_weight(args.n)
     if len(weight) != args.ell:
         raise ValueError("--n has %d components but --ell is %d" % (len(weight), args.ell))

@@ -28,7 +28,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .qarith import QLaurent, _check_int
+from .linalg import _check_int
 
 __all__ = [
     "inversion_count",
@@ -77,17 +77,11 @@ def _check_word(word, num_generators=None):
 
 
 def inversion_count(word) -> int:
-    word, _g = _check_word(word)
-    return sum(
-        1
-        for a in range(len(word))
-        for b in range(a + 1, len(word))
-        if word[a] > word[b]
-    )
+    return -normal_order(word)[0]
 
 
 def normal_order(word, num_generators=None):
-    """Sort a word of generator indices; returns (power of q, monomial).
+    """Sort a word of generator indices; returns (q-exponent e, monomial).
 
     word = q^e * z_1^{s_1} ... z_g^{s_g} with e = -(number of inversions);
     the monomial is the exponent tuple (s_1, ..., s_g).
@@ -96,14 +90,19 @@ def normal_order(word, num_generators=None):
     exps = [0] * g
     for x in word:
         exps[x - 1] += 1
-    return QLaurent.q_power(-inversion_count(word)), tuple(exps)
+    return -sum(
+        1
+        for a in range(len(word))
+        for b in range(a + 1, len(word))
+        if word[a] > word[b]
+    ), tuple(exps)
 
 
 def monomials(num_generators: int, degree: int):
     """Yield all exponent tuples of the given total degree, lexicographically."""
-    if num_generators < 1:
+    if _check_int(num_generators, "the number of generators") < 1:
         raise ValueError("need at least one generator")
-    if degree < 0:
+    if _check_int(degree, "the degree") < 0:
         raise ValueError("degree must be non-negative")
 
     # Stars and bars: the g - 1 bars among degree + g - 1 slots cut the stars
@@ -118,6 +117,8 @@ def monomials(num_generators: int, degree: int):
 def graded_dim(num_generators: int, degree: int) -> int:
     """Number of degree-N monomials in g q-commuting generators, by enumeration;
     a count C(N + g - 1, N) above MAX_COUNT is refused before it starts."""
+    num_generators = _check_int(num_generators, "the number of generators")
+    degree = _check_int(degree, "the degree")
     _check_count(degree + num_generators - 1, degree, "graded_dim")
     return sum(1 for _m in monomials(num_generators, degree))
 
@@ -202,10 +203,10 @@ def tensor_factorize(mono, N: int, partition=None) -> Factorization:
     left = tuple(r)
     right = tuple(s[i] - r[i] for i in range(len(s)))
     R = factorization_exponent(s, r)
-    qpow, mono_check = normal_order(_word_of(left) + _word_of(right), len(s))
-    if mono_check != s or qpow != QLaurent.q_power(-R):
-        raise ArithmeticError("factorization postcondition failed: %s gives %r times %s, "
-                              "expected q^%d times %s" % (s, qpow, mono_check, -R, s))
+    e, mono_check = normal_order(_word_of(left) + _word_of(right), len(s))
+    if mono_check != s or e != -R:
+        raise ArithmeticError("factorization postcondition failed: %s gives q^%d times %s, "
+                              "expected q^%d times %s" % (s, e, mono_check, -R, s))
     return Factorization(R, left, right)
 
 
@@ -222,6 +223,8 @@ class TruncatedPolynomialAlgebra:
     """
 
     def __init__(self, num_generators: int, max_degree: int, q):
+        num_generators = _check_int(num_generators, "the number of generators")
+        max_degree = _check_int(max_degree, "the maximal degree max_degree")
         if num_generators < 1 or max_degree < 0:
             raise ValueError("need at least one generator and max_degree >= 0")
         _check_count(max_degree + num_generators, num_generators, "TruncatedPolynomialAlgebra")

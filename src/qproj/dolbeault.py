@@ -40,9 +40,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from .gtrep import _amplitude
-from .linalg import _Memo
-from .qarith import (
-    DEFAULT_PRECISION, QLaurent, _check_int, _evaluator, check_precision, parse_q, q_int)
+from .linalg import _Memo, _check_int
+from .qarith import DEFAULT_PRECISION, _evaluator, check_precision, parse_q, q_int
 
 __all__ = [
     "MAX_LMAX",
@@ -96,7 +95,7 @@ def cp1_dolbeault_matrix(N: int, l_max) -> TruncatedComplex:
         m = (twol + N) // 2  # F_1 on ((2l, 0), (m,)) lowers m, unless m = 0
         radicand = (_amplitude("E", 1, (m - 1,), (twol, 0), qn)[0]
                     * _amplitude("F", 1, (m,), (), qn)[0] if in_source and m
-                    else QLaurent.zero())
+                    else q_int(0))
         blocks.append(Cp1Block(
             twol,
             dim_source=twol + 1 if in_source else 0,
@@ -173,7 +172,7 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
     precision = check_precision(precision)
     most = MAX_CP2_N + 1
     n_values = [_check_n(n) for n in itertools.islice(n_values, most + 1)]
-    q_list = list(itertools.islice(q_list, most // max(1, len(n_values)) + 1))
+    q_list = [parse_q(q) for q in itertools.islice(q_list, most // max(1, len(n_values)) + 1)]
     if len(n_values) * len(q_list) > most:
         raise ValueError("the cp2 grid has more than %d (n, q) rows" % most)
     if not n_values or not q_list:
@@ -182,8 +181,7 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
     rows = []
     with mp.workdps(precision):
         tol = mp.mpf(10) ** (-(precision // 2))
-    for q in q_list:
-        qf = parse_q(q)
+    for qf in q_list:
         ev = _evaluator(qf, precision)
         e = _Memo(lambda z: ev(q_int(z)))
         for n in n_values:

@@ -43,11 +43,10 @@ from collections import Counter, namedtuple
 
 from mpmath import mp
 
-from .linalg import SparseMatrix, _Memo, _rounded_root
+from .linalg import SparseMatrix, _Memo, _check_int, _rounded_root
 from .qarith import (
     DEFAULT_PRECISION,
     NegativeRadicandError,
-    _check_int,
     _q_numbers,
     _ratio,
     check_precision,

@@ -193,6 +193,33 @@ def test_relation_rank_above_the_ceiling_is_reported_before_the_build(capsys, mo
         {"error": "the relation check takes ell at most 100, got 101"}]
 
 
+@pytest.mark.parametrize("command", ["irrep", "verify-relations"])
+def test_module_rank_above_the_ceiling_is_reported_before_the_build(
+        capsys, monkeypatch, command):
+    # The trivial module has dimension 1 whatever l: --ell 2000 took 1.6 to
+    # 2.1 s and 158 MiB, growing about as l^2.  The relation check refuses
+    # first, under its own lower ceiling.
+    def build(*args):
+        raise AssertionError("built a module above the rank ceiling")
+
+    monkeypatch.setattr(gtrep, "build_irrep", build)
+    ell = cli.MAX_IRREP_ELL + 1
+    code, report = run_json(capsys, command, "--ell", str(ell), "--n", ",".join(["0"] * ell))
+    error = ("--ell must be at most 2000, got 2001" if command == "irrep"
+             else "the relation check takes ell at most 100, got 2001")
+    assert code == 1 and report["results"] == [{"error": error}]
+
+
+def test_irrep_builds_at_the_rank_ceiling(capsys, monkeypatch):
+    def build(*args):
+        raise ArithmeticError("reached the build")
+
+    monkeypatch.setattr(gtrep, "build_irrep", build)
+    ell = cli.MAX_IRREP_ELL
+    code, report = run_json(capsys, "irrep", "--ell", str(ell), "--n", ",".join(["0"] * ell))
+    assert code == 1 and report["results"] == [{"error": "reached the build"}]
+
+
 def test_block_rank_above_the_ceiling_is_reported_before_any_weyl_product(
         capsys, monkeypatch):
     # A dimension-1 block at --ell 4000 took 16.75 s and 632 MiB to pass.

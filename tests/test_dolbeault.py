@@ -259,6 +259,17 @@ def test_cp2_checks_every_n_before_any_q_is_evaluated(monkeypatch, n_values, err
     assert evaluated == []
 
 
+def test_cp2_checks_every_q_before_any_q_is_evaluated(monkeypatch):
+    # A bad last q used to be refused only after the 600 rows of the two
+    # q before it.
+    def evaluator(*args):
+        raise AssertionError("evaluated a q before the whole grid was checked")
+
+    monkeypatch.setattr(dolbeault, "_evaluator", evaluator)
+    with pytest.raises(ValueError, match="q must lie strictly between 0 and 1, got 2"):
+        cp2_coefficient_identity(range(300), [Q, Fraction(3, 4), "2/1"], PREC)
+
+
 def test_cp2_refuses_a_long_grid_at_its_first_n_above_the_ceiling():
     def grid():
         yield from range(dolbeault.MAX_CP2_N + 2)

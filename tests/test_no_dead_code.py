@@ -7,6 +7,9 @@ underscore, not a dunder) must be referenced somewhere in `src/qproj`, and
 every parameter of every function and lambda must be read in its body
 (`self` and `cls` exempt).  The library keeps one per-call memo,
 `linalg._Memo`: no other class defines `__missing__` or subclasses `dict`.
+A private name is imported only from the module that defines it, and only
+`qarith` names the Laurent type `QLaurent` (the package `__init__` re-exports
+it).
 """
 
 import ast
@@ -93,3 +96,33 @@ def test_every_parameter_is_read():
                     for module, tree in TREES.items()
                     for name, param in _unread_parameters(tree))
     assert unread == []
+
+
+def _defined(tree):
+    """The names a module binds at its top level other than by importing them."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def test_private_names_are_imported_from_their_home():
+    # A helper passed on through a second module hides where it lives.
+    defined = {path.stem: _defined(TREES[path.name]) for path in SOURCES}
+    relayed = sorted("%s: %s from %s" % (module, alias.name, node.module)
+                     for module, tree in TREES.items() for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 1
+                     for alias in node.names
+                     if _is_private(alias.name) and alias.name not in defined[node.module])
+    assert relayed == []
+
+
+def test_only_qarith_names_the_laurent_type():
+    named = sorted(module for module, tree in TREES.items()
+                   if module not in ("qarith.py", "__init__.py")
+                   and "QLaurent" in _referenced(tree) | set(_imported_names(tree)))
+    assert named == []

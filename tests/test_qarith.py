@@ -441,6 +441,16 @@ def test_exponents_must_be_integers(coeffs):
     (lambda: coordring.normal_order([1, 2.9, 1]), "a generator index must be .* got 2.9"),
     (lambda: coordring.inversion_count([2.0, 1]), "a generator index must be .* got 2.0"),
     (lambda: coordring.normal_order([1, 2], 2.5), "the number of generators must be .* got 2.5"),
+    # These raised "'float' object cannot be interpreted as an integer", or
+    # "unsupported operand type(s) for +" for a string, naming no argument.
+    (lambda: coordring.graded_dim(2, 2.0), "the degree must be an integer, got 2.0"),
+    (lambda: coordring.graded_dim("2", 1), "the number of generators must be .* got '2'"),
+    (lambda: list(coordring.monomials(2.0, 2)), "the number of generators must be .* got 2.0"),
+    (lambda: list(coordring.monomials(2, Fraction(2))), "the degree must be .* got Fraction"),
+    (lambda: coordring.TruncatedPolynomialAlgebra(2, 2.0, Q),
+     "the maximal degree max_degree must be an integer, got 2.0"),
+    (lambda: coordring.TruncatedPolynomialAlgebra(2.0, 2, Q),
+     "the number of generators must be an integer, got 2.0"),
     (lambda: coordring.tensor_factorize((1.5, 2), 1), "an exponent must be an integer, got 1.5"),
     (lambda: coordring.tensor_factorize((1, 2), 1.0), "the degree N must be an integer, got 1.0"),
     (lambda: coordring.tensor_factorize((1, 2), 1, (0.5, 0.5)),
