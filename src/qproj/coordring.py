@@ -76,8 +76,20 @@ def _check_word(word, num_generators=None):
     return word, g
 
 
+def _inversions(word) -> int:
+    # The inversions of a checked word: pairs a < b with word[a] > word[b].
+    return sum(
+        1
+        for a in range(len(word))
+        for b in range(a + 1, len(word))
+        if word[a] > word[b]
+    )
+
+
 def inversion_count(word) -> int:
-    return -normal_order(word)[0]
+    """The number of inversions of a word of generator indices, checked as
+    `normal_order` checks it, with no monomial built."""
+    return _inversions(_check_word(word)[0])
 
 
 def normal_order(word, num_generators=None):
@@ -90,12 +102,7 @@ def normal_order(word, num_generators=None):
     exps = [0] * g
     for x in word:
         exps[x - 1] += 1
-    return -sum(
-        1
-        for a in range(len(word))
-        for b in range(a + 1, len(word))
-        if word[a] > word[b]
-    ), tuple(exps)
+    return -_inversions(word), tuple(exps)
 
 
 def monomials(num_generators: int, degree: int):

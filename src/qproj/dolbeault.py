@@ -40,8 +40,9 @@ from fractions import Fraction
 from mpmath import mp
 
 from .gtrep import _amplitude
-from .linalg import _Memo, _check_int
-from .qarith import DEFAULT_PRECISION, _evaluator, check_precision, parse_q, q_int
+from .linalg import _Memo, _check_int, _rounded_q_number
+from .qarith import (DEFAULT_PRECISION, _evaluator, _q_numbers, check_precision, parse_q,
+                     q_int)
 
 __all__ = [
     "MAX_LMAX",
@@ -58,7 +59,8 @@ __all__ = [
 
 # The largest l_max of the qP^1 complex: its radicands are full Laurent
 # products, so a build is cubic in l_max.  A cp2 grid of MAX_CP2_N + 1 (n, q)
-# rows, the CLI's largest, takes under 2 s.
+# rows, the CLI's largest, takes about 0.2 s; each further row costs its
+# roots and a [z] whose integers grow linearly in n.
 MAX_LMAX = 128
 MAX_CP2_N = 1000
 
@@ -145,6 +147,21 @@ def _check_n(n):
     return n
 
 
+def _q_number_values(qf, precision):
+    """[z] at q = qf, for z >= 0, as the mpf `_evaluator` gives at `precision`:
+    the exact N_z/(ab)^(z-1) of `_q_numbers` rounded once, where
+    `_rounded_q_number` proves those are the term sum's bits, and the term
+    sum itself where it cannot."""
+    ev, table = _evaluator(qf, precision), _q_numbers(qf)
+
+    def value(z):
+        num, power = table[z]
+        fast = _rounded_q_number(num, table.ab ** power, z, precision) if z > 0 else None
+        return ev(q_int(z)) if fast is None else fast
+
+    return _Memo(value)
+
+
 Cp2Row = namedtuple("Cp2Row", "n q residual_mixed residual_scalar ok")
 
 Cp2Report = namedtuple("Cp2Report", "rows tolerance ok")
@@ -162,12 +179,14 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
     oracle for qP^2.  Each residual is taken relative to
     max(1, |cancelled term|) (x for the mixed identity, the right-hand side
     2y for the scalar one), because the q-integers grow like q^-n; the
-    tolerance is 10^(-precision/2).  Each [z] is evaluated once per q and
-    reused by every row that needs it, and each q-power term c q^e of the
-    [z] is computed once per q and reused by every [z] that has it.  An
-    empty grid raises ValueError, since it would pass with nothing checked,
-    and so does an n above MAX_CP2_N, as soon as the grid reaches it, and a
-    grid of more than MAX_CP2_N + 1 (n, q) rows, counted as it is read.
+    tolerance is 10^(-precision/2).  Each [z] and its root are computed
+    once per q and reused by every row that needs them; [z] is the exact
+    integer-table value rounded once, bit for bit the evaluator's term sum
+    (see `_q_number_values`), and the rows of one q share one working
+    precision context.  An empty grid raises ValueError, since it would
+    pass with nothing checked, and so does an n above MAX_CP2_N, as soon as
+    the grid reaches it, and a grid of more than MAX_CP2_N + 1 (n, q) rows,
+    counted as it is read.
     """
     precision = check_precision(precision)
     most = MAX_CP2_N + 1
@@ -182,23 +201,26 @@ def cp2_coefficient_identity(n_values, q_list, precision: int = DEFAULT_PRECISIO
     with mp.workdps(precision):
         tol = mp.mpf(10) ** (-(precision // 2))
     for qf in q_list:
-        ev = _evaluator(qf, precision)
-        e = _Memo(lambda z: ev(q_int(z)))
-        for n in n_values:
-            with mp.workdps(precision):
+        e = _q_number_values(qf, precision)
+        with mp.workdps(precision):
+            root = _Memo(lambda z: mp.sqrt(e[z]))
+            # The factors that do not depend on n, in the order each row takes them.
+            x_den, x_chain_factor = e[2] * e[3], 2 / e[2] * root[2] * root[2]
+            x_split_den = root[2] * root[3]
+            for n in n_values:
                 # Component along the mixed basis vector: -x - x + 2 [2]^{-1} [2] x = 0.
-                x_joint = mp.sqrt(e[n] * e[n + 5] / (e[2] * e[3]))
-                x_split = (mp.sqrt(e[n]) * mp.sqrt(e[n + 5])
-                           / (mp.sqrt(e[2]) * mp.sqrt(e[3])))
-                x_chain = 2 / e[2] * mp.sqrt(e[2]) * mp.sqrt(e[2]) * x_joint
+                x_joint = mp.sqrt(e[n] * e[n + 5] / x_den)
+                x_split = root[n] * root[n + 5] / x_split_den
+                x_chain = x_chain_factor * x_joint
                 residual_mixed = abs(-x_joint - x_split + x_chain) / max(1, abs(x_joint))
 
                 # Scalar component: -y - y against -2y.
-                y_joint = mp.sqrt(e[n + 2] * e[n + 3] / e[2])
-                y_split = mp.sqrt(e[n + 2]) * mp.sqrt(e[n + 3]) / mp.sqrt(e[2])
-                y_rhs = 2 * mp.sqrt(e[n + 2] * e[n + 3]) / mp.sqrt(e[2])
+                y_product = e[n + 2] * e[n + 3]
+                y_joint = mp.sqrt(y_product / e[2])
+                y_split = root[n + 2] * root[n + 3] / root[2]
+                y_rhs = 2 * mp.sqrt(y_product) / root[2]
                 residual_scalar = abs((-y_joint - y_split) - (-y_rhs)) / max(1, abs(y_rhs))
 
                 ok = residual_mixed <= tol and residual_scalar <= tol
-            rows.append(Cp2Row(n, qf, residual_mixed, residual_scalar, ok))
+                rows.append(Cp2Row(n, qf, residual_mixed, residual_scalar, ok))
     return Cp2Report(rows, tol, all(r.ok for r in rows))

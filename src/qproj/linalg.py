@@ -29,6 +29,9 @@ distinct (m, k_r, k_s).  Both give the residual and the entry of the plain
 scan `abs(v) > worst` over the mpf entries.  `_rounded_root`, the root of
 an exact GT radicand that `gtrep` takes, lives here because only this module
 calls libmp; it gives the bits of the mpf route with no context switch.
+`_rounded_q_number`, the q-integer that `dolbeault`'s cp2 rows take, lives
+here for the same reason: it rounds an exact [z] once and returns it only
+where the error bound of `qarith`'s term sum proves the same bits.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import (dps_to_prec, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
-                          mpf_mul, mpf_neg, mpf_pos, mpf_sqrt, mpf_sub)
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, fzero, mpf_abs, mpf_add,
+                          mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_pos, mpf_sqrt, mpf_sub)
 
 __all__ = ["SparseMatrix", "exact_rank"]
 
@@ -317,6 +320,35 @@ def _rounded_root(radicand, precision):
     value = mpf_div(mpf_pos(from_int(radicand.numerator), wide, rnd),
                     from_int(radicand.denominator), wide, rnd)
     return mp.make_mpf(mpf_sqrt(mpf_pos(value, prec, rnd), prec, rnd))
+
+
+def _rounded_q_number(num, den, z, precision):
+    """[z] = num/den, z >= 1, rounded once at `precision` digits, when that
+    is provably what `qarith._evaluator` gives; None when it may not be.
+
+    The evaluator adds the z terms q^e, e = 1-z, 3-z, ..., z-1, in order at
+    w = dps_to_prec(precision + 10) bits and rounds the sum S at precision.
+    With u = 2^-w, each rounding to nearest (mpf_div, mpf_add, normalize)
+    is off by at most u relatively.  In mpmath 1.3.0, q = a/b comes from one
+    mpf_div (3u if a or b is wider than w bits); mpf_pow_int(q, e) raises
+    the mantissa exactly and rounds once when its bits times e are under
+    1000, and otherwise powers at w + 4 bitcount(e) + 4 bits, whose
+    truncations add far less than u, then rounds; e < 0 powers -e at w + 5
+    bits, then mpf_div(1, .) rounds again; the coefficient 1 is exact.  So
+    the term q^e is within (|e| + 2) u <= (z + 1) u of its value, the z - 1
+    additions of positive terms add at most (z - 1) u, and |S - [z]| <=
+    (2z + 2) u [z] to first order, or (4z - 2) u when a or b is wider than
+    w bits.  The slack
+    s = (4z + 8) u covers both and the second-order terms.  Rounding is
+    monotone, so when [z](1 - s) and [z](1 + s) round to the same mpf, so do
+    S and [z] itself.
+    """
+    rnd = mp._prec_rounding[1]
+    wide, prec = dps_to_prec(precision + 10), dps_to_prec(precision)
+    one, slack, den = 1 << wide, 4 * z + 8, from_int(den)
+    low, high = (mpf_div(from_man_exp(num * (one + sign * slack), -wide), den, prec, rnd)
+                 for sign in (-1, 1))
+    return mp.make_mpf(low) if low == high else None
 
 
 def exact_rank(rows) -> int:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,18 @@ def test_inversion_count_small():
     assert inversion_count(()) == 0
     assert inversion_count((1, 2, 3)) == 0
     assert inversion_count((3, 2, 1)) == 3
+
+
+def test_inversion_count_builds_no_monomial():
+    # It took the monomial of normal_order, a list sized by the largest
+    # index: 8 MiB for one index of 10^6, 1.6 GB for one of 10^8.
+    tracemalloc.start()
+    try:
+        assert inversion_count((10**6,)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, "peak %.2f MiB" % (peak / 2 ** 20)
 
 
 def test_each_entry_point_checks_its_word_once(monkeypatch):

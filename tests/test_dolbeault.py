@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from oracles import cp1_radicand
+from oracles import cp1_radicand, ref_eval
 from qproj.bundles import block_weight, ker_el_combinatorial, ker_el_numeric
 from qproj import dolbeault
 from qproj.dolbeault import (
@@ -15,7 +15,8 @@ from qproj.dolbeault import (
     cp1_euler_characteristic,
     cp2_coefficient_identity,
 )
-from qproj.qarith import QLaurent, q_int
+from qproj.linalg import _rounded_q_number
+from qproj.qarith import QLaurent, _q_numbers, q_int
 
 Q = Fraction(1, 2)
 PREC = 60
@@ -236,6 +237,48 @@ def test_cp2_rows_do_not_depend_on_the_other_q():
     both = cp2_coefficient_identity(range(30), qs, PREC)
     alone = [row for q in qs for row in cp2_coefficient_identity(range(30), [q], PREC).rows]
     assert _cp2_text(both.rows) == _cp2_text(alone)
+
+
+# The [z] of the cp2 rows are the exact table values rounded once wherever
+# that provably gives the term sum's bits; these are the z <= 220 where the
+# proof fails and the term sum is taken instead.
+Z_FALLBACKS = {(Q, 100): [169], (Fraction(1, 3), 100): [211]}
+
+
+@pytest.mark.parametrize("q", [Q, Fraction(3, 4), Fraction(9, 10), Fraction(1, 3)], ids=str)
+@pytest.mark.parametrize("precision", [60, 100])
+def test_cp2_q_numbers_are_the_term_sum_bit_for_bit(monkeypatch, q, precision):
+    fell_back = []
+
+    def rounded(num, den, z, precision):
+        value = _rounded_q_number(num, den, z, precision)
+        if value is None:
+            fell_back.append(z)
+        return value
+
+    monkeypatch.setattr(dolbeault, "_rounded_q_number", rounded)
+    values = dolbeault._q_number_values(q, precision)
+    for z in range(221):
+        assert values[z] == ref_eval(q_int(z), q, precision), z
+    assert fell_back == Z_FALLBACKS.get((q, precision), [])
+
+
+def test_cp2_q_number_falls_back_where_one_rounding_is_an_ulp_off():
+    # At q = 1/3 and 100 digits, [211] rounded once from its exact value is
+    # one ulp below the term sum: the term sum's own rounding error carries
+    # it across a rounding boundary, so the one rounding must not be used.
+    q, precision, z = Fraction(1, 3), 100, 211
+    table = _q_numbers(q)
+    num, power = table[z]
+    den = table.ab ** power
+    with mp.workprec(max(num.bit_length(), den.bit_length())):
+        exact_num, exact_den = mp.mpf(num), mp.mpf(den)
+    once = mp.fdiv(exact_num, exact_den, dps=precision)
+    term_sum = ref_eval(q_int(z), q, precision)
+    with mp.workdps(precision):
+        assert term_sum - once == mp.ldexp(1, mp.mag(term_sum) - mp.prec)
+    assert _rounded_q_number(num, den, z, precision) is None
+    assert dolbeault._q_number_values(q, precision)[z] == term_sum
 
 
 def test_cp2_rejects_negative_n():
