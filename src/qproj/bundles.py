@@ -15,7 +15,10 @@ the E_l action on the constrained leg.  Both the conditions and the kernel
 are computed here by applying the actual representation matrices, in the
 non-normalized GT basis where every entry is an exact rational at rational q,
 so each rank is decided by exact elimination (`qproj.linalg.exact_rank`),
-never by a numeric threshold.  The known
+never by a numeric threshold.  Each column is assembled in integers from
+`gtrep`'s amplitudes and scaled by one positive common multiple of its
+denominators (`_integer_column`), which keeps its support and the rank, so
+the elimination runs fraction-free on ints.  The known
 closed-form shape of the constrained tableaux is kept only as an independent
 cross-check (`closed_form_section_tableaux`), and the kernel count has an
 independent combinatorial oracle (`ker_el_combinatorial`).
@@ -25,12 +28,13 @@ so the K conditions hold exactly when the row sums form the progression
 s_j = j s_1 (j <= l) with s_1 = (N + s_(l+1)) / (l + 1).  The tableau
 descent uses it to prune every row that breaks it, so only a handful of
 candidates are ever built; the K conditions are still checked on every
-candidate.
+candidate, from the row sums of its raw rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 
 from .coordring import _check_count
@@ -145,12 +149,15 @@ def ln_conditions_filter(N: int, weight, q, dim_cap: int = DEFAULT_DIM_CAP) -> l
 
 def _sections(N, weight, qn) -> list:
     # `ln_conditions_filter` on checked inputs, [z] read from the table `qn`.
+    # The K conditions read a_k = 2 s_k - s_(k-1) - s_(k+1) off the row sums
+    # s = (s_0, s_1, ..., s_(l+1)) of each candidate's raw rows.
     ell = len(weight)
-    selected = [
-        t for t in _candidates(N, weight)
-        if all(t.a(i) == 0 for i in range(1, ell))
-        and sum(k * t.a(k) for k in range(1, ell + 1)) == N * ell
-    ]
+    selected = []
+    for t in _candidates(N, weight):
+        s = [0, *map(sum, reversed(t.rows))]
+        a = [2 * s[k] - s[k - 1] - s[k + 1] for k in range(1, ell + 1)]
+        if not any(a[:-1]) and sum(k * a_k for k, a_k in enumerate(a, 1)) == N * ell:
+            selected.append(t)
     columns = [_condition_column(t, qn) for t in selected]
     zero_cols = [t for t, column in zip(selected, columns) if not column]
     kernel_dim = len(selected) - exact_rank(columns)
@@ -169,12 +176,27 @@ def _candidates(N, weight) -> list:
     return [] if rest else _tableaux(top, s1)
 
 
+def _integer_column(terms, ab) -> dict:
+    """(key, (num, den, e)) pairs, the values num / (den ab^e) of `_amplitude`
+    under distinct keys, as {key: int}: every value times one positive common
+    multiple of its denominators, lcm|den| * ab^max(0, e), so a set of such
+    columns keeps its supports and its rank.
+
+    The rank path keys each target by its rows, a tuple hashed in C, not by
+    its `GTTableau`, whose Python `__hash__` would run at every dict step of
+    `exact_rank`."""
+    scale = math.lcm(*(den for _key, (_num, den, _e) in terms))
+    top = max([0, *(e for _key, (_num, _den, e) in terms)])
+    return {key: num * (scale // den) * ab ** (top - e) for key, (num, den, e) in terms}
+
+
 def _condition_column(t, qn) -> dict:
-    """The stacked E_i and F_i columns (i < l) of one tableau, exactly, with
-    [z] read from the q-number table `qn`."""
-    return {(op, i, target): c
-            for i in range(1, t.ell) for op in ("E", "F")
-            for target, c in _exact_column(op, i, t, qn).items()}
+    """The stacked E_i and F_i columns (i < l) of one tableau, as one integer
+    column keyed by (op, i, target rows), with [z] read from the q-number
+    table `qn`."""
+    return _integer_column([((op, i, target.rows), c)
+                            for i in range(1, t.ell) for op in ("E", "F")
+                            for target, c in _exact_column(op, i, t, qn)], qn.ab)
 
 
 LineBundleBlock = namedtuple(
@@ -232,7 +254,8 @@ def ker_el_numeric(ell: int, N: int, n1_max: int, q,
     for n1 in range(n1_max + 1):
         weight = block_weight(ell, N, n1)
         section, free_dim = _sections(N, weight, qn), weyl_dim(weight)
-        columns = [_exact_column("E", ell, t, qn) for t in section]
+        columns = [_integer_column([(u.rows, c) for u, c in _exact_column("E", ell, t, qn)], qn.ab)
+                   for t in section]
         leg_kernel = len(columns) - exact_rank(columns)
         records.append(BlockKernel(ell, N, n1, dim_constrained=len(section) * free_dim,
                                    dim_kernel=leg_kernel * free_dim))

@@ -257,8 +257,10 @@ def _check_dim_cap(dim_cap) -> int:
 
 
 def _window(tableau, k):
-    # Rows k+1, k and k-1 of a tableau; row 0 is empty.
-    return tableau.row(k + 1), tableau.row(k), tableau.row(k - 1) if k > 1 else ()
+    # Rows k+1, k and k-1 of a tableau; row 0 is empty.  Every caller has
+    # checked 1 <= k <= l, so the rows are read without `row`'s range check.
+    rows = tableau.rows
+    return rows[-k - 1], rows[-k], rows[1 - k] if k > 1 else ()
 
 
 def _amplitude(op, j, row, other, qn):
@@ -267,8 +269,9 @@ def _amplitude(op, j, row, other, qn):
 
     Only differences of entries enter, so rows shifted by one constant give
     the same value.  `qn` maps z to (N_z, e_z) with [z] = N_z / (ab)^e_z;
-    the result (num, den, e) is num / (den (ab)^e), made one Fraction by
-    `_ratio` from the integers of `_q_numbers(qf)`.  `dolbeault` maps z to
+    the result (num, den, e) is num / (den (ab)^e), in the integers of
+    `_q_numbers(qf)`: `_ratio` makes it one Fraction, and `bundles` scales a
+    column of them to integers.  `dolbeault` maps z to
     (q_int(z), 0): at k = 1 nothing is divided, so num is the QLaurent value.
     """
     ljk, den = row[j - 1] - j, 1
@@ -324,28 +327,26 @@ def exact_column(op, k, tableau, q) -> dict:
         lowering  b_j =  prod_{i<=k-1}[l_{i,k-1} - l_{j,k}] / prod_{i!=j}[l_{i,k} - l_{j,k}].
 
     a_j(m) b_j(m^j_k) = (A^j_k)^2 is the radicand whose root `raise_coeff`
-    takes, so this is the one transcription of the GT amplitudes.
+    takes, so this is the one transcription of the GT amplitudes.  Each
+    Fraction is the `_ratio` of the integers `_exact_column` assembles.
     """
     if op not in ("E", "F"):
         raise ValueError("op must be E or F, got %r" % (op,))
     if not 1 <= k <= tableau.ell:
         raise ValueError("k must lie in 1..%d, got %d" % (tableau.ell, k))
-    return _exact_column(op, k, tableau, _q_numbers(parse_q(q)))
+    qn = _q_numbers(parse_q(q))
+    return {t: _ratio(qn, *c) for t, c in _exact_column(op, k, tableau, qn)}
 
 
 def _exact_column(op, k, tableau, qn):
-    # `exact_column` with op and k checked and [z] read from the table `qn`.
+    # `exact_column` with op and k checked and [z] read from the table `qn`,
+    # in integers: (target, the (num, den, e) of `_amplitude`) pairs, one per
+    # target, zeros dropped, so a caller keys the targets as it needs.
     upper, row, lower = _window(tableau, k)
     step, other = (1, upper) if op == "E" else (-1, lower)
-    out = {}
-    for j in range(1, k + 1):
-        target = tableau._moved(j, k, step)
-        if target is None:
-            continue
-        c = _ratio(qn, *_amplitude(op, j, row, other, qn))
-        if c:
-            out[target] = c
-    return out
+    return [(target, c) for j in range(1, k + 1)
+            if (target := tableau._moved(j, k, step)) is not None
+            and (c := _amplitude(op, j, row, other, qn))[0]]
 
 
 def weyl_dim(weight) -> int:

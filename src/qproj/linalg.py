@@ -3,9 +3,10 @@
 Plumbing shared by the representation modules.  A `SparseMatrix` takes and
 gives mpf values but stores each nonzero entry as its raw mpmath.libmp tuple,
 in a dict keyed by (row, col); that stored form is this module's own, and no
-other module reads it.  Every rank decision on a matrix runs on exact
-rationals through `exact_rank`, on sparse {key: Fraction} rows, so the exact
-GT columns are ranked as they come, with no dense copy.  The qP^1 complex of
+other module reads it.  Every rank decision on a matrix runs exactly through
+`exact_rank`, on sparse {key: int | Fraction} rows, by fraction-free
+elimination over the integers, so the integer GT columns of `bundles` are
+ranked as they come, with no dense copy and no Fraction built.  The qP^1 complex of
 `dolbeault` needs no elimination: each of its blocks is a scalar, so its rank
 is decided by whether that block's exact Laurent radicand is zero.
 
@@ -37,6 +38,7 @@ where the error bound of `qarith`'s term sum proves the same bits.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from mpmath import mp
 from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, fzero, mpf_abs, mpf_add,
@@ -354,22 +356,55 @@ def _rounded_q_number(num, den, z, precision):
 def exact_rank(rows) -> int:
     """Exact rank of a matrix given as sparse rows, {key: int | Fraction} dicts.
 
-    Forward elimination over the rationals: each row is reduced against the
-    pivot rows kept so far, in the order they were kept.  A kept row is zero
-    at every earlier pivot key, so one pass clears them all; the rest is kept
-    under its first nonzero key, scaled to 1 there.  The rank, the number of
-    rows kept, is that of the transpose too, so columns may go in as rows.
+    Fraction-free forward elimination over the integers.  A row holding a
+    Fraction is scaled to integers once, by the lcm of its denominators; a
+    value that is neither an int (a bool counts) nor a Fraction is a
+    TypeError naming its key.  Each row is reduced against the pivot rows
+    kept so far, in the order they were kept: where it holds c at the key of
+    a pivot row holding p there, row <- (p/g) row - (c/g) pivot with
+    g = gcd(p, c), and the row is divided by its content, the gcd of its
+    entries.  A kept row is zero at every earlier pivot key, so one pass
+    clears them all; the rest is kept under its first nonzero key.  Scaling
+    a row by a nonzero integer keeps the rank, the number of rows kept, and
+    that is the rank of the transpose too, so columns may go in as rows.
     """
     pivots = []
     for row in rows:
-        row = {k: Fraction(v) for k, v in row.items()}
+        row = _integer_row(row)
         for key, pivot in pivots:
             c = row.get(key)
             if c:
+                p = pivot[key]
+                g = gcd(p, c)
+                p, c = p // g, c // g
+                row = {k: p * v for k, v in row.items()}
                 for k, v in pivot.items():
                     row[k] = row.get(k, 0) - c * v
-        row = {k: v for k, v in row.items() if v}
+                row = _primitive(row)
         if row:
-            key, c = next(iter(row.items()))
-            pivots.append((key, {k: v / c for k, v in row.items()}))
+            pivots.append((next(iter(row)), row))
     return len(pivots)
+
+
+def _integer_row(row):
+    # An `exact_rank` row in ints, times the lcm of its denominators when it
+    # holds a Fraction (scale None when it holds none), then made `_primitive`.
+    scale = None
+    for key, v in row.items():
+        if type(v) is not int:
+            if isinstance(v, Fraction):
+                scale = lcm(scale or 1, v.denominator)
+            elif not isinstance(v, int):
+                raise TypeError("exact_rank takes int or Fraction values, got %r at key %r"
+                                % (v, key))
+    if scale is not None:
+        row = {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
+    return _primitive(row)
+
+
+def _primitive(row):
+    # An integer row without its zeros, divided by its content.  A row with no
+    # zero and content 1 comes back as it is: `exact_rank` writes only into
+    # the copy each reduction makes, never into a row it was given.
+    g = gcd(*row.values())
+    return row if g == 1 and all(row.values()) else {k: v // g for k, v in row.items() if v}

@@ -4,6 +4,10 @@
 matrix, a route that shares no code with the exact `qproj.linalg.exact_rank`
 the library uses, so the tests can hold the exact ranks against it.
 
+`ref_exact_rank` is the elimination over the rationals that `exact_rank` ran
+before it went fraction-free: every value a `Fraction`, every pivot row
+scaled to 1 at its key.  The integer elimination must give the same rank.
+
 `ref_add`, `ref_sub`, `ref_matmul` and `ref_scaled` are the plain mpf loops
 the sparse arithmetic of `qproj.linalg.SparseMatrix` must reproduce bit for
 bit: every entry is rounded by the mpf operators, in the order the entries
@@ -52,6 +56,7 @@ one scaled face table per call; its combinations must equal these exactly.
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 from mpmath import mp
 
@@ -92,6 +97,26 @@ def numeric_rank(matrix, precision) -> RankResult:
         rank = sum(1 for s in sigmas if s > cut)
         ill = any(cut / 10 < s < cut * 10 for s in sigmas)
         return RankResult(rank, ill, cut, tuple(sigmas))
+
+
+def ref_exact_rank(rows) -> int:
+    """Exact rank of sparse {key: int | Fraction} rows by forward elimination
+    over the rationals: each row is reduced against the pivot rows kept so
+    far, in the order they were kept, and the rest is kept under its first
+    nonzero key, scaled to 1 there."""
+    pivots = []
+    for row in rows:
+        row = {k: Fraction(v) for k, v in row.items()}
+        for key, pivot in pivots:
+            c = row.get(key)
+            if c:
+                for k, v in pivot.items():
+                    row[k] = row.get(k, 0) - c * v
+        row = {k: v for k, v in row.items() if v}
+        if row:
+            key, c = next(iter(row.items()))
+            pivots.append((key, {k: v / c for k, v in row.items()}))
+    return len(pivots)
 
 
 def apply_e(k, tableau, q, precision):

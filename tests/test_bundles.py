@@ -1,7 +1,9 @@
 """Line bundle blocks: constraint filter, shapes, kernel dimensions."""
 
+import ast
 import collections
 import math
+import pathlib
 import re
 from fractions import Fraction
 
@@ -221,6 +223,29 @@ def test_kernel_block_tables_are_pinned(ell, N, n1_max):
     assert total == (ker_el_combinatorial(ell, N) if N >= 0 else 0)
 
 
+def _bench_block_tables():
+    """`LN_KERNEL_BLOCKS` of bench/workloads.py, the per-block table every
+    `ln-kernel` job of the benchmark is checked against, read as a literal."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [
+                "LN_KERNEL_BLOCKS"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("no LN_KERNEL_BLOCKS in %s" % path)
+
+
+@pytest.mark.parametrize("q", [Q, Fraction(9, 10)])
+def test_kernel_blocks_of_the_bench_jobs_are_pinned_at_every_q(q):
+    # The table is q-independent: the integer columns and the fraction-free
+    # rank give it at q = 9/10 as at q = 1/2, on all six grids of the bench.
+    tables = _bench_block_tables()
+    assert {(ell, N, len(rows) - 1) for (ell, N), rows in tables.items()} == set(BLOCK_TABLES)
+    for (ell, N), rows in tables.items():
+        records = ker_el_numeric(ell, N, len(rows) - 1, q)
+        assert [(r.n1, r.dim_constrained, r.dim_kernel) for r in records] == [
+            (n1, c, k) for n1, (c, k) in enumerate(rows)]
+
+
 class _CountingTable(_Memo):
     """A q-number table that counts its lookups and its computed [z]."""
 
@@ -375,6 +400,63 @@ def test_block_rank_ceiling(monkeypatch):
                  lambda: ker_el_numeric(ceiling + 1, 0, 0, Q)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+# -- integer columns ---------------------------------------------------------------
+
+def _multiple(got, want):
+    """The one positive integer m with got = m * want, entry by entry, on one
+    support; None when there is none."""
+    if got.keys() != want.keys() or any(type(v) is not int for v in got.values()):
+        return None
+    ratios = {Fraction(got[key]) / want[key] for key in want} or {Fraction(1)}
+    m = ratios.pop()
+    return m if not ratios and m > 0 and m.denominator == 1 else None
+
+
+@pytest.mark.parametrize("q", ["1/2", "9/10", "1/3"])
+def test_integer_columns_are_positive_multiples_of_the_exact_columns(q):
+    # Every E_k and F_k column in integers has the support of the Fraction
+    # column of `exact_column` and is one positive integer multiple of it,
+    # and so is each stacked condition column.
+    qn = qarith._q_numbers(qarith.parse_q(q))
+    seen = collections.Counter()
+    for weight in [(2, 1), (1, 1, 1), (2, 0, 1), (1, 0, 0, 1)]:
+        ell = len(weight)
+        for t in enumerate_tableaux(weight):
+            stacked = {}
+            for k in range(1, ell + 1):
+                for op in ("E", "F"):
+                    want = exact_column(op, k, t, q)
+                    got = bundles._integer_column(gtrep._exact_column(op, k, t, qn), qn.ab)
+                    m = _multiple(got, want)
+                    assert m is not None, (weight, t, op, k)
+                    seen[bool(want), m > 1] += 1
+                    if k < ell:
+                        stacked.update(((op, k, target.rows), c) for target, c in want.items())
+            assert _multiple(bundles._condition_column(t, qn), stacked) is not None
+    # empty columns, columns already in integers and scaled ones all occur
+    assert seen[False, False] and seen[True, False] and seen[True, True]
+
+
+def test_k_conditions_are_read_from_row_sums_on_every_candidate(monkeypatch):
+    # With the row-sum descent switched off, every tableau of the weight is a
+    # candidate; the row-sum K check alone must then cut them down to the
+    # closed-form sections, and no GTTableau.a is called.
+    def refused(*args):
+        raise AssertionError("called GTTableau.a")
+
+    monkeypatch.setattr(gtrep.GTTableau, "a", refused)
+    monkeypatch.setattr(bundles, "_candidates", lambda N, weight: enumerate_tableaux(weight))
+    checked = 0
+    for ell in (1, 2, 3):
+        for N in range(-3, 4):
+            for n1 in range(3):
+                weight = block_weight(ell, N, n1)
+                got = ln_conditions_filter(N, weight, Q)
+                assert got == closed_form_section_tableaux(N, weight), (N, weight)
+                checked += bool(got)
+    assert checked
 
 
 # -- exact ranks against the numeric oracle ---------------------------------------

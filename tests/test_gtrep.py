@@ -864,6 +864,17 @@ def test_raise_radicands_are_the_fraction_chain_products(q, monkeypatch):
     assert checked > 100
 
 
+def test_exact_column_drops_a_zero_amplitude():
+    # Off the interlacing tableaux a move the bounds allow can carry a zero
+    # amplitude: raising m_{1,1} = 1 under the top row (3, 2) multiplies by
+    # [l_{2,2} - l_{1,1}] = [0].  The assembler drops it, so the column is
+    # empty in integers and in Fractions alike.
+    t = GTTableau(((3, 2), (1,)))
+    assert not t.interlaces() and t.raised(1, 1) is not None
+    assert gtrep._exact_column("E", 1, t, qarith._q_numbers(Q)) == []
+    assert exact_column("E", 1, t, Q) == {}
+
+
 def test_exact_column_rejects_unknown_op():
     with pytest.raises(ValueError):
         exact_column("K", 1, enumerate_tableaux((1,))[0], Q)

@@ -13,6 +13,7 @@ from oracles import (
     ref_add,
     ref_diagonal_exchange,
     ref_matmul,
+    ref_exact_rank,
     ref_max_abs,
     ref_rounded_root,
     ref_scaled,
@@ -227,6 +228,77 @@ def test_rank_of_rows_equals_rank_of_columns(matrix):
         M(len(matrix), ncols, {(i, j): v for i, row in enumerate(matrix)
                                for j, v in enumerate(row)}), PREC)
     assert exact_rank(_rows(matrix)) == exact_rank(columns) == oracle.rank
+
+
+def test_exact_rank_takes_bools_as_ints():
+    assert exact_rank([{0: True}, {0: False, 1: True}, {0: True, 1: True}]) == 2
+
+
+@pytest.mark.parametrize("value", ["1/2", "x", 0.1, 1.0, 1j, None, mp.mpf(1)],
+                         ids=["fraction-string", "word", "float", "integral-float",
+                              "complex", "none", "mpf"])
+def test_exact_rank_refuses_a_value_that_is_not_an_int_or_a_fraction(value):
+    # Every such value is refused with its key named, after an int row and
+    # beside a Fraction, and a float is never taken as its binary fraction.
+    message = r"int or Fraction values, got .* at key \('k', 2\)$"
+    with pytest.raises(TypeError, match=message):
+        exact_rank([{0: 1}, {0: Fraction(1, 3), ("k", 2): value}])
+    with pytest.raises(TypeError, match="at key 0$"):
+        exact_rank([{0: value}, {0: 0.2}])
+
+
+def test_exact_rank_leaves_its_rows_as_they_were():
+    # {0: 3, 1: 5} is in ints with content 1, so it goes into the
+    # elimination as it was given, and is reduced against the first row.
+    rows = [{0: Fraction(1, 2), 1: 3}, {0: 2, 1: 0}, {1: Fraction(-4, 9)}, {}, {0: 3, 1: 5}]
+    copies = [dict(row) for row in rows]
+    assert exact_rank(rows) == ref_exact_rank(rows) == 2
+    assert rows == copies
+
+
+def test_exact_rank_on_rows_with_large_common_factors():
+    # Every row is divided by its content, so a multiple of a kept row
+    # vanishes whatever its factor, and a Fraction row is scaled by the lcm
+    # of its denominators, 7 * 6^40 here.
+    big = 6 ** 40
+    rows = [{0: big * 2, 1: big * 4}, {0: 3 * big, 1: 7 * big}, {0: 5, 1: 10},
+            {0: Fraction(big, 7), 2: Fraction(1, 7 * big)}]
+    assert exact_rank(rows) == ref_exact_rank(rows) == 3
+    assert exact_rank(rows[:1] + rows[2:3]) == 1
+
+
+_EXACT_VALUES = st.one_of(st.integers(-3, 3),
+                          st.fractions(-3, 3, max_denominator=6))
+# Integer keys and string keys: rows can share keys or have disjoint ones.
+_EXACT_ROWS = st.lists(st.dictionaries(st.one_of(st.integers(0, 4), st.sampled_from("ab")),
+                                       _EXACT_VALUES, max_size=4), max_size=6)
+_MULTIPLES = st.lists(st.tuples(st.integers(0, 5), st.integers(-9, 9).filter(bool)),
+                      max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXACT_ROWS, _MULTIPLES)
+def test_integer_elimination_equals_the_rational_one(rows, multiples):
+    # Zero rows, empty rows, disjoint keys and mixed int and Fraction values
+    # come from the strategies; rows rescaled by a nonzero integer are
+    # appended, so dependent rows are common.  Rescaling every row by a
+    # nonzero integer of its own keeps the rank, and the SVD oracle agrees
+    # wherever its decision is not near its cut.
+    if rows:
+        rows += [{k: c * v for k, v in rows[i % len(rows)].items()} for i, c in multiples]
+    rank = exact_rank(rows)
+    assert rank == ref_exact_rank(rows)
+    factors = [c for _i, c in multiples] or [1]
+    assert exact_rank([{k: factors[n % len(factors)] * v for k, v in row.items()}
+                       for n, row in enumerate(rows)]) == rank
+    keys = {k: n for n, k in enumerate(dict.fromkeys(k for row in rows for k in row))}
+    with mp.workdps(PREC):
+        matrix = SparseMatrix(len(rows), len(keys), {
+            (i, keys[k]): mp.mpf(v.numerator) / v.denominator
+            for i, row in enumerate(rows) for k, v in row.items()})
+    oracle = numeric_rank(matrix, PREC)
+    if not oracle.ill_conditioned:
+        assert rank == oracle.rank
 
 
 # -- bit-for-bit arithmetic ------------------------------------------------------
