@@ -13,10 +13,7 @@ from .qarith import (
     DEFAULT_Q,
     NegativeRadicandError,
     QLaurent,
-    q_binomial,
-    q_factorial,
     q_int,
-    q_multinomial,
 )
 from .gtrep import (
     GTTableau,

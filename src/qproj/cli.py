@@ -264,7 +264,8 @@ def build_parser():
     p.add_argument("--N", type=int, required=True, help="degree of the left factor")
     p = command("euler-cp1", cmd_euler_cp1, "Euler characteristic on the quantum line")
     p.add_argument("--N", type=int, nargs="+", required=True)
-    p.add_argument("--lmax", type=int, default=8, help="largest spin (at most 128)")
+    p.add_argument("--lmax", type=int, default=8,
+                   help="largest spin (at most %d)" % dolbeault.MAX_LMAX)
     p = command("cp2-identity", cmd_cp2_identity, "degree-2 coefficient identities")
     p.add_argument("--nmax", type=int, default=20)
     command("shuffle-certificate", cmd_shuffle_certificate, "two-chain cocycle certificate",

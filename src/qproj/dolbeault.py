@@ -9,15 +9,19 @@ degree N to the l-block of degree N-2 diagonally in m, with coefficient
     c_l = sqrt([l - N/2 + 1][l + N/2]),
 
 so everything is block scalar.  The radicand is that of F_1 on the V(2l)
-tableau ((2l, 0), (m,)), m = l + N/2: a_1(m - 1) b_1(m) of `gtrep._amplitude`
-with the q-integers `q_int`, an exact Laurent polynomial.  Kernel and cokernel
-are computed blockwise: a block c_l I has full rank precisely when it is
-nonzero.  The only targets that can fail to be covered are target blocks with
-no source block at all (l below |N|/2), which are identified structurally, so
-no truncation-edge artifacts arise.  No [z], z != 0, vanishes on (0, 1), so
-no rank depends on q, and the complex is built without one.  The resulting
-Euler characteristic is -N + 1, the quantum switch of the sign of N relative
-to the classical count.
+tableau ((2l, 0), (m,)), m = l + N/2: a_1(m - 1) b_1(m) of `gtrep._amplitude`.
+On (0, 1) each [z] has the sign of z, so the complex is built over the sign
+table z -> (sign z, 0): each block holds the sign of c_l^2 for every q in
+(0, 1) at once, an int that is 0 exactly where the block vanishes, and costs
+O(1).  The same private builder over the table z -> (q_int(z), 0) gives each
+radicand as an exact Laurent polynomial, which the tests hold to the closed
+form.  Kernel and cokernel are computed blockwise: a block c_l I has full
+rank precisely when it is nonzero.  The only targets that can fail to be
+covered are target blocks with no source block at all (l below |N|/2), which
+are identified structurally, so no truncation-edge artifacts arise.  No [z],
+z != 0, vanishes on (0, 1), so no rank depends on q, and the complex is
+built without one.  The resulting Euler characteristic is -N + 1, the
+quantum switch of the sign of N relative to the classical count.
 
 For the plane: only the two scalar consequences of the explicit degree-2
 operator computation are verified, as q-number radical identities
@@ -57,15 +61,17 @@ __all__ = [
 ]
 
 
-# The largest l_max of the qP^1 complex: its radicands are full Laurent
-# products, so a build is cubic in l_max.  A cp2 grid of MAX_CP2_N + 1 (n, q)
-# rows, the CLI's largest, takes about 0.2 s; each further row costs its
-# roots and a [z] whose integers grow linearly in n.
-MAX_LMAX = 128
+# The largest l_max of the qP^1 complex: each block is O(1) on the sign
+# table, so a build is linear in l_max, and `euler-cp1 --N 0 --lmax 100000`
+# takes about 0.6 s and 66 MiB, start-up included.  A cp2 grid of
+# MAX_CP2_N + 1 (n, q) rows, the CLI's largest, takes about 0.2 s; each
+# further row costs its roots and a [z] whose integers grow linearly in n.
+MAX_LMAX = 100_000
 MAX_CP2_N = 1000
 
-# `radicand` is the exact [l - N/2 + 1][l + N/2], read from the GT amplitudes
-# of F_1 (zero for a source-free block); the coefficient c_l is its root.
+# `radicand` is the sign on (0, 1) of c_l^2 = [l - N/2 + 1][l + N/2], read
+# from the GT amplitudes of F_1: 1, or 0 for a block that vanishes or has no
+# source.  The coefficient c_l is the root of that q-number product.
 Cp1Block = namedtuple("Cp1Block", "twol dim_source dim_target radicand")
 
 EulerResult = namedtuple("EulerResult", "N l_max dim_ker dim_coker chi stable blocks")
@@ -78,7 +84,15 @@ TruncatedComplex = namedtuple("TruncatedComplex", "N l_max blocks")
 
 def cp1_dolbeault_matrix(N: int, l_max) -> TruncatedComplex:
     """Build the truncated degree-N complex up to spin l_max <= MAX_LMAX; a
-    spin is a multiple of 1/2, and any other l_max is a ValueError."""
+    spin is a multiple of 1/2, and any other l_max is a ValueError.  Each
+    block's `radicand` is the sign of c_l^2 on (0, 1), an int."""
+    return _cp1_complex(N, l_max, _Memo(lambda z: ((z > 0) - (z < 0), 0)))
+
+
+def _cp1_complex(N, l_max, qn):
+    # The complex over the q-number table `qn` of `_amplitude`, z -> (value,
+    # 0): the sign table gives each radicand's sign, z -> (q_int(z), 0) its
+    # Laurent polynomial, with the table's own zero for a source-free block.
     N = _check_int(N, "the degree N")
     given, l_max = l_max, Fraction(l_max)
     if (2 * l_max).denominator != 1:
@@ -89,7 +103,6 @@ def cp1_dolbeault_matrix(N: int, l_max) -> TruncatedComplex:
         raise ValueError("l_max must be at most %d, got %s" % (MAX_LMAX, l_max))
     twol_cap = int(2 * l_max)
     src_min, tgt_min = abs(N), abs(N - 2)
-    qn = _Memo(lambda z: (q_int(z), 0))  # [z] itself, over (ab)^0
     blocks = []
     # |N| and |N - 2| share one parity, so 2l steps by 2 through both spin lists.
     for twol in range(min(src_min, tgt_min), twol_cap + 1, 2):
@@ -97,7 +110,7 @@ def cp1_dolbeault_matrix(N: int, l_max) -> TruncatedComplex:
         m = (twol + N) // 2  # F_1 on ((2l, 0), (m,)) lowers m, unless m = 0
         radicand = (_amplitude("E", 1, (m - 1,), (twol, 0), qn)[0]
                     * _amplitude("F", 1, (m,), (), qn)[0] if in_source and m
-                    else q_int(0))
+                    else qn[0][0])
         blocks.append(Cp1Block(
             twol,
             dim_source=twol + 1 if in_source else 0,

@@ -271,8 +271,9 @@ def _amplitude(op, j, row, other, qn):
     the same value.  `qn` maps z to (N_z, e_z) with [z] = N_z / (ab)^e_z;
     the result (num, den, e) is num / (den (ab)^e), in the integers of
     `_q_numbers(qf)`: `_ratio` makes it one Fraction, and `bundles` scales a
-    column of them to integers.  `dolbeault` maps z to
-    (q_int(z), 0): at k = 1 nothing is divided, so num is the QLaurent value.
+    column of them to integers.  `dolbeault` maps z to (sign z, 0), the sign
+    of [z] on (0, 1), and its tests to (q_int(z), 0): at k = 1 nothing is
+    divided, so num is the sign, or the QLaurent value, of the amplitude.
     """
     ljk, den = row[j - 1] - j, 1
     num, e = qn[1]

@@ -8,7 +8,7 @@ other module reads it.  Every rank decision on a matrix runs exactly through
 elimination over the integers, so the integer GT columns of `bundles` are
 ranked as they come, with no dense copy and no Fraction built.  The qP^1 complex of
 `dolbeault` needs no elimination: each of its blocks is a scalar, so its rank
-is decided by whether that block's exact Laurent radicand is zero.
+is decided by whether the sign of that block's radicand on (0, 1) is zero.
 
 The GT matrices hold few distinct values (the E matrices of (1,1,1,1) hold
 3,684 nonzeros but 103 values), so each sparse operation memoises its
@@ -26,7 +26,8 @@ the bottom of the imports, so that `SparseMatrix` can check its shape too.
 The scans of `gtrep.verify_relations` run here too: `_max_abs` finds a
 matrix's first largest |v| with |v| taken once per distinct value, and
 `_diagonal_exchange` evaluates M K - c K M from the diagonal of K once per
-distinct (m, k_r, k_s).  Both give the residual and the entry of the plain
+distinct (m, k_r, k_s), an entry whose two products are equal being exactly
+zero with no subtraction.  Both give the residual and the entry of the plain
 scan `abs(v) > worst` over the mpf entries.  `_rounded_root`, the root of
 an exact GT radicand that `gtrep` takes, lives here because only this module
 calls libmp; it gives the bits of the mpf route with no context switch.
@@ -82,9 +83,10 @@ def _first_largest(found):
     # {key: (|v|, first position)} in first-occurrence order -> the first
     # position of a strictly largest |v|.  The first key to reach the maximum
     # holds its earliest position, so this is the plain scan's answer.
+    # A zero |v| never exceeds `worst`, so it is skipped before `mpf_gt`.
     worst, at = fzero, None
     for a, pos in found.values():
-        if mpf_gt(a, worst):
+        if a != fzero and mpf_gt(a, worst):
             worst, at = a, pos
     return mp.make_mpf(worst), at
 
@@ -301,7 +303,9 @@ class SparseMatrix:
                     ms = products[m, ks] = mpf_mul(m, ks, prec, rnd)
                 if c is not None:
                     mr = mpf_mul(c, mr, prec, rnd)
-                found[key] = mpf_abs(mpf_sub(ms, mr, prec, rnd), prec, rnd), pos
+                # Equal operands cancel exactly: x - x is fzero in libmp.
+                found[key] = (fzero if ms == mr
+                              else mpf_abs(mpf_sub(ms, mr, prec, rnd), prec, rnd)), pos
         return _first_largest(found)
 
     def _check_shape(self, other):

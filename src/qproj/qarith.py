@@ -2,10 +2,10 @@
 
 The symmetric q-integer of z is [z] = (q^z - q^-z)/(q - q^-1), a Laurent
 polynomial in q with integer coefficients.  Everything assembled from
-q-integers by ring operations (q-factorials, q-binomials by the q-Pascal
-rule, the twisted q-multinomial as a product of q-binomials) stays inside
-that ring and is represented exactly by :class:`QLaurent`; nothing is
-divided and no rounding ever happens on this tier.
+q-integers by ring operations stays inside that ring and is represented
+exactly by :class:`QLaurent`; nothing is divided and no rounding ever
+happens on this tier.  (The q-factorials, q-binomials and the twisted
+q-multinomial, which no library code calls, are kept with the test oracles.)
 
 Square roots force a second, numeric tier: evaluating a QLaurent at a fixed
 rational 0 < q < 1 produces an arbitrary-precision mpmath float computed
@@ -30,9 +30,6 @@ DEFAULT_Q = Fraction(1, 2)
 __all__ = [
     "QLaurent",
     "q_int",
-    "q_factorial",
-    "q_binomial",
-    "q_multinomial",
     "parse_q",
     "check_precision",
     "NegativeRadicandError",
@@ -271,48 +268,3 @@ def _q_numbers(qf):
 def _ratio(table, num, den, e):
     # num / (den (ab)^e) as one reduced Fraction, ab from a `_q_numbers` table.
     return Fraction(num, den * table.ab ** e) if e >= 0 else Fraction(num * table.ab ** -e, den)
-
-
-def q_factorial(n: int) -> QLaurent:
-    """[n]! = [n][n-1]...[1], with [0]! = 1."""
-    n = _check_int(n, "the q-factorial n")
-    if n < 0:
-        raise ValueError("q-factorial needs n >= 0, got %d" % n)
-    out = QLaurent.one()
-    for z in range(2, n + 1):
-        out = out * q_int(z)
-    return out
-
-
-def q_binomial(n: int, m: int) -> QLaurent:
-    """The q-binomial [n]! / ([m]! [n-m]!), built without a division by the
-    q-Pascal rule [k, j] = q^-j [k-1, j] + q^(k-j) [k-1, j-1], row k keeping
-    only the j that still reach [n, m]: max(0, m - n + k) <= j <= min(m, k).
-    """
-    n, m = _check_int(n, "the q-binomial n"), _check_int(m, "the q-binomial m")
-    if not 0 <= m <= n:
-        raise ValueError("q-binomial needs 0 <= m <= n, got n=%d m=%d" % (n, m))
-    zero, row = QLaurent.zero(), {0: QLaurent.one()}
-    for k in range(1, n + 1):
-        row = {j: QLaurent.q_power(-j) * row.get(j, zero)
-               + QLaurent.q_power(k - j) * row.get(j - 1, zero)
-               for j in range(max(0, m - n + k), min(m, k) + 1)}
-    return row[m]
-
-
-def q_multinomial(parts) -> QLaurent:
-    """The twisted q-multinomial q^(-sum_{r<s} j_r j_s) [J]!/([j_1]!...[j_k]!).
-
-    J = j_1 + ... + j_k.  The quotient is the product over s of the
-    q-binomials [j_1 + ... + j_s, j_s].  The prefactor breaks palindromicity
-    whenever two parts are simultaneously nonzero.
-    """
-    js = [_check_int(j, "a q-multinomial part") for j in parts]
-    if any(j < 0 for j in js):
-        raise ValueError("q-multinomial parts must be non-negative, got %r" % (parts,))
-    out, total, cross = QLaurent.one(), 0, 0
-    for j in js:
-        cross += total * j
-        total += j
-        out = out * q_binomial(total, j)
-    return QLaurent.q_power(-cross) * out

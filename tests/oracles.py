@@ -47,6 +47,11 @@ qP^1 complex, written out with `q_int`.  `qproj.dolbeault` reads the same
 radicand from the GT amplitudes of F_1 instead, so every block is held
 against this second transcription.
 
+`q_factorial`, `q_binomial` (by the q-Pascal rule, with no division) and
+the twisted `q_multinomial` are the q-factorial family on `QLaurent`, with
+the argument checks they had in the library, which calls none of them; the
+property tests and acceptance criterion 8 hold them to their symmetries.
+
 `ref_double_coboundary` and `ref_invariance_defect` are the twisted
 coboundary combinations evaluated face by face in `Fraction`s, straight from
 `algebra.product` and the sigma-eigenvalues, with the full-turn scalar a
@@ -61,7 +66,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from qproj.gtrep import RelationCheck, raise_coeff
-from qproj.linalg import SparseMatrix
+from qproj.linalg import SparseMatrix, _check_int
 from qproj.qarith import QLaurent, check_precision, parse_q, q_int
 
 RankResult = namedtuple("RankResult", "rank ill_conditioned threshold sigmas")
@@ -253,6 +258,51 @@ def cp1_radicand(N, twol):
     if twol < abs(N) or (twol - N) % 2:
         return QLaurent.zero()
     return q_int((twol - N) // 2 + 1) * q_int((twol + N) // 2)
+
+
+def q_factorial(n: int) -> QLaurent:
+    """[n]! = [n][n-1]...[1], with [0]! = 1."""
+    n = _check_int(n, "the q-factorial n")
+    if n < 0:
+        raise ValueError("q-factorial needs n >= 0, got %d" % n)
+    out = QLaurent.one()
+    for z in range(2, n + 1):
+        out = out * q_int(z)
+    return out
+
+
+def q_binomial(n: int, m: int) -> QLaurent:
+    """The q-binomial [n]! / ([m]! [n-m]!), built without a division by the
+    q-Pascal rule [k, j] = q^-j [k-1, j] + q^(k-j) [k-1, j-1], row k keeping
+    only the j that still reach [n, m]: max(0, m - n + k) <= j <= min(m, k).
+    """
+    n, m = _check_int(n, "the q-binomial n"), _check_int(m, "the q-binomial m")
+    if not 0 <= m <= n:
+        raise ValueError("q-binomial needs 0 <= m <= n, got n=%d m=%d" % (n, m))
+    zero, row = QLaurent.zero(), {0: QLaurent.one()}
+    for k in range(1, n + 1):
+        row = {j: QLaurent.q_power(-j) * row.get(j, zero)
+               + QLaurent.q_power(k - j) * row.get(j - 1, zero)
+               for j in range(max(0, m - n + k), min(m, k) + 1)}
+    return row[m]
+
+
+def q_multinomial(parts) -> QLaurent:
+    """The twisted q-multinomial q^(-sum_{r<s} j_r j_s) [J]!/([j_1]!...[j_k]!).
+
+    J = j_1 + ... + j_k.  The quotient is the product over s of the
+    q-binomials [j_1 + ... + j_s, j_s].  The prefactor breaks palindromicity
+    whenever two parts are simultaneously nonzero.
+    """
+    js = [_check_int(j, "a q-multinomial part") for j in parts]
+    if any(j < 0 for j in js):
+        raise ValueError("q-multinomial parts must be non-negative, got %r" % (parts,))
+    out, total, cross = QLaurent.one(), 0, 0
+    for j in js:
+        cross += total * j
+        total += j
+        out = out * q_binomial(total, j)
+    return QLaurent.q_power(-cross) * out
 
 
 def ref_amplitude(op, j, row, other, q):

@@ -18,8 +18,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
+from oracles import q_binomial, q_factorial, q_multinomial
 from qproj import bundles, cocycle, coordring, dolbeault, gtrep
-from qproj.qarith import q_binomial, q_factorial, q_int, q_multinomial
+from qproj.qarith import q_int
 
 Q = Fraction(1, 2)
 PREC = 60
@@ -154,8 +155,8 @@ def test_criterion_2_kernel_theorem():
 
 def test_criterion_3_euler_characteristic():
     """chi = -N + 1 for N in -4..4 at l_max 8 and 10, for every q in (0, 1):
-    the complex's blocks are exact Laurent radicands, none of which vanishes
-    on (0, 1)."""
+    each block holds the sign on (0, 1) of its radicand, a product of
+    q-integers none of which vanishes there."""
     problems = []
     for lmax in (8, 10):
         for N in range(-4, 5):
@@ -178,9 +179,20 @@ def test_criterion_3_serre_duality():
     conclude(3, "quantum line Serre duality", problems)
 
 
+def _admissible_partitions(mono, N):
+    """Every r with sum N and 0 <= r_i <= s_i, supported on the first k
+    indices, k the first index whose prefix sum of exponents exceeds N."""
+    prefix = itertools.accumulate(mono)
+    k = next((i for i, p in enumerate(prefix, start=1) if p > N), len(mono))
+    for head in itertools.product(*(range(x + 1) for x in mono[:k])):
+        if sum(head) == N:
+            yield head + (0,) * (len(mono) - k)
+
+
 def test_criterion_4_ring_grading_and_factorization():
     """Graded dimensions match kernel counts; factorization postcondition
-    holds exhaustively for degree <= 8 over <= 4 generators."""
+    holds exhaustively for degree <= 8 over <= 4 generators, over every
+    admissible partition, so the q-power R of a split is checked too."""
     problems = []
     for ell in (1, 2, 3, 4):
         for N in range(0, 11):
@@ -188,22 +200,28 @@ def test_criterion_4_ring_grading_and_factorization():
             kc = bundles.ker_el_combinatorial(ell, N)
             if not gd == kc == math.comb(N + ell, ell):
                 problems.append("ell=%d N=%d graded=%d kernel=%d" % (ell, N, gd, kc))
-    checked = 0
+    checked = twisted = 0
     for g in (1, 2, 3, 4):
         for d in range(0, 9):
             for mono in coordring.monomials(g, d):
                 for N in range(0, d + 1):
-                    fac = coordring.tensor_factorize(mono, N)
-                    word = []
-                    for i, s in enumerate(fac.left, start=1):
-                        word.extend([i] * s)
-                    for i, s in enumerate(fac.right, start=1):
-                        word.extend([i] * s)
-                    e, back = coordring.normal_order(tuple(word), g)
-                    if back != mono or e != -fac.R:
-                        problems.append("Z=%s N=%d" % (mono, N))
-                    checked += 1
-    conclude(4, "ring grading and factorization (%d splits)" % checked, problems)
+                    for r in _admissible_partitions(mono, N):
+                        fac = coordring.tensor_factorize(mono, N, r)
+                        word = []
+                        for i, s in enumerate(fac.left, start=1):
+                            word.extend([i] * s)
+                        for i, s in enumerate(fac.right, start=1):
+                            word.extend([i] * s)
+                        e, back = coordring.normal_order(tuple(word), g)
+                        if back != mono or e != -fac.R or fac.left != r:
+                            problems.append("Z=%s N=%d r=%s" % (mono, N, r))
+                        checked += 1
+                        twisted += fac.R != 0
+    if (checked, twisted) != (10637, 5489):
+        problems.append("%d splits, %d with R != 0: expected 10637 and 5489"
+                        % (checked, twisted))
+    conclude(4, "ring grading and factorization (%d splits, %d with R != 0)"
+             % (checked, twisted), problems)
 
 
 def test_criterion_5_cocycle_certificate():

@@ -384,9 +384,9 @@ def test_precision_above_the_ceiling_is_rejected(capsys, argv):
 
 
 def test_euler_cp1_rejects_lmax_above_the_ceiling(capsys):
-    code, report = run_json(capsys, "euler-cp1", "--N", "0", "--lmax", "129")
+    code, report = run_json(capsys, "euler-cp1", "--N", "0", "--lmax", "100001")
     assert code == 1 and report["config"] == {}
-    assert report["results"] == [{"error": "l_max must be at most 128, got 129"}]
+    assert report["results"] == [{"error": "l_max must be at most 100000, got 100001"}]
 
 
 def test_q_with_a_zero_denominator_is_reported(capsys):

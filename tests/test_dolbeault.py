@@ -15,7 +15,7 @@ from qproj.dolbeault import (
     cp1_euler_characteristic,
     cp2_coefficient_identity,
 )
-from qproj.linalg import _rounded_q_number
+from qproj.linalg import _Memo, _rounded_q_number
 from qproj.qarith import QLaurent, _q_numbers, q_int
 
 Q = Fraction(1, 2)
@@ -24,6 +24,12 @@ PREC = 60
 
 def block(cx, twol):
     return next(b for b in cx.blocks if b.twol == twol)
+
+
+def laurent_complex(N, l_max):
+    # The library's own builder over the table z -> ([z], 0) in place of the
+    # sign table: each radicand is then the exact Laurent polynomial.
+    return dolbeault._cp1_complex(N, l_max, _Memo(lambda z: (q_int(z), 0)))
 
 
 # -- operator coefficients ---------------------------------------------------------
@@ -35,10 +41,14 @@ def test_coefficient_constants_are_holomorphic():
 
 def test_coefficient_degree_one():
     # For N = 1 both factors coincide, c_l^2 = [l+1/2]^2; at the bottom
-    # block l = 1/2 that is [1][1].
+    # block l = 1/2 that is [1][1].  The public complex holds its sign on
+    # (0, 1), the Laurent table the product itself.
     cx = cp1_dolbeault_matrix(1, Fraction(9, 2))
-    assert block(cx, 1).radicand == q_int(1) * q_int(1)
-    assert block(cx, 3).radicand == q_int(2) * q_int(2)
+    assert [type(b.radicand) for b in cx.blocks] == [int] * 5
+    assert block(cx, 1).radicand == block(cx, 3).radicand == 1
+    laurent = laurent_complex(1, Fraction(9, 2))
+    assert block(laurent, 1).radicand == q_int(1) * q_int(1)
+    assert block(laurent, 3).radicand == q_int(2) * q_int(2)
 
 
 def test_coefficient_kernel_block_negative_degree():
@@ -48,16 +58,36 @@ def test_coefficient_kernel_block_negative_degree():
 
 
 def test_every_block_is_the_closed_form():
-    # dolbeault reads c_l^2 from the GT amplitudes of F_1; it must be the
-    # closed form, as an exact Laurent polynomial, block by block.
+    # dolbeault reads c_l^2 from the GT amplitudes of F_1; over the Laurent
+    # table its builder must give the closed form, as an exact Laurent
+    # polynomial, block by block.
     blocks = sources = 0
     for N in range(-8, 9):
-        for b in cp1_dolbeault_matrix(N, 14).blocks:
+        for b in laurent_complex(N, 14).blocks:
             assert isinstance(b.radicand, QLaurent)
             assert b.radicand == cp1_radicand(N, b.twol), (N, b.twol)
             blocks += 1
             sources += bool(b.dim_source)
     assert (blocks, sources) == (222, 215)
+
+
+def test_every_sign_block_is_the_sign_of_its_laurent_radicand():
+    # On (0, 1) each [z] has the sign of z, so the sign table decides for
+    # every q what the Laurent product decides: the same blocks, each radicand
+    # the int 1 where the Laurent one is nonzero (and positive) and 0 where
+    # it is zero.
+    blocks = 0
+    for N in range(-12, 13):
+        signs = cp1_dolbeault_matrix(N, 40).blocks
+        laurent = laurent_complex(N, 40).blocks
+        assert [b[:3] for b in signs] == [b[:3] for b in laurent]
+        for s, b in zip(signs, laurent):
+            assert type(s.radicand) is int
+            assert s.radicand == (1 if b.radicand else 0), (N, b.twol)
+            if b.radicand:
+                assert ref_eval(b.radicand, Q, PREC) > 0
+            blocks += 1
+    assert blocks == 952
 
 
 def test_half_integer_blocks_for_odd_degree():
@@ -73,14 +103,14 @@ def test_lmax_preconditions():
 
 
 def test_lmax_ceiling():
-    # Each radicand is a full Laurent product, so a build is cubic in l_max;
+    # Each block is O(1) on the sign table, so a build is linear in l_max;
     # the ceiling keeps one build well under a second.
-    assert dolbeault.MAX_LMAX == 128
-    assert cp1_euler_characteristic(2, 128).chi == -1
-    for l_max in (129, Fraction(257, 2)):
-        with pytest.raises(ValueError, match="l_max must be at most 128, got %s" % l_max):
+    assert dolbeault.MAX_LMAX == 100_000
+    assert cp1_euler_characteristic(2, 100_000).chi == -1
+    for l_max in (100_001, Fraction(200_001, 2)):
+        with pytest.raises(ValueError, match="l_max must be at most 100000, got %s" % l_max):
             cp1_dolbeault_matrix(0, l_max)
-        with pytest.raises(ValueError, match="l_max must be at most 128, got %s" % l_max):
+        with pytest.raises(ValueError, match="l_max must be at most 100000, got %s" % l_max):
             cp1_euler_characteristic(0, l_max)
 
 

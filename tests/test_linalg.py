@@ -19,6 +19,7 @@ from oracles import (
     ref_scaled,
     ref_sub,
 )
+from qproj import linalg
 from qproj.linalg import SparseMatrix, _rounded_root, exact_rank
 
 PREC = 60
@@ -420,6 +421,38 @@ def test_diagonal_exchange_refuses_a_k_of_another_size_or_off_its_diagonal():
     # the first off-diagonal entry in storage order is named
     with pytest.raises(ValueError, match=r"entry at \(1, 0\)"):
         m._diagonal_exchange(M(2, 2, {(0, 0): 1, (1, 0): 2, (0, 1): 5}), None, {})
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), digits=st.sampled_from([PREC, 100]), n=st.integers(1, 6))
+def test_exchange_with_equal_operands_is_the_mpf_loop_bit_for_bit(data, digits, n):
+    # K's diagonal takes one or two values, so most entries have k_r = k_s,
+    # where m k_s and c (k_r m) are equal for c = None or 1 and the residual
+    # is zero with no subtraction; the scan must still be the mpf loop's.
+    pool = _pool(digits)
+    m = _pool_matrix(data, n, pool)
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2), label="values")
+    k = data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n), label="k")
+    c = data.draw(st.sampled_from([None] + pool), label="c")  # pool[0] is 1
+    with mp.workdps(PREC):
+        got = m._diagonal_exchange(SparseMatrix.diagonal(k), c, {})
+        _same_scan(got, ref_max_abs(ref_diagonal_exchange(m, k, 1 if c is None else c)))
+
+
+def test_exchange_of_equal_operands_makes_no_subtraction(monkeypatch):
+    # K = k I commutes with every M, so each m k_s equals k_r m: every
+    # residual is exactly zero and no `mpf_sub` runs.
+    def no_sub(*args):
+        raise AssertionError("mpf_sub on equal operands")
+
+    monkeypatch.setattr(linalg, "mpf_sub", no_sub)
+    with mp.workdps(PREC):
+        m = SparseMatrix(3, 3, {(0, 1): mp.mpf(3) / 7, (2, 0): -mp.pi, (1, 1): mp.mpf(5)})
+        k = [mp.sqrt(2)] * 3
+        for c in (None, mp.mpf(1)):
+            got = m._diagonal_exchange(SparseMatrix.diagonal(k), c, {})
+            assert got[0]._mpf_ == mp.mpf(0)._mpf_ and got[1] is None
+            _same_scan(got, ref_max_abs(ref_diagonal_exchange(m, k)))
 
 
 @settings(max_examples=80, deadline=None)

@@ -9,7 +9,9 @@ every parameter of every function and lambda must be read in its body
 `linalg._Memo`: no other class defines `__missing__` or subclasses `dict`.
 A private name is imported only from the module that defines it, and only
 `qarith` names the Laurent type `QLaurent` (the package `__init__` re-exports
-it).
+it).  Outside `qarith`, only `dolbeault._q_number_values`, the term-sum
+fallback of the cp2 rows, names the Laurent q-integer `q_int`, so no rank
+path builds a Laurent polynomial.
 """
 
 import ast
@@ -126,3 +128,23 @@ def test_only_qarith_names_the_laurent_type():
                    if module not in ("qarith.py", "__init__.py")
                    and "QLaurent" in _referenced(tree) | set(_imported_names(tree)))
     assert named == []
+
+
+def _q_int_readers(tree):
+    """Each top-level statement of a module that names `q_int`: a function or
+    class by its name, an import or any other statement by its node type."""
+    for node in tree.body:
+        found = any(isinstance(n, ast.Name) and n.id == "q_int"
+                    or isinstance(n, ast.Attribute) and n.attr == "q_int"
+                    or isinstance(n, ast.alias) and n.name == "q_int"
+                    for n in ast.walk(node))
+        if found:
+            yield getattr(node, "name", "<%s>" % type(node).__name__)
+
+
+def test_only_the_cp2_fallback_names_q_int():
+    named = sorted("%s: %s" % (module, reader)
+                   for module, tree in TREES.items()
+                   if module not in ("qarith.py", "__init__.py")
+                   for reader in _q_int_readers(tree))
+    assert named == ["dolbeault.py: <ImportFrom>", "dolbeault.py: _q_number_values"]

@@ -7,17 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from oracles import ref_eval
+from oracles import q_binomial, q_factorial, q_multinomial, ref_eval
 from qproj import bundles, coordring, dolbeault, gtrep, qarith
-from qproj.qarith import (
-    QLaurent,
-    check_precision,
-    parse_q,
-    q_binomial,
-    q_factorial,
-    q_int,
-    q_multinomial,
-)
+from qproj.qarith import QLaurent, check_precision, parse_q, q_int
 
 Q = Fraction(1, 2)
 PREC = 60
